@@ -27,7 +27,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.getcwd()
 OUT_DIR = os.path.join(HERE, "out")
 # set-up is timed in this many fresh interpreters and reported as the median
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 
 
 def import_package():
@@ -147,17 +147,14 @@ def main(argv) -> int:
         import_package()
         import tracer as tracer_mod
 
-        tracer = tracer_mod.Tracer()
+        tracer = tracer_mod.Tracer(os.path.join(ROOT, "BENCHMARK.json"))
         tracer.install()
     lp, ops = setup(args)
     setup_in_process = time.perf_counter() - T_START
 
     rounds, timed, latencies, first_outputs, wrong, failed = measure(ops, args.seconds, tracer)
     attempted = len(latencies)
-    # Each operation's time is its best over the run's repeats of the round:
-    # the shared host only ever adds time, in bursts from a few ms to minutes.
-    best = [min(latencies[i::len(ops)]) for i in range(len(ops))]
-    ops_per_s, latency_p50_ms = len(ops) / sum(best), 1e3 * statistics.median(best)
+    ops_per_s, latency_p50_ms = attempted / timed, 1e3 * statistics.median(latencies)
 
     import workloads
 
@@ -185,20 +182,22 @@ def main(argv) -> int:
             "bound_gap": {"value": statistics.fmean(gaps), "unit": "1"},
         }
 
-    kinds = {}
-    for op in ops:
+    kinds, strata = {}, {}
+    for i, op in enumerate(ops):
         kinds[op.kind] = kinds.get(op.kind, 0) + 1
+        strata.setdefault(op.stratum, []).extend(latencies[i::len(ops)])
     details = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "rounds": rounds, "ops_per_round": len(ops),
         "timed_s": timed, "setup_in_process_s": setup_in_process,
-        "latency_p50_ms": latency_p50_ms, "ops_per_s": ops_per_s,
-        "all_latency_p50_ms": 1e3 * statistics.median(latencies),
-        "all_ops_per_s": attempted / timed, "kinds_per_round": kinds,
+        "latency_p50_ms": latency_p50_ms, "ops_per_s": ops_per_s, "kinds_per_round": kinds,
+        "ops_per_s_by_stratum": {k: len(v) / sum(v) for k, v in strata.items()},
+        "time_share_by_stratum": {k: sum(v) / timed for k, v in strata.items()},
         "failures": failures[:20],
         "op_info": [op.info(out) for op, out in zip(ops, first_outputs)
                     if not isinstance(out, Failed)],
-        "op_best_ms": [1e3 * t for t in best],
+        "op_median_ms": [1e3 * statistics.median(latencies[i::len(ops)])
+                         for i in range(len(ops))],
     }
     if not tracer:
         details["setup_probes_s"] = setup_times

@@ -6,13 +6,15 @@ itself is untouched.  A wrapper records calls, wall time, self time (its
 time minus the time of wrapped calls made inside it) and an optional work
 count taken from the arguments or the result.  Only public names and calls
 that cross a module boundary are wrapped; a name that no longer exists is
-reported as absent and the run goes on without it.
+reported as absent and the run goes on without it.  The per-layer metrics
+are the per_layer list of BENCHMARK.json, each mapped to a span by its name.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -39,83 +41,71 @@ def _nfev(args, kwargs, out):
     return getattr(out, "nfev", 0)
 
 
-# (owner, attribute, span name, work count); the owner is a module path or
+# (owner, attribute, span name); the owner is a module path or
 # "module:Class".  The same span name at several owners covers every place a
 # caller looks the function up.
 TRACED = (
-    ("lempertpoles.node_optimizer", "bidisc_lempert", "node_optimizer.bidisc_lempert", None),
-    ("lempertpoles.node_optimizer", "minimize", "slsqp.minimize", _nfev),
-    ("numpy.linalg", "eigvalsh", "lapack.eigvalsh", _eig_matrices),
-    ("lempertpoles.node_optimizer", "pick_feasible", "complex_kernel.pick_feasible", None),
-    ("lempertpoles.complex_kernel", "pick_feasible", "complex_kernel.pick_feasible", None),
-    ("lempertpoles.node_optimizer", "solve_node_quadratic", "complex_kernel.solve_node_quadratic", None),
-    ("lempertpoles.interpolation", "solve_node_quadratic", "complex_kernel.solve_node_quadratic", None),
-    ("lempertpoles.node_optimizer", "build_cover", "covering_domains.build_cover", None),
-    ("lempertpoles.product_engine", "build_cover", "covering_domains.build_cover", None),
-    ("lempertpoles.covering_domains", "build_cover", "covering_domains.build_cover", None),
-    ("lempertpoles.covering_domains:CoverMap", "lifts", "covering_domains.lifts", _windings),
+    ("lempertpoles.node_optimizer", "bidisc_lempert", "node_optimizer.bidisc_lempert"),
+    ("lempertpoles.node_optimizer", "minimize", "slsqp.minimize"),
+    ("numpy.linalg", "eigvalsh", "lapack.eigvalsh"),
+    ("lempertpoles.node_optimizer", "pick_feasible", "complex_kernel.pick_feasible"),
+    ("lempertpoles.complex_kernel", "pick_feasible", "complex_kernel.pick_feasible"),
+    ("lempertpoles.node_optimizer", "solve_node_quadratic", "complex_kernel.solve_node_quadratic"),
+    ("lempertpoles.interpolation", "solve_node_quadratic", "complex_kernel.solve_node_quadratic"),
+    ("lempertpoles.node_optimizer", "build_cover", "covering_domains.build_cover"),
+    ("lempertpoles.product_engine", "build_cover", "covering_domains.build_cover"),
+    ("lempertpoles.covering_domains", "build_cover", "covering_domains.build_cover"),
+    ("lempertpoles.covering_domains:CoverMap", "lifts", "covering_domains.lifts"),
     ("lempertpoles.covering_domains:CoverMap", "min_lift_log_modulus",
-     "covering_domains.min_lift_log_modulus", None),
-    ("lempertpoles.covering_domains", "green_plane", "covering_domains.green_plane", None),
-    ("lempertpoles.product_engine", "green_plane", "covering_domains.green_plane", None),
-    ("lempertpoles.covering_domains", "lempert_N_plane", "covering_domains.lempert_N_plane", None),
-    ("lempertpoles.product_engine", "lempert_N_plane", "covering_domains.lempert_N_plane", None),
+     "covering_domains.min_lift_log_modulus"),
+    ("lempertpoles.covering_domains", "green_plane", "covering_domains.green_plane"),
+    ("lempertpoles.product_engine", "green_plane", "covering_domains.green_plane"),
+    ("lempertpoles.covering_domains", "lempert_N_plane", "covering_domains.lempert_N_plane"),
+    ("lempertpoles.product_engine", "lempert_N_plane", "covering_domains.lempert_N_plane"),
     ("lempertpoles.covering_domains", "lempert_poleset_plane",
-     "covering_domains.lempert_poleset_plane", None),
+     "covering_domains.lempert_poleset_plane"),
     ("lempertpoles.product_engine", "lempert_poleset_plane",
-     "covering_domains.lempert_poleset_plane", None),
+     "covering_domains.lempert_poleset_plane"),
     ("lempertpoles.covering_domains", "find_pole_with_value",
-     "covering_domains.find_pole_with_value", None),
+     "covering_domains.find_pole_with_value"),
     ("lempertpoles.product_engine", "find_pole_with_value",
-     "covering_domains.find_pole_with_value", None),
-    ("lempertpoles.interpolation", "lemma4_solve", "interpolation.lemma4_solve", None),
-    ("lempertpoles.interpolation", "theorem5_certificate", "interpolation.theorem5_certificate", None),
-    ("lempertpoles.product_engine", "theorem5_certificate", "interpolation.theorem5_certificate", None),
-    ("lempertpoles.product_engine", "theorem5_bounds", "product_engine.theorem5_bounds", None),
-    ("lempertpoles.product_engine", "prop10_construct", "product_engine.prop10_construct", None),
-    ("lempertpoles.product_engine", "condition4_margin", "product_engine.condition4_margin", None),
-    ("lempertpoles.product_engine", "lempert_disc", "disc_domain.lempert_disc", None),
-    ("lempertpoles.disc_domain", "lempert_disc", "disc_domain.lempert_disc", None),
+     "covering_domains.find_pole_with_value"),
+    ("lempertpoles.interpolation", "lemma4_solve", "interpolation.lemma4_solve"),
+    ("lempertpoles.interpolation", "theorem5_certificate", "interpolation.theorem5_certificate"),
+    ("lempertpoles.product_engine", "theorem5_certificate", "interpolation.theorem5_certificate"),
+    ("lempertpoles.product_engine", "theorem5_bounds", "product_engine.theorem5_bounds"),
+    ("lempertpoles.product_engine", "prop10_construct", "product_engine.prop10_construct"),
+    ("lempertpoles.product_engine", "condition4_margin", "product_engine.condition4_margin"),
+    ("lempertpoles.product_engine", "lempert_disc", "disc_domain.lempert_disc"),
+    ("lempertpoles.disc_domain", "lempert_disc", "disc_domain.lempert_disc"),
 )
 
-# per_layer metric -> (span name, field, unit); reported per operation
-LAYER_METRICS = {
-    "node_optimizer.bidisc_lempert.self_ms": ("node_optimizer.bidisc_lempert", "self_ms", "ms"),
-    "lapack.eigvalsh.calls": ("lapack.eigvalsh", "calls", "count"),
-    "lapack.eigvalsh.matrices": ("lapack.eigvalsh", "work", "count"),
-    "lapack.eigvalsh.ms": ("lapack.eigvalsh", "ms", "ms"),
-    "slsqp.minimize.calls": ("slsqp.minimize", "calls", "count"),
-    "slsqp.minimize.nfev": ("slsqp.minimize", "work", "count"),
-    "slsqp.minimize.ms": ("slsqp.minimize", "ms", "ms"),
-    "complex_kernel.pick_feasible.calls": ("complex_kernel.pick_feasible", "calls", "count"),
-    "complex_kernel.pick_feasible.ms": ("complex_kernel.pick_feasible", "ms", "ms"),
-    "complex_kernel.solve_node_quadratic.calls":
-        ("complex_kernel.solve_node_quadratic", "calls", "count"),
-    "covering_domains.build_cover.calls": ("covering_domains.build_cover", "calls", "count"),
-    "covering_domains.build_cover.ms": ("covering_domains.build_cover", "ms", "ms"),
-    "covering_domains.lifts.calls": ("covering_domains.lifts", "calls", "count"),
-    "covering_domains.lifts.windings": ("covering_domains.lifts", "work", "count"),
-    "covering_domains.lifts.ms": ("covering_domains.lifts", "ms", "ms"),
-    "covering_domains.green_plane.self_ms": ("covering_domains.green_plane", "self_ms", "ms"),
-    "covering_domains.lempert_N_plane.self_ms":
-        ("covering_domains.lempert_N_plane", "self_ms", "ms"),
-    "covering_domains.lempert_poleset_plane.self_ms":
-        ("covering_domains.lempert_poleset_plane", "self_ms", "ms"),
-    "covering_domains.find_pole_with_value.self_ms":
-        ("covering_domains.find_pole_with_value", "self_ms", "ms"),
-    "covering_domains.min_lift_log_modulus.calls":
-        ("covering_domains.min_lift_log_modulus", "calls", "count"),
-    "interpolation.lemma4_solve.calls": ("interpolation.lemma4_solve", "calls", "count"),
-    "interpolation.lemma4_solve.self_ms": ("interpolation.lemma4_solve", "self_ms", "ms"),
-    "interpolation.theorem5_certificate.calls":
-        ("interpolation.theorem5_certificate", "calls", "count"),
-    "interpolation.theorem5_certificate.self_ms":
-        ("interpolation.theorem5_certificate", "self_ms", "ms"),
-    "product_engine.theorem5_bounds.self_ms": ("product_engine.theorem5_bounds", "self_ms", "ms"),
-    "product_engine.prop10_construct.self_ms": ("product_engine.prop10_construct", "self_ms", "ms"),
-    "product_engine.condition4_margin.ms": ("product_engine.condition4_margin", "ms", "ms"),
-    "disc_domain.lempert_disc.calls": ("disc_domain.lempert_disc", "calls", "count"),
+# span name -> (name of its work count, how to take it from a call)
+WORK = {
+    "lapack.eigvalsh": ("matrices", _eig_matrices),
+    "covering_domains.lifts": ("windings", _windings),
+    "slsqp.minimize": ("nfev", _nfev),
 }
+
+
+def layer_metrics(benchmark_json: str) -> dict:
+    """per_layer metric -> (span name, SpanStats field, unit), read from the
+    per_layer list of BENCHMARK.json.  A metric is named "<span>.<field>",
+    the field being calls, ms, self_ms or the span's work count; a name that
+    fits no traced span raises ValueError before anything runs."""
+    with open(benchmark_json) as f:
+        per_layer = json.load(f)["per_layer"]
+    spans = {span for _, _, span in TRACED}
+    out = {}
+    for metric in per_layer:
+        span, _, last = metric["name"].rpartition(".")
+        if span in spans and last in ("calls", "ms", "self_ms"):
+            out[metric["name"]] = (span, last, metric["unit"])
+        elif span in WORK and last == WORK[span][0]:
+            out[metric["name"]] = (span, "work", metric["unit"])
+        else:
+            raise ValueError(f"per_layer metric {metric['name']!r} names no traced span and field")
+    return out
 
 
 def _resolve(owner: str):
@@ -127,7 +117,8 @@ def _resolve(owner: str):
 class Tracer:
     """Installs the wrappers; records only while `recording` is true."""
 
-    def __init__(self):
+    def __init__(self, benchmark_json: str):
+        self.metrics = layer_metrics(benchmark_json)
         self.stats: dict[str, SpanStats] = {}
         self.absent: list[str] = []
         self.recording = False
@@ -135,7 +126,7 @@ class Tracer:
         self._restore: list = []
 
     def install(self) -> None:
-        for owner, attr, name, work in TRACED:
+        for owner, attr, name in TRACED:
             try:
                 target = _resolve(owner)
                 orig = getattr(target, attr)
@@ -143,6 +134,7 @@ class Tracer:
                 self.absent.append(f"{owner}.{attr}")
                 continue
             self.stats.setdefault(name, SpanStats())
+            work = WORK.get(name, (None, None))[1]
             setattr(target, attr, self._wrap(orig, name, work))
             self._restore.append((target, attr, orig))
 
@@ -179,7 +171,7 @@ class Tracer:
 
     def per_op_metrics(self, n_ops: int) -> dict:
         out = {}
-        for metric, (span, fld, unit) in LAYER_METRICS.items():
+        for metric, (span, fld, unit) in self.metrics.items():
             st = self.stats.get(span, SpanStats())
             out[metric] = {"value": getattr(st, fld) / n_ops, "unit": unit}
         return out
