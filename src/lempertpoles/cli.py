@@ -55,7 +55,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse RE+IMi literals like 0.5+0i, -0.3+0.2i; bare reals allowed."""
+    """Parse RE+IMi literals like 0.5+0i, -0.3+0.2i, 0.32+-0.64i; bare reals
+    allowed."""
     s = text.strip().replace(" ", "")
     if not s:
         raise CliError("empty complex literal")
@@ -72,8 +73,12 @@ def parse_complex(text: str) -> complex:
             break
     if split is None:
         raise CliError(f"cannot parse complex literal {text!r}; use RE+IMi")
+    re_part = body[:split]
+    if re_part.endswith("+"):
+        # RE+-IMi: the imaginary part carries its own sign
+        re_part = re_part[:-1]
     try:
-        return complex(float(body[:split]), float(body[split:]))
+        return complex(float(re_part), float(body[split:]))
     except ValueError as e:
         raise CliError(f"cannot parse complex literal {text!r}") from e
 
@@ -90,7 +95,7 @@ def _nodes_json(nodes) -> list:
     return [[complex(n).real, complex(n).imag] for n in nodes]
 
 
-def _report(command: str, inputs: dict, t0: float, seed: int = 0, **fields) -> dict:
+def _report(command: str, inputs: dict, t0: float, seed: int, **fields) -> dict:
     rep = {"command": command, "inputs": inputs, "seed": seed}
     rep.update(fields)
     rep["runtime_ms"] = 1e3 * (time.perf_counter() - t0)
@@ -178,7 +183,7 @@ def _cmd_eval(args) -> tuple:
                                  "nodes": _nodes_json(certificate.nodes)}
     if "tail_bound" in rows[0]:
         fields["tail_bound"] = rows[0]["tail_bound"]
-    return _report("eval", inputs, t0, **fields), 0, False
+    return _report("eval", inputs, t0, seed=args.seed, **fields), 0, False
 
 
 def _cmd_lemma4(args) -> tuple:
@@ -186,7 +191,7 @@ def _cmd_lemma4(args) -> tuple:
     mu = tuple(parse_complex_list(args.mu))
     sol = lemma4_solve(Lemma4Problem(mu=mu, q=args.q))
     product = float(np.prod([abs(e) for e in sol.eta]))
-    rep = _report("lemma4", {"mu": args.mu, "q": args.q}, t0,
+    rep = _report("lemma4", {"mu": args.mu, "q": args.q}, t0, seed=args.seed,
                   value=product,
                   a=sol.a, branch=sol.branch,
                   reduction_alpha=sol.reduction_alpha,
@@ -238,7 +243,7 @@ def _cmd_bounds(args) -> tuple:
     w = parse_complex(args.w)
     rep = theorem5_bounds(D, G, A, b, z, w)
     out = _report("bounds", {"D": args.D, "G": args.G, "A": args.A, "b": args.b,
-                             "z": args.z, "w": args.w}, t0,
+                             "z": args.z, "w": args.w}, t0, seed=args.seed,
                   value=None,
                   bounds={"lower": rep.lower, "upper": rep.upper},
                   equality_flag=rep.equality_flag,
@@ -319,6 +324,7 @@ def _cmd_verify(args) -> tuple:
         print(f"[{mark}] {r.key}: {r.name}{margin} ({r.runtime_ms:.0f} ms)",
               file=sys.stderr)
     rep = _report("verify", {"only": args.only, "threads": args.threads}, t0,
+                  seed=args.seed,
                   value=None,
                   passed=all_pass,
                   criteria=[{"key": r.key, "name": r.name, "passed": r.passed,

@@ -12,8 +12,10 @@ The search over node space runs random-direction compass descent with an
 eigenvalue penalty from many seeded restarts.  Restarts are then ranked
 feasibility-first: only those whose worst Pick violation is at most
 NEAR_FEASIBLE_TOL are candidates, ordered by node-moduli product.  The best
-candidates are polished with SLSQP and repaired to strict feasibility by
-scaling nodes outward.  Every reported value is realized by a configuration
+candidates are polished with SLSQP, which gets exact first derivatives (the
+node-product gradient, and Magnus's eigenvalue derivative v^H (dH) v from one
+batched eigh per point), and repaired to strict feasibility by scaling nodes
+outward.  Every reported value is realized by a configuration
 re-verified through the cyclic-Jacobi Pick path.  Each restart draws its
 start and its probe directions from its own RNG stream, so results are
 bit-identical for any thread count and the restarts of a smaller run are a
@@ -270,30 +272,65 @@ def _compass_chunk(x, step, weight, gens, coords, settings):
     return x
 
 
+def _product_grad(lam: np.ndarray):
+    """prod |lam_k| and its gradient in the coordinates (Re lam, Im lam)."""
+    am = np.abs(lam)
+    # d|lam_k| = (Re lam_k, Im lam_k) / |lam_k|, times the other moduli
+    others = np.prod(np.where(np.eye(len(lam), dtype=bool), 1.0, am), axis=1)
+    g = others * np.divide(lam, am, out=np.zeros_like(lam), where=am > 0)
+    return float(np.prod(am)), np.concatenate([g.real, g.imag])
+
+
+def _pick_min_eig_grad(lam: np.ndarray, targets: np.ndarray):
+    """Min Pick eigenvalue per coordinate and its gradient in (Re lam, Im lam).
+
+    targets: (c, m), one frozen target row per coordinate.  All c Pick
+    matrices go through one batched eigh.  For the smallest eigenpair (mu, v)
+    of H, dmu = v^H (dH) v (Magnus 1985); H_kj depends on L_k through its row
+    and on conj(L_k) through its column, which gives dmu = 2 Re(a_k dL_k) with
+    a_k = sum_j conj(v_k) v_j H_kj conj(L_j) / (1 - L_k conj(L_j)).
+    """
+    L = np.concatenate([[0j], lam])
+    W = np.concatenate([np.zeros((len(targets), 1), dtype=complex), targets], axis=1)
+    den = 1.0 - L[:, None] * np.conj(L)[None, :]
+    H = (1.0 - W[:, :, None] * np.conj(W)[:, None, :]) / den
+    mu, vecs = np.linalg.eigh(H)
+    v = vecs[:, :, 0]
+    a = np.einsum("ck,cj,ckj->ck", np.conj(v), v, H * (np.conj(L)[None, :] / den))
+    return mu[:, 0], np.concatenate([2.0 * a[:, 1:].real, -2.0 * a[:, 1:].imag], axis=1)
+
+
 def _polish(nodes: np.ndarray, coords: list, rounds: int = 2) -> np.ndarray:
     """SLSQP refinement of a candidate with eigenvalue inequality constraints.
 
     The lift assignment of plane coordinates is frozen at the incoming
-    configuration so the constraints stay smooth.
+    configuration so the constraints stay smooth.  Objective and constraints
+    carry exact gradients; the Pick constraint value and its Jacobian share
+    one eigen-decomposition per point.
     """
     m = len(nodes)
     to_lam = lambda x: x[:m] + 1j * x[m:]
-    frozen = [np.asarray(c.batch_targets(nodes[None, :])[0]) for c in coords]
+    frozen = np.array([c.batch_targets(nodes[None, :])[0] for c in coords])
+    cache = {}
 
-    def eig_fun(x, tg):
-        lam = np.concatenate([[0j], to_lam(x)])
-        w = np.concatenate([[0j], tg])
-        num = 1.0 - w[:, None] * np.conj(w)[None, :]
-        den = 1.0 - lam[:, None] * np.conj(lam)[None, :]
-        return float(np.linalg.eigvalsh(num / den)[0]) * 1e3
+    def pick(x):
+        key = x.tobytes()
+        if key not in cache:
+            cache.clear()
+            mu, grad = _pick_min_eig_grad(to_lam(x), frozen)
+            cache[key] = (mu * 1e3, grad * 1e3)
+        return cache[key]
 
-    cons = [{"type": "ineq", "fun": (lambda x, tg=tg: eig_fun(x, tg))} for tg in frozen]
-    cons.append({"type": "ineq",
-                 "fun": lambda x: 0.9999999 - float(np.max(np.abs(to_lam(x))))})
+    def cap_grad(x):
+        return np.hstack([np.diag(-2.0 * x[:m]), np.diag(-2.0 * x[m:])])
+
+    cons = [{"type": "ineq", "fun": lambda x: pick(x)[0], "jac": lambda x: pick(x)[1]},
+            {"type": "ineq", "fun": lambda x: 0.9999999 ** 2 - np.abs(to_lam(x)) ** 2,
+             "jac": cap_grad}]
     x0 = np.concatenate([nodes.real, nodes.imag])
     best = nodes
     for _ in range(rounds):
-        res = minimize(lambda x: float(np.prod(np.abs(to_lam(x)))), x0,
+        res = minimize(lambda x: _product_grad(to_lam(x)), x0, jac=True,
                        method="SLSQP", constraints=cons,
                        options={"maxiter": 80, "ftol": 1e-14})
         x0 = res.x

@@ -1,7 +1,9 @@
 import io
 import json
+import shlex
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ def test_parse_complex_forms():
     assert parse_complex("0+0.5i") == 0.5j
     assert parse_complex("0.25") == 0.25
     assert parse_complex("1e-3+2e-2i") == complex(1e-3, 2e-2)
+    assert parse_complex("0.32+-0.64i") == complex(0.32, -0.64)
+    assert parse_complex("1e-3+-2e-2i") == complex(1e-3, -2e-2)
     with pytest.raises(ValueError):
         parse_complex("abc")
 
@@ -49,6 +53,29 @@ def test_lemma4_report():
     assert doc["residual"] <= 1e-9
     assert abs(doc["value"] - 0.9) <= 1e-9
     assert len(doc["certificate"]["nodes"]) == 2
+
+
+def test_seed_is_echoed():
+    code, out = run_cli(["lemma4", "--mu", "0.3+0i,0+0.4i", "--q", "0.9", "--seed", "5"])
+    assert code == 0
+    assert json.loads(out)["seed"] == 5
+    code, out = run_cli(["eval", "--domain", "disc", "--poles", "0.5+0i", "--at", "0+0i",
+                         "--seed", "3"])
+    assert json.loads(out)["seed"] == 3
+
+
+def _readme_example(prefix):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return next(shlex.split(ln)[1:] for ln in lines if ln.startswith(prefix))
+
+
+def test_readme_counterexample_example_runs():
+    argv = _readme_example("lempertpoles counterexample --kind prop10")
+    assert "0.32+-0.64i" in argv
+    code, out = run_cli(argv)
+    assert code == 0
+    assert json.loads(out)["command"] == "counterexample"
 
 
 def test_bidisc_rotation_flag_and_roundtrip():

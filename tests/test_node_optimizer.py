@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from lempertpoles.acceptance import GRID_ORACLE_DELTA
-from lempertpoles.complex_kernel import PickProblem, pick_feasible
-from lempertpoles.covering_domains import PlaneDomain
+from lempertpoles.complex_kernel import PickProblem, moebius, pick_feasible
+from lempertpoles.covering_domains import PlaneDomain, build_cover
 from lempertpoles.disc_domain import PoleSet, lempert_disc
+from lempertpoles import node_optimizer
 from lempertpoles.node_optimizer import (
+    LB_SKIP_MARGIN,
     OptimizerSettings,
     _Coord,
+    _pick_min_eig_grad,
+    _product_grad,
     _restart_starts,
     bidisc_lempert,
     mixed_product_upper,
@@ -128,7 +132,6 @@ def test_automorphism_reduction_invariance():
     A = PoleSet(points=(0.5, 0.5j))
     B = PoleSet(points=(0.5, -0.5))
     _, v0 = bidisc_lempert(A, B, 0, 0, FAST)
-    from lempertpoles.complex_kernel import moebius
     c = 0.3 - 0.1j
     A2 = PoleSet(points=tuple(moebius(c, a) for a in A))
     _, v1 = bidisc_lempert(A2, B, moebius(c, 0), 0, FAST)
@@ -184,3 +187,71 @@ def test_mixed_upper_degree_cap_validation():
     with pytest.raises(ValueError, match="degree"):
         mixed_product_upper(D, D, PoleSet(points=(0.3,)), PoleSet(points=(0.4,)),
                             0, 0, FAST, degree_cap=7)
+
+
+def _central_differences(fun, lam, h=1e-6):
+    m = len(lam)
+    x = np.concatenate([lam.real, lam.imag])
+    cols = []
+    for i in range(2 * m):
+        e = np.zeros(2 * m)
+        e[i] = h
+        xp, xm = x + e, x - e
+        cols.append((np.asarray(fun(xp[:m] + 1j * xp[m:]))
+                     - np.asarray(fun(xm[:m] + 1j * xm[m:]))) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def _gradient_configs():
+    # seeded nodes with disc targets, and with frozen plane-lift targets
+    rng = np.random.default_rng(17)
+    annulus = PlaneDomain("annulus", R=0.1)
+    cover = build_cover(annulus, 0.45)
+    for m in (2, 3, 4):
+        for _ in range(3):
+            lam = 0.95 * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
+            disc = 0.6 * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
+            poles = (0.2 + 0.7 * rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
+            lifts = [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in poles]
+            plane = _Coord("plane", None, lifts, tuple(poles)).batch_targets(lam[None, :])[0]
+            yield lam, np.array([disc, plane])
+
+
+def test_pick_eigenvalue_gradient_matches_central_differences():
+    for lam, targets in _gradient_configs():
+        _, grad = _pick_min_eig_grad(lam, targets)
+        numeric = _central_differences(lambda l: _pick_min_eig_grad(l, targets)[0], lam)
+        assert grad.shape == (2, 2 * len(lam))
+        assert np.max(np.abs(grad - numeric)) <= 1e-6
+
+
+def test_node_product_gradient_matches_central_differences():
+    for lam, _ in _gradient_configs():
+        f, grad = _product_grad(lam)
+        assert f == pytest.approx(float(np.prod(np.abs(lam))), rel=1e-15)
+        numeric = _central_differences(lambda l: _product_grad(l)[0], lam)
+        assert np.max(np.abs(grad - numeric)) <= 1e-6
+
+
+def test_rotation_congruent_moved_instance_prunes_after_first_subset(monkeypatch):
+    # at 24 restarts the first pair subset must land within LB_SKIP_MARGIN of
+    # |a1 a2|, so every other subset is pruned by its lower bound
+    A0 = np.array([-0.146574 - 0.417096j, -0.165564 + 0.601919j])
+    B0 = np.exp(-3.036411j) * A0
+    z, w = -0.147264 - 0.089353j, 0.284063 - 0.080081j
+    A = PoleSet(points=tuple(complex(moebius(z, a)) for a in A0))
+    B = PoleSet(points=tuple(complex(moebius(w, b)) for b in B0))
+    searched = []
+    search = node_optimizer._search_subset
+
+    def counting_search(subset, *args):
+        searched.append(subset)
+        return search(subset, *args)
+
+    monkeypatch.setattr(node_optimizer, "_search_subset", counting_search)
+    _, v = bidisc_lempert(A, B, z, w, OptimizerSettings(restarts=24, seed=1))
+    a1, a2 = (complex(moebius(z, a)) for a in A)
+    exact = abs(a1 * a2)
+    assert abs(v - exact) <= LB_SKIP_MARGIN
+    assert v >= exact - 1e-12
+    assert len(searched) == 1
