@@ -2,13 +2,11 @@
 
 from .complex_kernel import (
     BlaschkeDisc,
-    MoebiusTransform,
     PickProblem,
     blaschke_eval,
     moebius,
     moebius_apply,
     pick_feasible,
-    pseudo_hyperbolic,
     solve_node_quadratic,
 )
 from .disc_domain import EvalResult, PoleSet, green_disc, lempert_disc, lempert_disc_N
@@ -54,7 +52,6 @@ __all__ = [
     "EvalResult",
     "Lemma4Problem",
     "Lemma4Solution",
-    "MoebiusTransform",
     "PickProblem",
     "PlaneDomain",
     "PoleSet",
@@ -74,7 +71,6 @@ __all__ = [
     "parse_domain",
     "pick_feasible",
     "preimage_moduli",
-    "pseudo_hyperbolic",
     "solve_node_quadratic",
     "theorem5_certificate",
 ]

@@ -41,24 +41,6 @@ def moebius_apply(alpha: complex, z: complex) -> complex:
     return complex(moebius(alpha, z))
 
 
-def pseudo_hyperbolic(u: complex, v: complex) -> float:
-    """|Phi_u(v)|, the pseudo-hyperbolic distance on the disc."""
-    return abs((u - v) / (1.0 - np.conj(u) * v))
-
-
-@dataclass(frozen=True)
-class MoebiusTransform:
-    """The automorphism Phi_alpha."""
-
-    alpha: complex
-
-    def __post_init__(self):
-        require_disc_point(self.alpha, "alpha")
-
-    def apply(self, z: complex) -> complex:
-        return complex(moebius(self.alpha, z))
-
-
 @dataclass(frozen=True)
 class BlaschkeDisc:
     """Finite Blaschke product e^{i phase} * prod_j Phi_{z_j}(z).
@@ -99,11 +81,6 @@ def blaschke_eval(b: BlaschkeDisc, z: complex) -> complex:
     if abs(z) > 1.0 + 1e-12:
         raise ValueError(f"|z|={abs(z)} exceeds 1")
     return complex(b.eval(z))
-
-
-def node_quadratic_map(a: float, z: complex) -> complex:
-    """f_a(z) = z * Phi_a(z) for real a in [0,1)."""
-    return z * (a - z) / (1.0 - a * z)
 
 
 def solve_node_quadratic(a: float, mu: complex) -> tuple:
@@ -256,18 +233,3 @@ def pick_feasible(p: PickProblem) -> tuple:
     min_eig = float(jacobi_eigenvalues(H)[0])
     return min_eig >= -PICK_FEASIBILITY_TOL, min_eig
 
-
-def pick_min_eig_batch(node_batch, targets) -> np.ndarray:
-    """Min Pick eigenvalue for a batch of node configurations (B, m).
-
-    A zero node with target 0 is prepended.  This is the optimizer's hot
-    path, so it uses LAPACK's Hermitian solver; certifying callers re-check
-    final configurations through :func:`pick_feasible` (cyclic Jacobi).
-    """
-    lam = np.asarray(node_batch, dtype=complex)
-    Bn = lam.shape[0]
-    L = np.concatenate([np.zeros((Bn, 1), dtype=complex), lam], axis=1)
-    w = np.concatenate([[0.0 + 0.0j], np.asarray(targets, dtype=complex)])
-    num = 1.0 - w[None, :, None] * np.conj(w)[None, None, :]
-    den = 1.0 - L[:, :, None] * np.conj(L)[:, None, :]
-    return np.linalg.eigvalsh(num / den)[:, 0]

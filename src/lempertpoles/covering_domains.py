@@ -290,15 +290,12 @@ class CoverExpr(DiscExpr):
     """Expression node wrapping a normalized cover map."""
 
     cover: CoverMap
-    rotation: float = 0.0
 
     def eval(self, zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        return self.cover.eval(np.exp(1j * self.rotation) * zeta)
+        return self.cover.eval(zeta)
 
     def describe(self):
-        rot = f" o rot({self.rotation:.6g})" if self.rotation else ""
-        return f"cover[{self.cover.domain} at {self.cover.base_point:.6g}]{rot}"
+        return f"cover[{self.cover.domain} at {self.cover.base_point:.6g}]"
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +324,8 @@ def preimage_moduli(cover: CoverMap, a: complex, K: int | None = None,
             cut = np.nonzero(ls.delta >= delta)[0]
             m = ls.moduli[: (cut[-1] + 1) if len(cut) else 1]
             return m[:K] if K is not None else m
-        if enough_K and ls.delta[K - 1] > tail_delta:
+        # a K-th deficit of 0.0 leaves every lift outside the window at 0.0
+        if enough_K and (ls.delta[K - 1] > tail_delta or ls.delta[K - 1] == 0.0):
             return ls.moduli[:K]
         if per_side >= LIFTS_PER_SIDE_MAX:
             m = ls.moduli
@@ -355,7 +353,9 @@ def lempert_N_plane(domain: PlaneDomain, a: complex, z: complex, N: int) -> Eval
                           nodes=tuple(ls.eta[:1]), meta={"N": N})
     per_side = max(8, N // 2 + 4)
     ls = cover.lifts(a, per_side)
-    while len(ls.delta) < N + 2 or ls.delta[N - 1] <= max(ls.delta[-1], ls.delta[-2]):
+    # deficits fall with the winding, so once the N-th one underflows to 0.0
+    # every lift outside the window has deficit 0.0 and log-modulus 0 too
+    while len(ls.delta) < N + 2 or 0.0 < ls.delta[N - 1] <= max(ls.delta[-1], ls.delta[-2]):
         if per_side >= LIFTS_PER_SIDE_MAX:
             break
         per_side = min(per_side * 4, LIFTS_PER_SIDE_MAX)

@@ -9,17 +9,24 @@ again is a Pick problem once the lift assignment is chosen (a sufficient
 family of maps cover o h with h(0) = 0).
 
 The search over node space runs random-direction compass descent with an
-eigenvalue penalty from many seeded restarts.  Restarts are then ranked
-feasibility-first: only those whose worst Pick violation is at most
-NEAR_FEASIBLE_TOL are candidates, ordered by node-moduli product.  The best
-candidates are polished with SLSQP, which gets exact first derivatives (the
-node-product gradient, and Magnus's eigenvalue derivative v^H (dH) v from one
-batched eigh per point), and repaired to strict feasibility by scaling nodes
-outward.  Every reported value is realized by a configuration
-re-verified through the cyclic-Jacobi Pick path.  Each restart draws its
-start and its probe directions from its own RNG stream, so results are
-bit-identical for any thread count and the restarts of a smaller run are a
-prefix of those of a larger one.
+eigenvalue penalty max(0, -lambda_min) from many seeded restarts.  The penalty
+screens each batch of Pick matrices H with a floating Cholesky of H - c I,
+c = 1e-10 max_i H_ii (Rump's test of positive definiteness), and takes
+eigvalsh only of the matrices whose factorization fails.  A Cholesky that
+succeeds has backward error below about n gamma_{n+1} max_i H_ii ~ 1e-14
+max_i H_ii for n <= 9 (Higham, Thm 10.3), and eigvalsh errs by at most
+p(n) u ||H||_2 <~ 1e-13 max_i H_ii, so eigvalsh would have returned
+lambda_min >= 0 there: the penalty has the same bits as with eigvalsh alone.
+Restarts are then ranked feasibility-first: only those whose worst Pick
+violation is at most NEAR_FEASIBLE_TOL are candidates, ordered by node-moduli
+product.  The best candidates are polished with SLSQP, which gets exact first
+derivatives (the node-product gradient, and Magnus's eigenvalue derivative
+v^H (dH) v from one batched eigh per point), and repaired to strict
+feasibility by scaling nodes outward.  Every reported value is realized by a
+configuration re-verified through the cyclic-Jacobi Pick path.  Each restart
+draws its start and its probe directions from its own RNG stream, so results
+are bit-identical for any thread count and the restarts of a smaller run are
+a prefix of those of a larger one.
 """
 
 from __future__ import annotations
@@ -50,6 +57,11 @@ REPAIR_TOL = 5e-13
 # restarts whose worst Pick violation exceeds this are never polished or repaired
 NEAR_FEASIBLE_TOL = 1e-6
 MAX_SUBSET_SIZE = 8
+# Cholesky screen margin relative to max_i H_ii, far above the rounding of
+# both the factorization and eigvalsh (see the module docstring)
+CHOLESKY_SCREEN_MARGIN = 1e-10
+# compass iterations whose probe directions a restart draws in one call
+DIRECTION_BLOCK = 8
 MAX_BLASCHKE_DEGREE = 6
 
 logger = logging.getLogger(__name__)
@@ -96,6 +108,13 @@ class NodeConfig:
 # ---------------------------------------------------------------------------
 
 
+def _one_minus_outer(X: np.ndarray) -> np.ndarray:
+    """1 - X_i conj(X_j) per row of X (B, m), with X_0 = 0 prepended: the Pick
+    numerators of target rows, or the Pick denominators of node rows."""
+    X = np.concatenate([np.zeros((X.shape[0], 1), dtype=complex), X], axis=1)
+    return 1.0 - X[:, :, None] * np.conj(X)[:, None, :]
+
+
 @dataclass
 class _Coord:
     """One coordinate of the product: fixed disc targets or lift candidates."""
@@ -103,7 +122,11 @@ class _Coord:
     kind: str                      # "disc" | "plane"
     targets: np.ndarray | None     # (m,) for disc coordinates
     lift_candidates: list | None   # per node: (n_lifts,) complex arrays
-    pole_values: tuple             # pole per node (for reporting)
+
+    def __post_init__(self):
+        # fixed targets give node-independent Pick numerators
+        if self.kind == "disc":
+            self._num = _one_minus_outer(self.targets[None, :])
 
     def batch_targets(self, lam: np.ndarray) -> np.ndarray:
         """Targets per configuration; greedy nearest-lift for plane kind."""
@@ -121,25 +144,52 @@ class _Coord:
             out[:, j] = nu[np.argmin(d, axis=1)]
         return out
 
+    def pick_num(self, lam: np.ndarray) -> np.ndarray:
+        """Pick numerators, (1, m+1, m+1) for disc kind, else one per row."""
+        if self.kind == "disc":
+            return self._num
+        return _one_minus_outer(self.batch_targets(lam))
+
 
 def _batch_min_eig(lam: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Min Pick eigenvalue per configuration, targets varying per row."""
-    B, m = lam.shape
-    L = np.concatenate([np.zeros((B, 1), dtype=complex), lam], axis=1)
-    W = np.concatenate([np.zeros((B, 1), dtype=complex), targets], axis=1)
-    num = 1.0 - W[:, :, None] * np.conj(W)[:, None, :]
-    den = 1.0 - L[:, :, None] * np.conj(L)[:, None, :]
-    return np.linalg.eigvalsh(num / den)[:, 0]
+    """Signed min Pick eigenvalue per configuration, targets varying per row."""
+    return np.linalg.eigvalsh(_one_minus_outer(targets) / _one_minus_outer(lam))[:, 0]
+
+
+def _pick_violation(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """max(0, -lambda_min(H)) per Pick matrix H = num / den of a batch, bit for
+    bit: matrices whose floating Cholesky of H - c I succeeds, with
+    c = CHOLESKY_SCREEN_MARGIN * max_i H_ii, get 0, the rest go to eigvalsh.
+    num is (1, n, n) or (B, n, n), den (B, n, n)."""
+    A = num / den
+    B, n, _ = A.shape
+    diag = A.reshape(B, n * n)[:, :: n + 1]
+    diag -= CHOLESKY_SCREEN_MARGIN * diag.real.max(axis=1)[:, None]
+    ok = np.ones(B, dtype=bool)
+    # failed rows go on with a unit pivot; their values are never read
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            pivot = A[:, k, k].real
+            ok &= pivot > 0.0
+            if k == n - 1 or not ok.any():
+                break
+            col = A[:, k + 1:, k] / np.sqrt(np.where(ok, pivot, 1.0))[:, None]
+            A[:, k + 1:, k + 1:] -= col[:, :, None] * np.conj(col)[:, None, :]
+    viol = np.zeros(B)
+    if not ok.all():
+        H = (num if len(num) == 1 else num[~ok]) / den[~ok]
+        viol[~ok] = np.maximum(0.0, -np.linalg.eigvalsh(H)[:, 0])
+    return viol
 
 
 def _penalized(lam: np.ndarray, coords: list, weight: np.ndarray) -> np.ndarray:
     B, m = lam.shape
     am = np.abs(lam)
     obj = np.prod(am, axis=1)
+    den = _one_minus_outer(lam)
     pen = np.zeros(B)
     for coord in coords:
-        tg = coord.batch_targets(lam)
-        pen += np.maximum(0.0, -_batch_min_eig(lam, tg))
+        pen += _pick_violation(coord.pick_num(lam), den)
     coll = np.zeros(B)
     for i in range(m):
         for j in range(i + 1, m):
@@ -231,10 +281,10 @@ def _compass_chunk(x, step, weight, gens, coords, settings):
     """Lockstep compass descent for one chunk of restarts.
 
     x: (n, 2m) real coordinates.  Each restart draws its probe directions
-    from its own generator, so trajectories do not depend on the chunk
-    composition.  All probes of an iteration are evaluated in one batched
-    eigenvalue call; acceptance takes the best probe per restart, which is
-    order-independent.
+    from its own generator, DIRECTION_BLOCK iterations per call, so
+    trajectories do not depend on the chunk composition.  All probes of an
+    iteration are evaluated in one batched penalty call; acceptance takes the
+    best probe per restart, which is order-independent.
     """
     n, d = x.shape
     lam_of = lambda xx: xx[..., 0::2] + 1j * xx[..., 1::2]
@@ -245,18 +295,21 @@ def _compass_chunk(x, step, weight, gens, coords, settings):
         na = len(active)
         if na == 0:
             break
-        dirs = np.empty((na, ndir, d))
-        for i, r in enumerate(active):
-            v = gens[r].standard_normal((ndir, d))
-            dirs[i] = v / np.linalg.norm(v, axis=1, keepdims=True)
+        # restarts only ever leave the active set, so all active ones hold a block
+        k = it % DIRECTION_BLOCK
+        if k == 0:
+            drawn = active
+            block = np.empty((na, DIRECTION_BLOCK * ndir, d))
+            for i, r in enumerate(active):
+                gens[r].standard_normal(out=block[i])
+            block /= np.linalg.norm(block, axis=-1, keepdims=True)
+            block = block.reshape(na, DIRECTION_BLOCK, ndir, d)
+        dirs = block[np.searchsorted(drawn, active), k]
         probes = x[active, None, :] + step[active, None, None] * dirs
-        lam = lam_of(x[active])
-        lam_shrunk = lam * (1.0 - 0.3 * step[active])[:, None]
-        shrink_probe = np.empty((na, 1, d))
-        shrink_probe[:, 0, 0::2] = lam_shrunk.real
-        shrink_probe[:, 0, 1::2] = lam_shrunk.imag
+        shrunk = lam_of(x[active]) * (1.0 - 0.3 * step[active])[:, None]
+        shrink_probe = np.stack([shrunk.real, shrunk.imag], axis=-1).reshape(na, 1, d)
         probes = np.concatenate([probes, shrink_probe], axis=1)
-        np_, nprobe = probes.shape[0], probes.shape[1]
+        nprobe = probes.shape[1]
         fp = _penalized(lam_of(probes.reshape(na * nprobe, d)), coords,
                         np.repeat(weight[active], nprobe)).reshape(na, nprobe)
         jbest = np.argmin(fp, axis=1)
@@ -291,9 +344,8 @@ def _pick_min_eig_grad(lam: np.ndarray, targets: np.ndarray):
     a_k = sum_j conj(v_k) v_j H_kj conj(L_j) / (1 - L_k conj(L_j)).
     """
     L = np.concatenate([[0j], lam])
-    W = np.concatenate([np.zeros((len(targets), 1), dtype=complex), targets], axis=1)
-    den = 1.0 - L[:, None] * np.conj(L)[None, :]
-    H = (1.0 - W[:, :, None] * np.conj(W)[:, None, :]) / den
+    den = _one_minus_outer(lam[None, :])[0]
+    H = _one_minus_outer(targets) / den
     mu, vecs = np.linalg.eigh(H)
     v = vecs[:, :, 0]
     a = np.einsum("ck,cj,ckj->ck", np.conj(v), v, H * (np.conj(L)[None, :] / den))
@@ -397,9 +449,10 @@ def _search_subset(subset, coords, settings: OptimizerSettings, subset_key):
 
     lam = x[:, 0::2] + 1j * x[:, 1::2]
     raw_vals = np.prod(np.abs(lam), axis=1)
+    den = _one_minus_outer(lam)
     viol = np.zeros(restarts)
     for coord in coords:
-        viol = np.maximum(viol, -_batch_min_eig(lam, coord.batch_targets(lam)))
+        viol = np.maximum(viol, _pick_violation(coord.pick_num(lam), den))
     # feasibility first: a restart stalled deep in the infeasible region can
     # have the smallest raw product but cannot be polished or repaired back,
     # so only near-feasible restarts are ranked by product
@@ -434,14 +487,12 @@ def _verify_config(config: NodeConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _subset_lower_bound(subset, reduced_targets) -> float:
+def _subset_lower_bound(reduced_targets) -> float:
     """max over coordinates of the disc Lempert value of the projected poles."""
     lb = 0.0
     for targets in reduced_targets:
-        seen = {}
-        for j, t in enumerate(targets):
-            seen[complex(t)] = True
-        lb = max(lb, float(np.prod([abs(t) for t in seen])))
+        distinct = dict.fromkeys(complex(t) for t in targets)
+        lb = max(lb, float(np.prod([abs(t) for t in distinct])))
     return lb
 
 
@@ -480,10 +531,9 @@ def bidisc_lempert(A: PoleSet, B: PoleSet, z: complex, w: complex,
         for subset in itertools.combinations(pairs, size):
             ta = np.array([a_red[k] for k, l in subset])
             tb = np.array([b_red[l] for k, l in subset])
-            if _subset_lower_bound(subset, (ta, tb)) >= best_val - LB_SKIP_MARGIN:
+            if _subset_lower_bound((ta, tb)) >= best_val - LB_SKIP_MARGIN:
                 continue
-            coords = [_Coord("disc", ta, None, tuple(ta)),
-                      _Coord("disc", tb, None, tuple(tb))]
+            coords = [_Coord("disc", ta, None), _Coord("disc", tb, None)]
             key = tuple(k * 64 + l for k, l in subset)
             cfg = _search_subset(subset, coords, settings, key)
             if cfg is None:
@@ -526,6 +576,14 @@ def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
             lifts.append(np.asarray(ls.eta[:lifts_per_pole], dtype=complex))
         return ("plane", lifts)
 
+    def subset_coord(kind, data, idx):
+        """The coordinate of a subset and its poles projected into the disc."""
+        if kind == "disc":
+            targets = np.array([data[i] for i in idx])
+            return _Coord("disc", targets, None), targets
+        lifts = [data[i] for i in idx]
+        return _Coord("plane", None, lifts), np.array([c[0] for c in lifts])
+
     kind_a, data_a = coord_data(D, list(A), z)
     kind_b, data_b = coord_data(G, list(B), w)
     pairs = list(itertools.product(range(len(A)), range(len(B))))
@@ -533,23 +591,9 @@ def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
     best_val, best_cfg = math.inf, None
     for size in range(1, min(len(pairs), degree_cap, MAX_SUBSET_SIZE) + 1):
         for subset in itertools.combinations(pairs, size):
-            if kind_a == "disc":
-                ca = _Coord("disc", np.array([data_a[k] for k, l in subset]), None,
-                            tuple(A.points[k] for k, l in subset))
-                proj_a = np.array([data_a[k] for k, l in subset])
-            else:
-                ca = _Coord("plane", None, [data_a[k] for k, l in subset],
-                            tuple(A.points[k] for k, l in subset))
-                proj_a = np.array([data_a[k][0] for k, l in subset])
-            if kind_b == "disc":
-                cb = _Coord("disc", np.array([data_b[l] for k, l in subset]), None,
-                            tuple(B.points[l] for k, l in subset))
-                proj_b = np.array([data_b[l] for k, l in subset])
-            else:
-                cb = _Coord("plane", None, [data_b[l] for k, l in subset],
-                            tuple(B.points[l] for k, l in subset))
-                proj_b = np.array([data_b[l][0] for k, l in subset])
-            if _subset_lower_bound(subset, (proj_a, proj_b)) >= best_val - LB_SKIP_MARGIN:
+            ca, proj_a = subset_coord(kind_a, data_a, [k for k, l in subset])
+            cb, proj_b = subset_coord(kind_b, data_b, [l for k, l in subset])
+            if _subset_lower_bound((proj_a, proj_b)) >= best_val - LB_SKIP_MARGIN:
                 continue
             key = tuple(1_000_000 + k * 64 + l for k, l in subset)
             cfg = _search_subset(subset, [ca, cb], settings, key)

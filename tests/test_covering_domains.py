@@ -6,6 +6,8 @@ import pytest
 from lempertpoles.acceptance import annulus_green_image_series
 from lempertpoles.complex_kernel import moebius
 from lempertpoles.covering_domains import (
+    LIFTS_PER_SIDE_MAX,
+    CoverMap,
     PlaneDomain,
     build_cover,
     find_pole_with_value,
@@ -144,6 +146,34 @@ def test_lempert_N_strict_decrease_and_domain_monotonicity():
     assert all(vals[i + 1] < vals[i] for i in range(4))
     # discs into the punctured disc are discs into the disc
     assert vals[0] >= abs(moebius(a, z)) - 1e-15
+
+
+@pytest.mark.parametrize("R, a, z, N", [
+    (0.8, 0.825 * np.exp(1.1j), 0.855 * np.exp(-2j), 20),
+    (0.3, 0.55 * np.exp(1.1j), 0.6, 200),
+])
+def test_lempert_N_stops_enumerating_once_deficits_underflow(monkeypatch, R, a, z, N):
+    # once the N-th deficit is 0.0, lifts outside the window cannot change
+    # the value: it must equal the one over the largest window
+    dom = PlaneDomain("annulus", R=R)
+    full = build_cover(dom, z).lifts(a, LIFTS_PER_SIDE_MAX)
+    assert full.delta[N - 1] == 0.0
+    windows = []
+    lifts = CoverMap.lifts
+
+    def counting_lifts(self, a, per_side, base_shift=0):
+        windows.append(per_side)
+        return lifts(self, a, per_side, base_shift)
+
+    monkeypatch.setattr(CoverMap, "lifts", counting_lifts)
+    res = lempert_N_plane(dom, a, z, N)
+    assert res.value == math.exp(float(np.sum(full.log_modulus[:N])))
+    assert res.meta["deltas"] == full.delta[:N].tolist()
+    assert max(windows) <= 2 * N
+    windows.clear()
+    m = preimage_moduli(build_cover(dom, z), a, K=N)
+    assert np.array_equal(m, full.moduli[:N])
+    assert max(windows) <= 2 * N
 
 
 def test_lempert_N_degenerate_at_pole():

@@ -7,10 +7,14 @@ from lempertpoles.covering_domains import PlaneDomain, build_cover
 from lempertpoles.disc_domain import PoleSet, lempert_disc
 from lempertpoles import node_optimizer
 from lempertpoles.node_optimizer import (
+    DIRECTION_BLOCK,
     LB_SKIP_MARGIN,
     OptimizerSettings,
+    _compass_chunk,
     _Coord,
+    _one_minus_outer,
     _pick_min_eig_grad,
+    _pick_violation,
     _product_grad,
     _restart_starts,
     bidisc_lempert,
@@ -75,7 +79,7 @@ def test_restart_starts_are_prefix_stable():
     # the starts of R restarts are the first R starts of any larger run
     ta = np.array([0.5, 0.5, 0.5j, 0.5j])
     tb = np.array([0.5, -0.5, 0.5, -0.5])
-    coords = [_Coord("disc", ta, None, tuple(ta)), _Coord("disc", tb, None, tuple(tb))]
+    coords = [_Coord("disc", ta, None), _Coord("disc", tb, None)]
     subset = ((0, 0), (0, 1), (1, 0), (1, 1))
     key = (0, 1, 64, 65)
     _, small = _restart_starts(subset, coords, OptimizerSettings(restarts=20, seed=3), key)
@@ -213,7 +217,7 @@ def _gradient_configs():
             disc = 0.6 * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
             poles = (0.2 + 0.7 * rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
             lifts = [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in poles]
-            plane = _Coord("plane", None, lifts, tuple(poles)).batch_targets(lam[None, :])[0]
+            plane = _Coord("plane", None, lifts).batch_targets(lam[None, :])[0]
             yield lam, np.array([disc, plane])
 
 
@@ -255,3 +259,107 @@ def test_rotation_congruent_moved_instance_prunes_after_first_subset(monkeypatch
     assert abs(v - exact) <= LB_SKIP_MARGIN
     assert v >= exact - 1e-12
     assert len(searched) == 1
+
+
+def _assert_bit_identical(num, den):
+    got = _pick_violation(num, den)
+    want = np.maximum(0.0, -np.linalg.eigvalsh(num / den)[:, 0])
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    return got
+
+
+def _kernel_coords(rng, m):
+    # disc targets, and plane lifts assigned per row by nearest lift
+    cover = build_cover(PlaneDomain("annulus", R=0.1), 0.45)
+    disc = 0.6 * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
+    poles = (0.2 + 0.7 * rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
+    lifts = [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in poles]
+    return [_Coord("disc", disc, None), _Coord("plane", None, lifts)]
+
+
+def test_pick_violation_equals_eigvalsh_on_random_configurations():
+    rng = np.random.default_rng(23)
+    screened = violated = 0
+    for m in range(1, 9):
+        for radius in (0.7, 0.95, 1.01):
+            lam = radius * np.sqrt(rng.random((300, m))) * np.exp(2j * np.pi * rng.random((300, m)))
+            for coord in _kernel_coords(rng, m):
+                got = _assert_bit_identical(coord.pick_num(lam), _one_minus_outer(lam))
+                screened += np.count_nonzero(got == 0.0)
+                violated += np.count_nonzero(got > 0.0)
+    # both branches of the kernel are exercised
+    assert screened > 1000 and violated > 1000
+
+
+def test_pick_violation_equals_eigvalsh_at_modulus_cap():
+    rng = np.random.default_rng(29)
+    for m in range(1, 9):
+        theta = np.sort(rng.random((200, m)), axis=1) + np.arange(m) / m
+        lam = 0.9999995 * np.exp(2j * np.pi * theta)
+        lam[:100, 0] *= 0.5  # one node moved inward
+        for coord in _kernel_coords(rng, m):
+            _assert_bit_identical(coord.pick_num(lam), _one_minus_outer(lam))
+
+
+def _hermitian_with_min_eig(rng, n, rel):
+    """Hermitian matrix whose smallest eigenvalue is rel * max_i H_ii."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    mu = np.concatenate([[0.0], 0.5 + rng.random(n - 1)])
+    scale = np.max(np.real(np.einsum("ik,k,ik->i", Q, mu, np.conj(Q))))
+    mu[0] = rel * scale
+    return (Q * mu) @ np.conj(Q).T
+
+
+def test_pick_violation_equals_eigvalsh_near_singular():
+    rng = np.random.default_rng(31)
+    for n in range(2, 10):
+        rel = np.concatenate([-(10.0 ** rng.uniform(-16, -9, 60)),
+                              10.0 ** rng.uniform(-16, -9, 60), [0.0]])
+        H = np.array([_hermitian_with_min_eig(rng, n, r) for r in rel])
+        _assert_bit_identical(H, np.ones_like(H))
+
+
+def test_pick_violation_never_screens_an_indefinite_matrix():
+    # negative control: lambda_min = -1e-13 max H_ii lies far inside the
+    # screen margin, so the factorization must fail and eigvalsh must report it
+    rng = np.random.default_rng(37)
+    for n in range(2, 10):
+        H = np.array([_hermitian_with_min_eig(rng, n, -1e-13) for _ in range(50)])
+        got = _pick_violation(H, np.ones_like(H))
+        assert np.all(got > 0.0)
+        assert np.allclose(got / H.diagonal(axis1=1, axis2=2).real.max(axis=1), 1e-13,
+                           rtol=1e-2)
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_compass_directions_are_per_iteration_draws(monkeypatch, m):
+    # with x = 0 and power-of-two steps every probe is its direction times the
+    # step exactly, so the directions can be read back from the penalty calls
+    n = 3
+    d, ndir = 2 * m, 4 * m + 2
+    iterations = 3 * DIRECTION_BLOCK + 1
+    step0 = np.array([1.0, 2.0 ** -20, 2.0 ** -27])  # two drop out mid-block
+    settings = OptimizerSettings(max_iterations=iterations, tolerance=2.0 ** -30,
+                                 step_decay=0.5)
+    calls = []
+
+    def spy(lam, coords, weight):
+        calls.append(lam.copy())
+        return np.zeros(len(lam))  # no probe is ever accepted
+
+    monkeypatch.setattr(node_optimizer, "_penalized", spy)
+    gens = [np.random.default_rng(100 + r) for r in range(n)]
+    _compass_chunk(np.zeros((n, d)), step0.copy(), np.ones(n), gens, [], settings)
+
+    ref_gens = [np.random.default_rng(100 + r) for r in range(n)]
+    for it, lam in enumerate(calls[1:]):
+        steps = step0 * 0.5 ** it
+        active = np.nonzero(steps >= settings.tolerance)[0]
+        lam = lam.reshape(len(active), ndir + 1, m)[:, :ndir]
+        for i, r in enumerate(active):
+            got = np.empty((ndir, d))
+            got[:, 0::2] = lam[i].real / steps[r]
+            got[:, 1::2] = lam[i].imag / steps[r]
+            v = ref_gens[r].standard_normal((ndir, d))
+            assert np.array_equal(got, v / np.linalg.norm(v, axis=1, keepdims=True))
+    assert len(calls) == 1 + iterations
