@@ -2,11 +2,10 @@
 
 from .complex_kernel import (
     BlaschkeDisc,
-    PickProblem,
     blaschke_eval,
     moebius,
     moebius_apply,
-    pick_feasible,
+    pick_margin,
     solve_node_quadratic,
 )
 from .disc_domain import EvalResult, PoleSet, green_disc, lempert_disc, lempert_disc_N
@@ -52,7 +51,6 @@ __all__ = [
     "EvalResult",
     "Lemma4Problem",
     "Lemma4Solution",
-    "PickProblem",
     "PlaneDomain",
     "PoleSet",
     "blaschke_eval",
@@ -69,7 +67,7 @@ __all__ = [
     "moebius",
     "moebius_apply",
     "parse_domain",
-    "pick_feasible",
+    "pick_margin",
     "preimage_moduli",
     "solve_node_quadratic",
     "theorem5_certificate",

@@ -325,7 +325,8 @@ def c8_theorem7_failure(delta_oracle: float = GRID_ORACLE_DELTA,
         key="theorem7_failure", name="Theorem 7 failure case margin vs grid oracle",
         passed=passed, margin=agree_tol - abs(delta - delta_oracle), runtime_ms=1e3 * dt,
         details={"value": value, "delta": delta, "delta_oracle": delta_oracle,
-                 "subset": list(cfg.subset)})
+                 "subset": list(cfg.subset), "nodes": list(cfg.nodes),
+                 "pick_margins": list(cfg.margins)})
 
 
 _CASE9 = dict(R_D=0.3, R_G=0.5, z=0.6 * np.exp(0.5j), w=0.72 * np.exp(-1.1j),

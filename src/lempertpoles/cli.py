@@ -227,8 +227,8 @@ def _cmd_bidisc(args) -> tuple:
                   rotation=rotation,
                   subset=[list(p) for p in cfg.subset],
                   certificate={"expression": "node configuration (subset of A x B)",
-                               "nodes": _nodes_json(cfg.nodes)},
-                  tolerances={"feasibility": 1e-12})
+                               "nodes": _nodes_json(cfg.nodes),
+                               "pick_margins": list(cfg.margins)})
     return rep, 0, False
 
 

@@ -1,20 +1,17 @@
 """Shared analytic primitives on the unit disc.
 
 Moebius transforms, finite Blaschke products, the quadratic that inverts
-z*Phi_a(z), and Nevanlinna-Pick feasibility via a cyclic Jacobi eigensolver
-for small Hermitian matrices.
+z*Phi_a(z), and a certified Nevanlinna-Pick test: a floating Cholesky of the
+Pick matrix shifted by a margin that covers the rounding of its entries and
+of the factorization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-INTERIOR_MARGIN = 1e-14
-PICK_FEASIBILITY_TOL = 1e-12
-JACOBI_TOL = 1e-13
-MAX_PICK_DIM = 8
 
 
 def require_disc_point(z: complex, name: str = "z", margin: float = 0.0) -> complex:
@@ -118,118 +115,81 @@ def solve_node_quadratic(a: float, mu: complex) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Pick matrices and Hermitian eigenvalues
+# Certified Pick test
 # ---------------------------------------------------------------------------
 
+# unit roundoff, relative errors of a complex product and a complex division
+# (Higham, Accuracy and Stability, Sec. 3.6; gamma_7, not gamma_4, leaves room
+# for the scaled division of CPython and numpy), and slack for the rounding of
+# the bounds themselves
+U = 2.0 ** -53
+_gamma = lambda k, u: k * u / (1.0 - k * u)
+CMUL_ERR = math.sqrt(2.0) * _gamma(2, U)
+CDIV_ERR = math.sqrt(2.0) * _gamma(7, U)
+BOUND_SLACK = 1.0 + 1e-10
 
-def pick_matrix(nodes, targets) -> np.ndarray:
-    """Pick matrix [(1 - w_i conj(w_j)) / (1 - lam_i conj(lam_j))]."""
-    lam = np.asarray(nodes, dtype=complex)
-    w = np.asarray(targets, dtype=complex)
-    num = 1.0 - w[:, None] * np.conj(w)[None, :]
-    den = 1.0 - lam[:, None] * np.conj(lam)[None, :]
-    return num / den
+
+def _quotient_error(q, num, den, e_num, e_den):
+    """Bound on |n/d - q| for the computed q = fl(num / den), where the exact
+    n, d lie within e_num, e_den of the computed num, den."""
+    aq = np.abs(q) / (1.0 - CDIV_ERR)
+    return (e_num + aq * e_den) / (np.abs(den) - e_den) + aq * CDIV_ERR
 
 
-def jacobi_eigenvalues(H: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
+def moebius_error(alpha, z):
+    """Bound on |fl(moebius(alpha, z)) - Phi_alpha(z)| for float alpha, z."""
+    alpha, z = np.asarray(alpha, dtype=complex), np.asarray(z, dtype=complex)
+    num, den = alpha - z, 1.0 - np.conj(alpha) * z
+    e_num = U / (1.0 - U) * np.abs(num)
+    e_den = CMUL_ERR * np.abs(alpha) * np.abs(z) + U / (1.0 - U) * np.abs(den)
+    return BOUND_SLACK * _quotient_error(num / den, num, den, e_num, e_den)
 
-    Dimension is capped at MAX_PICK_DIM; the matrices this library builds are
-    tiny, so quadratic convergence makes a handful of sweeps enough.
+
+def cholesky_succeeds(A: np.ndarray) -> np.ndarray:
+    """Whether the floating Cholesky of each Hermitian matrix of A (B, n, n)
+    meets only positive pivots.  A is overwritten."""
+    B, n, _ = A.shape
+    ok = np.ones(B, dtype=bool)
+    # failed rows go on with a unit pivot; their values are never read
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            pivot = A[:, k, k].real
+            ok &= pivot > 0.0
+            if k == n - 1 or not ok.any():
+                break
+            col = A[:, k + 1:, k] / np.sqrt(np.where(ok, pivot, 1.0))[:, None]
+            A[:, k + 1:, k + 1:] -= col[:, :, None] * np.conj(col)[:, None, :]
+    return ok
+
+
+def pick_margin(nodes, targets, target_err=0.0):
+    """Certified margin c of the Pick matrix H = [(1 - w_i conj(w_j)) /
+    (1 - l_i conj(l_j))] per row of nodes and targets, (B,) for (n,) or (B, n)
+    data; 0.0 where H is not proven positive definite.  The float nodes are exact, each target
+    within target_err of its float.  E bounds |H~ - H| entrywise for the
+    computed H~, and c = (gamma/(1 - gamma) (1 + u) + u) tr H~ + ||E||_F with
+    the complex-arithmetic gamma_{n+1}.  If the floating Cholesky of H~ - c I
+    meets only positive pivots, lambda_min(H) > 0 (Higham, Thm 10.3; S. M.
+    Rump, "Verification of positive definiteness", BIT 46, 2006), so an
+    analytic self-map of the disc interpolates the data.
     """
-    vals = jacobi_eigenvalues_batch(H[None, :, :], tol=tol, max_sweeps=max_sweeps)
-    return vals[0]
-
-
-def jacobi_eigenvalues_batch(H, tol: float = JACOBI_TOL, max_sweeps: int = 60) -> np.ndarray:
-    """Batched cyclic Jacobi for stacks of Hermitian matrices (B, n, n).
-
-    Each matrix follows its own rotation sequence (rotations are skipped once
-    the target entry is below threshold), so results for one matrix do not
-    depend on what else is in the batch.
-    """
-    A = np.array(H, dtype=complex)
-    if A.ndim == 2:
-        A = A[None, :, :]
-    B, n, n2 = A.shape
-    if n != n2:
-        raise ValueError("matrices must be square")
-    if n > MAX_PICK_DIM:
-        raise ValueError(f"dimension {n} exceeds cap {MAX_PICK_DIM}")
-    if n == 1:
-        return A[:, 0, 0].real[:, None]
-    scale = np.maximum(np.max(np.abs(A), axis=(1, 2)), 1e-300)
-    thresh = tol * scale
-    for _ in range(max_sweeps):
-        offmax = np.zeros(B)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[:, p, q]
-                absapq = np.abs(apq)
-                offmax = np.maximum(offmax, absapq)
-                mask = absapq > thresh
-                if not mask.any():
-                    continue
-                safe = np.where(absapq == 0.0, 1.0, absapq)
-                e = np.where(mask, apq / safe, 1.0)
-                tau = (A[:, q, q].real - A[:, p, p].real) / (2.0 * safe)
-                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                t = np.where(tau == 0.0, 1.0, t)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                c = np.where(mask, c, 1.0)
-                s = np.where(mask, s, 0.0)
-                e = np.where(mask, e, 1.0)
-                colp = A[:, :, p].copy()
-                colq = A[:, :, q].copy()
-                A[:, :, p] = c[:, None] * colp - (s * np.conj(e))[:, None] * colq
-                A[:, :, q] = (s * e)[:, None] * colp + c[:, None] * colq
-                rowp = A[:, p, :].copy()
-                rowq = A[:, q, :].copy()
-                A[:, p, :] = c[:, None] * rowp - (s * e)[:, None] * rowq
-                A[:, q, :] = (s * np.conj(e))[:, None] * rowp + c[:, None] * rowq
-        if not (offmax > thresh).any():
-            break
-    d = np.diagonal(A, axis1=1, axis2=2).real
-    return np.sort(d, axis=1)
-
-
-@dataclass(frozen=True)
-class PickProblem:
-    """Interpolation data: pairwise-distinct nodes containing 0, target 0 at 0."""
-
-    nodes: tuple
-    targets: tuple
-
-    def __post_init__(self):
-        nodes = tuple(complex(z) for z in self.nodes)
-        targets = tuple(complex(z) for z in self.targets)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "targets", targets)
-        if len(nodes) != len(targets):
-            raise ValueError("nodes and targets must have the same length")
-        if len(nodes) > MAX_PICK_DIM:
-            raise ValueError(f"problem size {len(nodes)} exceeds cap {MAX_PICK_DIM}")
-        for j, z in enumerate(nodes):
-            require_disc_point(z, f"nodes[{j}]")
-        for j, w in enumerate(targets):
-            require_disc_point(w, f"targets[{j}]")
-
-
-def pick_feasible(p: PickProblem) -> tuple:
-    """(feasible, min_eigenvalue) of the Pick matrix of `p`.
-
-    Feasible means an analytic self-map of the disc interpolating the data
-    exists, i.e. the Pick matrix is positive semidefinite (min eigenvalue
-    >= -1e-12 numerically).
-    """
-    nodes = np.asarray(p.nodes, dtype=complex)
-    m = len(nodes)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(nodes[i] - nodes[j]) < 1e-12:
-                raise ValueError("coincident nodes")
-    H = pick_matrix(p.nodes, p.targets)
-    min_eig = float(jacobi_eigenvalues(H)[0])
-    return min_eig >= -PICK_FEASIBILITY_TOL, min_eig
-
+    lam = np.atleast_2d(np.asarray(nodes, dtype=complex))
+    w = np.atleast_2d(np.asarray(targets, dtype=complex))
+    tau = np.broadcast_to(target_err, w.shape)
+    aw, al, n = np.abs(w), np.abs(lam), lam.shape[1]
+    outer = lambda x, y: x[:, :, None] * y[:, None, :]
+    num, den = 1.0 - outer(w, np.conj(w)), 1.0 - outer(lam, np.conj(lam))
+    with np.errstate(all="ignore"):
+        H = num / den
+        e_num = (CMUL_ERR * outer(aw, aw) + U / (1.0 - U) * np.abs(num)
+                 + outer(tau, aw + tau) + outer(aw, tau))
+        e_den = CMUL_ERR * outer(al, al) + U / (1.0 - U) * np.abs(den)
+        E = np.where(np.abs(den) > e_den, _quotient_error(H, num, den, e_num, e_den), np.inf)
+        g = _gamma(n + 1, CMUL_ERR)
+        c = BOUND_SLACK * ((g / (1.0 - g) * (1.0 + U) + U) * np.trace(H, axis1=1, axis2=2).real
+                           + np.sqrt(np.sum(E * E, axis=(1, 2))))
+    # nodes or targets off the open disc carry no interpolation problem
+    ok = np.isfinite(c) & (al.max(axis=1) < 1.0) & (aw.max(axis=1) < 1.0)
+    A = H.copy()
+    A.reshape(len(A), n * n)[:, :: n + 1] -= np.where(ok, c, 0.0)[:, None]
+    return np.where(ok & cholesky_succeeds(A), c, 0.0)

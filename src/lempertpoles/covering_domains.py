@@ -361,8 +361,13 @@ def lempert_N_plane(domain: PlaneDomain, a: complex, z: complex, N: int) -> Eval
         per_side = min(per_side * 4, LIFTS_PER_SIDE_MAX)
         ls = cover.lifts(a, per_side)
     log_value = float(np.sum(ls.log_modulus[:N]))
+    # lifts that round onto the circle are pulled radially to modulus
+    # cap = 1 - 2^-50, whose margin survives the pull's rounding; their
+    # deficits are in meta
+    eta, am, cap = ls.eta[:N], np.abs(ls.eta[:N]), 1.0 - 2.0 ** -50
+    nodes = np.where(am > cap, eta * (cap / am), eta)
     return EvalResult(value=math.exp(log_value), certificate=CoverExpr(cover),
-                      nodes=tuple(ls.eta[:N]),
+                      nodes=tuple(nodes),
                       meta={"N": N, "log_value": log_value,
                             "moduli": ls.moduli[:N].tolist(),
                             "deltas": ls.delta[:N].tolist()})

@@ -159,7 +159,6 @@ class EvalResult:
     value: float
     certificate: DiscExpr | None = None
     nodes: tuple = field(default_factory=tuple)
-    tail_bound: float = 0.0
     meta: dict = field(default_factory=dict)
 
 

@@ -10,23 +10,21 @@ family of maps cover o h with h(0) = 0).
 
 The search over node space runs random-direction compass descent with an
 eigenvalue penalty max(0, -lambda_min) from many seeded restarts.  The penalty
-screens each batch of Pick matrices H with a floating Cholesky of H - c I,
-c = 1e-10 max_i H_ii (Rump's test of positive definiteness), and takes
-eigvalsh only of the matrices whose factorization fails.  A Cholesky that
-succeeds has backward error below about n gamma_{n+1} max_i H_ii ~ 1e-14
-max_i H_ii for n <= 9 (Higham, Thm 10.3), and eigvalsh errs by at most
-p(n) u ||H||_2 <~ 1e-13 max_i H_ii, so eigvalsh would have returned
-lambda_min >= 0 there: the penalty has the same bits as with eigvalsh alone.
-Restarts are then ranked feasibility-first: only those whose worst Pick
-violation is at most NEAR_FEASIBLE_TOL are candidates, ordered by node-moduli
-product.  The best candidates are polished with SLSQP, which gets exact first
+screens each batch of Pick matrices H with `cholesky_succeeds` on H - c I,
+c = 1e-10 max_i H_ii, and takes eigvalsh only of the matrices whose
+factorization fails.  A Cholesky that succeeds has backward error below about
+n gamma_{n+1} max_i H_ii ~ 1e-14 max_i H_ii for n <= 9 (Higham, Thm 10.3), and
+eigvalsh errs by at most p(n) u ||H||_2 <~ 1e-13 max_i H_ii, so eigvalsh would
+have returned lambda_min >= 0 there: the penalty has the same bits as with
+eigvalsh alone.  Restarts are then ranked feasibility-first: only those whose
+worst Pick violation is at most NEAR_FEASIBLE_TOL are candidates, ordered by
+node-moduli product.  The best are polished with SLSQP, which gets exact first
 derivatives (the node-product gradient, and Magnus's eigenvalue derivative
-v^H (dH) v from one batched eigh per point), and repaired to strict
-feasibility by scaling nodes outward.  Every reported value is realized by a
-configuration re-verified through the cyclic-Jacobi Pick path.  Each restart
-draws its start and its probe directions from its own RNG stream, so results
-are bit-identical for any thread count and the restarts of a smaller run are
-a prefix of those of a larger one.
+v^H (dH) v from one batched eigh per point), then scaled outward until both
+Pick problems pass the certified test `pick_margin`.  Each restart draws its
+start and its probe directions from its own RNG stream, so results are
+bit-identical for any thread count and the restarts of a smaller run are a
+prefix of those of a larger one.
 """
 
 from __future__ import annotations
@@ -41,19 +39,16 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .complex_kernel import (
-    PickProblem,
+    cholesky_succeeds,
     moebius,
-    pick_feasible,
+    moebius_error,
+    pick_margin,
     solve_node_quadratic,
 )
 from .covering_domains import PlaneDomain, build_cover
 from .disc_domain import PoleSet
 
 NODE_COLLISION_TOL = 1e-8
-FEASIBILITY_TOL = 1e-12
-# the repair phase targets a stricter tolerance than the final verification
-# so that the LAPACK and Jacobi eigenvalue routes cannot disagree about it
-REPAIR_TOL = 5e-13
 # restarts whose worst Pick violation exceeds this are never polished or repaired
 NEAR_FEASIBLE_TOL = 1e-6
 MAX_SUBSET_SIZE = 8
@@ -93,14 +88,15 @@ class OptimizerSettings:
 
 @dataclass
 class NodeConfig:
-    """Certificate of an upper bound: selected pole pairs, their nodes and
-    the product of node moduli."""
+    """Certificate of an upper bound: pole pairs, nodes, node-moduli product,
+    and per coordinate the Pick targets and certified margin (`pick_margin`;
+    none for a single pair, exact by the Schwarz lemma)."""
 
     subset: tuple
     nodes: tuple
     value: float
     coord_targets: tuple = field(default_factory=tuple)
-    min_eigs: tuple = field(default_factory=tuple)
+    margins: tuple = field(default_factory=tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +118,7 @@ class _Coord:
     kind: str                      # "disc" | "plane"
     targets: np.ndarray | None     # (m,) for disc coordinates
     lift_candidates: list | None   # per node: (n_lifts,) complex arrays
+    target_err: np.ndarray | float = 0.0  # Moebius rounding; lifts are exact data
 
     def __post_init__(self):
         # fixed targets give node-independent Pick numerators
@@ -151,11 +148,6 @@ class _Coord:
         return _one_minus_outer(self.batch_targets(lam))
 
 
-def _batch_min_eig(lam: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Signed min Pick eigenvalue per configuration, targets varying per row."""
-    return np.linalg.eigvalsh(_one_minus_outer(targets) / _one_minus_outer(lam))[:, 0]
-
-
 def _pick_violation(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """max(0, -lambda_min(H)) per Pick matrix H = num / den of a batch, bit for
     bit: matrices whose floating Cholesky of H - c I succeeds, with
@@ -165,16 +157,7 @@ def _pick_violation(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     B, n, _ = A.shape
     diag = A.reshape(B, n * n)[:, :: n + 1]
     diag -= CHOLESKY_SCREEN_MARGIN * diag.real.max(axis=1)[:, None]
-    ok = np.ones(B, dtype=bool)
-    # failed rows go on with a unit pivot; their values are never read
-    with np.errstate(all="ignore"):
-        for k in range(n):
-            pivot = A[:, k, k].real
-            ok &= pivot > 0.0
-            if k == n - 1 or not ok.any():
-                break
-            col = A[:, k + 1:, k] / np.sqrt(np.where(ok, pivot, 1.0))[:, None]
-            A[:, k + 1:, k + 1:] -= col[:, :, None] * np.conj(col)[:, None, :]
+    ok = cholesky_succeeds(A)
     viol = np.zeros(B)
     if not ok.all():
         H = (num if len(num) == 1 else num[~ok]) / den[~ok]
@@ -198,31 +181,37 @@ def _penalized(lam: np.ndarray, coords: list, weight: np.ndarray) -> np.ndarray:
     return obj + weight * (pen + coll) + 1e7 * outside
 
 
-def _config_min_eigs(nodes: np.ndarray, coords: list):
-    lam = nodes[None, :]
-    return tuple(float(_batch_min_eig(lam, c.batch_targets(lam))[0]) for c in coords)
-
-
-def _feasible(nodes: np.ndarray, coords: list, tol: float = REPAIR_TOL) -> bool:
-    return all(e >= -tol for e in _config_min_eigs(nodes, coords))
+def _margins(nodes: np.ndarray, coords: list) -> np.ndarray:
+    """Certified Pick margin per coordinate (0.0 where not proven), with the
+    base pair 0 -> 0 prepended to the nodes and targets."""
+    lam = np.concatenate([[0j], nodes])
+    targets = [np.concatenate([[0j], c.batch_targets(nodes[None, :])[0]]) for c in coords]
+    errors = [np.concatenate([[0.0], np.broadcast_to(c.target_err, nodes.shape)]) for c in coords]
+    return pick_margin(np.broadcast_to(lam, (len(coords), len(lam))), np.array(targets),
+                       np.array(errors))
 
 
 def _repair(nodes: np.ndarray, coords: list):
-    """Scale the configuration outward until strictly feasible."""
-    if _feasible(nodes, coords):
-        return nodes, float(np.prod(np.abs(nodes)))
-    top = 0.9999999 / np.max(np.abs(nodes))
-    lo, hi = 1.0, min(1.05, top)
-    if hi <= lo or not _feasible(nodes * hi, coords):
-        return None, math.inf
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _feasible(nodes * mid, coords):
-            hi = mid
+    """Scale the configuration outward by 1 + t, t <= 0.05, until both Pick
+    problems certify, bisecting t geometrically down to the resolution of
+    1 + t (the t needed is mostly near 1e-13).  Returns the nodes and their
+    margins, or None."""
+    margins = _margins(nodes, coords)
+    if margins.all():
+        return nodes, margins
+    lo, hi = 0.0, min(0.05, 0.9999999 / np.max(np.abs(nodes)) - 1.0)
+    margins = _margins(nodes * (1.0 + hi), coords)
+    if hi <= lo or not margins.all():
+        return None
+    while True:
+        mid = math.sqrt(max(lo, 2.0 ** -53) * hi)
+        if not 1.0 + lo < 1.0 + mid < 1.0 + hi:
+            return nodes * (1.0 + hi), margins
+        trial = _margins(nodes * (1.0 + mid), coords)
+        if trial.all():
+            hi, margins = mid, trial
         else:
             lo = mid
-    repaired = nodes * hi
-    return repaired, float(np.prod(np.abs(repaired)))
 
 
 # ---------------------------------------------------------------------------
@@ -460,26 +449,15 @@ def _search_subset(subset, coords, settings: OptimizerSettings, subset_key):
     order = sorted(near, key=lambda r: (raw_vals[r], r))
     candidates = [lam[r] for r in order[: max(settings.polish_top, 1)]]
     candidates += [_polish(c, coords) for c in list(candidates)]
-    best_val, best_nodes = math.inf, None
-    for cand in candidates:
-        repaired, val = _repair(cand, coords)
-        if repaired is not None and val < best_val:
-            best_val, best_nodes = val, repaired
-    if best_nodes is None:
+    repaired = [r for r in (_repair(c, coords) for c in candidates) if r is not None]
+    if not repaired:
         return None
-    return NodeConfig(subset=tuple(subset), nodes=tuple(best_nodes), value=best_val,
+    best_nodes, margins = min(repaired, key=lambda r: np.prod(np.abs(r[0])))
+    return NodeConfig(subset=tuple(subset), nodes=tuple(best_nodes),
+                      value=float(np.prod(np.abs(best_nodes))),
                       coord_targets=tuple(tuple(c.batch_targets(best_nodes[None, :])[0])
                                           for c in coords),
-                      min_eigs=_config_min_eigs(best_nodes, coords))
-
-
-def _verify_config(config: NodeConfig) -> None:
-    """Re-check the reported configuration through the certifying Pick path."""
-    for targets in config.coord_targets:
-        prob = PickProblem(nodes=(0j, *config.nodes), targets=(0j, *targets))
-        ok, min_eig = pick_feasible(prob)
-        if min_eig < -FEASIBILITY_TOL:
-            raise RuntimeError(f"optimizer returned infeasible configuration ({min_eig})")
+                      margins=tuple(float(c) for c in margins))
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +490,7 @@ def bidisc_lempert(A: PoleSet, B: PoleSet, z: complex, w: complex,
         raise ValueError("pole sets capped at 4 points each")
     a_red = [complex(moebius(z, a)) for a in A]
     b_red = [complex(moebius(w, b)) for b in B]
+    a_err, b_err = moebius_error(z, list(A)), moebius_error(w, list(B))
     pairs = list(itertools.product(range(len(A)), range(len(B))))
 
     best_val, best_cfg = math.inf, None
@@ -524,8 +503,7 @@ def bidisc_lempert(A: PoleSet, B: PoleSet, z: complex, w: complex,
                 node = 0j
             best_val = val
             best_cfg = NodeConfig(subset=((k, l),), nodes=(node,), value=val,
-                                  coord_targets=((a_red[k],), (b_red[l],)),
-                                  min_eigs=(0.0, 0.0))
+                                  coord_targets=((a_red[k],), (b_red[l],)))
 
     for size in range(2, min(len(pairs), MAX_SUBSET_SIZE) + 1):
         for subset in itertools.combinations(pairs, size):
@@ -533,15 +511,14 @@ def bidisc_lempert(A: PoleSet, B: PoleSet, z: complex, w: complex,
             tb = np.array([b_red[l] for k, l in subset])
             if _subset_lower_bound((ta, tb)) >= best_val - LB_SKIP_MARGIN:
                 continue
-            coords = [_Coord("disc", ta, None), _Coord("disc", tb, None)]
+            coords = [_Coord("disc", ta, None, a_err[[k for k, l in subset]]),
+                      _Coord("disc", tb, None, b_err[[l for k, l in subset]])]
             key = tuple(k * 64 + l for k, l in subset)
             cfg = _search_subset(subset, coords, settings, key)
             if cfg is None:
                 logger.debug("subset %s: no feasible configuration found", subset)
             elif cfg.value < best_val:
                 best_val, best_cfg = cfg.value, cfg
-    if best_cfg is not None and len(best_cfg.subset) > 1:
-        _verify_config(best_cfg)
     return best_cfg, best_val
 
 
@@ -567,8 +544,8 @@ def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
 
     def coord_data(domain, poles, base):
         if domain.kind == "disc":
-            red = [complex(moebius(base, p)) for p in poles]
-            return ("disc", red)
+            return ("disc", [(complex(moebius(base, p)), float(moebius_error(base, p)))
+                             for p in poles])
         cover = build_cover(domain, base)
         lifts = []
         for p in poles:
@@ -579,8 +556,8 @@ def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
     def subset_coord(kind, data, idx):
         """The coordinate of a subset and its poles projected into the disc."""
         if kind == "disc":
-            targets = np.array([data[i] for i in idx])
-            return _Coord("disc", targets, None), targets
+            targets = np.array([data[i][0] for i in idx])
+            return _Coord("disc", targets, None, np.array([data[i][1] for i in idx])), targets
         lifts = [data[i] for i in idx]
         return _Coord("plane", None, lifts), np.array([c[0] for c in lifts])
 
@@ -601,5 +578,4 @@ def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
                 best_val, best_cfg = cfg.value, cfg
     if best_cfg is None:
         raise RuntimeError("no feasible configuration found")
-    _verify_config(best_cfg)
     return best_val, best_cfg

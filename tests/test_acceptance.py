@@ -27,15 +27,6 @@ from lempertpoles.acceptance import (
 )
 from lempertpoles.covering_domains import PlaneDomain, lempert_N_plane
 
-_heavy_cache = {}
-
-
-def _result(key, fn, **kw):
-    if key not in _heavy_cache:
-        _heavy_cache[key] = fn(**kw)
-    return _heavy_cache[key]
-
-
 def test_c1_lemma4_roundtrip():
     r = c1_lemma4_roundtrip()
     assert r.details["worst_residual"] <= 1e-9
@@ -105,8 +96,8 @@ def test_c6_theorem5_sandwich():
     assert r.passed
 
 
-def test_c7_theorem7_equality():
-    r = _result("c7", c7_theorem7_equality)
+def test_c7_theorem7_equality(session_cache):
+    r = session_cache("c7", c7_theorem7_equality)
     assert abs(r.details["value"] - 0.25) <= 1e-6
     assert r.details["value"] >= 0.25 - 1e-12
     assert r.details["runtime_s"] < 30.0
@@ -119,8 +110,8 @@ def test_c7_negative_control():
     assert not r.passed
 
 
-def test_c8_theorem7_failure_margin():
-    r = _result("c8", c8_theorem7_failure)
+def test_c8_theorem7_failure_margin(session_cache):
+    r = session_cache("c8", c8_theorem7_failure)
     assert r.details["delta"] > 0
     assert abs(r.details["delta"] - r.details["delta_oracle"]) <= 1e-3
     # the optimum is realized on the full 4-pair subset (grid oracle)
@@ -128,18 +119,18 @@ def test_c8_theorem7_failure_margin():
     assert r.passed
 
 
-def test_c9_prop10_construction():
-    r = _result("c9", c9_prop10)
+def test_c9_prop10_construction(session_cache):
+    r = session_cache("c9", c9_prop10)
     assert max(r.details["equal_errors"]) <= 1e-10
     assert r.details["condition4_margin"] > 1e-6
     assert r.passed
 
 
-def test_c10_determinism_across_threads():
+def test_c10_determinism_across_threads(session_cache):
     baseline = {
-        "c7": _result("c7", c7_theorem7_equality).details["value"],
-        "c8": _result("c8", c8_theorem7_failure).details["value"],
-        "c9": _result("c9", c9_prop10).details["equal_errors"],
+        "c7": session_cache("c7", c7_theorem7_equality).details["value"],
+        "c8": session_cache("c8", c8_theorem7_failure).details["value"],
+        "c9": session_cache("c9", c9_prop10).details["equal_errors"],
     }
     r = c10_determinism(threads=4, baseline=baseline)
     assert r.passed, r.details

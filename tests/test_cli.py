@@ -86,6 +86,8 @@ def test_bidisc_rotation_flag_and_roundtrip():
     doc = json.loads(out1)
     assert abs(doc["value"] - 0.25) <= 1e-6
     assert doc["rotation"] == pytest.approx(1.5707963267948966)
+    margins = doc["certificate"]["pick_margins"]
+    assert len(margins) == 2 and min(margins) > 0.0
     # re-running with the echoed inputs reproduces the value bit for bit
     argv2 = ["bidisc", "--A", doc["inputs"]["A"], "--B", doc["inputs"]["B"],
              "--z", doc["inputs"]["z"], "--w", doc["inputs"]["w"],

@@ -4,14 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from lempertpoles.complex_kernel import (
     BlaschkeDisc,
-    PickProblem,
     blaschke_eval,
-    jacobi_eigenvalues,
-    jacobi_eigenvalues_batch,
     moebius,
     moebius_apply,
-    pick_feasible,
-    pick_matrix,
+    moebius_error,
+    pick_margin,
     solve_node_quadratic,
 )
 
@@ -117,17 +114,23 @@ def test_quadratic_rejects_bad_inputs():
 
 
 def test_pick_trivia():
-    ok, _ = pick_feasible(PickProblem(nodes=(0,), targets=(0,)))
-    assert ok
-    ok, _ = pick_feasible(PickProblem(nodes=(0, 0.5), targets=(0, 0.3)))
-    assert ok
-    ok, eig = pick_feasible(PickProblem(nodes=(0, 0.5), targets=(0, 0.9)))
-    assert not ok and eig < -1e-6
+    assert pick_margin((0,), (0,)) > 0.0
+    assert pick_margin((0, 0.5), (0, 0.3)) > 0.0
+    # |target| > |node|: no self-map of the disc fixing 0 exists
+    assert pick_margin((0, 0.5), (0, 0.9)) == 0.0
+    # the identity is feasible but its Pick matrix is singular: not certified
+    assert pick_margin((0, 0.5), (0, 0.5)) == 0.0
+    # data off the open disc is never certified, though this H = [0.35] > 0
+    assert pick_margin((1.5,), (1.2,)) == 0.0
+    assert pick_margin((0.5,), (1.0,)) == 0.0
 
 
 def test_pick_coincident_nodes_error():
-    with pytest.raises(ValueError, match="coincident"):
-        pick_feasible(PickProblem(nodes=(0, 0.5, 0.5), targets=(0, 0.1, 0.2)))
+    # a node cannot carry two targets, and a repeated pair makes the Pick
+    # matrix singular: coincident nodes are never certified
+    assert pick_margin((0, 0.5, 0.5), (0, 0.1, 0.2)) == 0.0
+    assert pick_margin((0, 0.5, 0.5), (0, 0.1, 0.1)) == 0.0
+    assert pick_margin((0, 0.5, -0.5), (0, 0.1, 0.1)) > 0.0
 
 
 @given(st.floats(0, 2 * np.pi))
@@ -136,28 +139,75 @@ def test_pick_rotation_invariance(t):
     nodes = (0, 0.5, -0.3 + 0.4j)
     targets = (0, 0.2 + 0.1j, -0.25j)
     rot = np.exp(1j * t)
-    _, e1 = pick_feasible(PickProblem(nodes=nodes, targets=targets))
-    _, e2 = pick_feasible(PickProblem(nodes=tuple(rot * np.asarray(nodes)),
-                                      targets=tuple(rot * np.asarray(targets))))
-    assert abs(e1 - e2) < 1e-12
+    c1 = pick_margin(nodes, targets)
+    c2 = pick_margin(rot * np.asarray(nodes), rot * np.asarray(targets))
+    assert c1 > 0.0 and c2 > 0.0
+    assert abs(c1 - c2) <= 1e-9 * c1
 
 
-def test_jacobi_matches_lapack():
-    rng = np.random.default_rng(0)
-    for n in (2, 3, 5, 8):
-        M = rng.normal(size=(40, n, n)) + 1j * rng.normal(size=(40, n, n))
-        H = (M + np.conj(np.transpose(M, (0, 2, 1)))) / 2
-        ours = jacobi_eigenvalues_batch(H)
-        ref = np.linalg.eigvalsh(H)
-        assert np.max(np.abs(ours - ref)) < 1e-12
+def _near_boundary_configurations(rng, m, radius, count, perturb=True):
+    """Nodes of modulus `radius` and targets g(nodes) * (1 +- eps) for a
+    random degree-2 inner map g(z) = e^{it} z Phi_b(z), whose Pick matrix is
+    singular for m >= 2.  eps runs log-uniform over 1e-16..1e-3, so the
+    configurations lie on both sides of the feasibility boundary; without
+    `perturb` the targets are the float values of g, whose exact Pick
+    matrices are singular ones moved by rounding alone."""
+    for _ in range(count):
+        theta = (np.arange(m) + rng.random(m)) / m
+        lam = radius * np.exp(2j * np.pi * theta)
+        b = 0.5 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        w = np.exp(2j * np.pi * rng.random()) * lam * moebius(b, lam)
+        if perturb:
+            w = w * (1.0 + 10.0 ** rng.uniform(-16, -3) * rng.choice((-1.0, 1.0)))
+        if np.max(np.abs(w)) < 1.0:
+            yield np.concatenate([[0j], lam]), np.concatenate([[0j], w])
 
 
-def test_jacobi_dimension_cap():
-    with pytest.raises(ValueError, match="cap"):
-        jacobi_eigenvalues(np.eye(9))
+def test_pick_margin_certifies_only_positive_definite_matrices(pick_oracle):
+    # every certified configuration has a positive smallest eigenvalue in
+    # 50-digit arithmetic on the same floats
+    rng = np.random.default_rng(41)
+    certified = rejected = 0
+    for m in range(1, 9):
+        for radius in (0.7, 0.95, 0.9999995):
+            for lam, w in _near_boundary_configurations(rng, m, radius, 6):
+                if pick_margin(lam, w) > 0.0:
+                    certified += 1
+                    assert pick_oracle.min_eig(lam, w) > 0.0, (lam, w)
+                else:
+                    rejected += 1
+    assert certified > 20 and rejected > 20
 
 
-def test_pick_matrix_entries():
-    P = pick_matrix((0, 0.5), (0, 0.25))
-    assert P[0, 0] == pytest.approx(1.0)
-    assert P[1, 1] == pytest.approx((1 - 0.25 ** 2) / (1 - 0.5 ** 2))
+def test_pick_margin_on_rounded_singular_data(pick_oracle):
+    # here float Cholesky without the margin, or a margin without the entry
+    # rounding bound, certifies matrices that are indefinite at 50 digits
+    rng = np.random.default_rng(59)
+    certified = 0
+    for m in range(1, 9):
+        for radius in (0.95, 0.9999995):
+            for lam, w in _near_boundary_configurations(rng, m, radius, 20, perturb=False):
+                if pick_margin(lam, w) > 0.0:
+                    certified += 1
+                    assert pick_oracle.min_eig(lam, w) > 0.0, (lam, w)
+    assert certified > 20
+
+
+def test_pick_margin_batch_matches_single():
+    rng = np.random.default_rng(43)
+    configs = list(_near_boundary_configurations(rng, 4, 0.95, 12))
+    lam = np.array([c[0] for c in configs])
+    w = np.array([c[1] for c in configs])
+    batch = pick_margin(lam, w)
+    assert batch.shape == (len(configs),)
+    assert np.array_equal(batch, np.concatenate([pick_margin(l, t) for l, t in zip(lam, w)]))
+
+
+def test_moebius_error_bounds_50_digit_moebius(pick_oracle):
+    rng = np.random.default_rng(47)
+    for radius in (0.5, 0.99, 0.9999995):
+        alpha = radius * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
+        z = radius * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
+        for a, x in zip(alpha, z):
+            err = abs(pick_oracle.num(moebius(a, x)) - pick_oracle.moebius(a, x))
+            assert err <= moebius_error(a, x)

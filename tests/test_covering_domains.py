@@ -176,6 +176,27 @@ def test_lempert_N_stops_enumerating_once_deficits_underflow(monkeypatch, R, a, 
     assert max(windows) <= 2 * N
 
 
+@pytest.mark.parametrize("R, a, z, N", [
+    (0.8, 0.825 * np.exp(1.1j), 0.855 * np.exp(-2j), 20),
+    (0.3, 0.55 * np.exp(1.1j), 0.45 * np.exp(-2.0j), 11),
+    (0.3, 0.55 * np.exp(1.1j), 0.6, 200),
+])
+def test_lempert_N_nodes_lie_in_the_open_disc(R, a, z, N):
+    # lifts whose deficits are below the resolution of |eta| round onto the
+    # circle; the reported nodes must still be points of the open disc
+    dom = PlaneDomain("annulus", R=R)
+    res = lempert_N_plane(dom, a, z, N)
+    full = build_cover(dom, z).lifts(a, LIFTS_PER_SIDE_MAX)
+    assert len(res.nodes) == N
+    assert all(abs(node) < 1.0 for node in res.nodes)
+    assert max(abs(node) for node in res.nodes) > 1.0 - 1e-15
+    # value and deficits come from the strip data, not from the nodes
+    assert res.value == math.exp(float(np.sum(full.log_modulus[:N])))
+    assert res.meta["deltas"] == full.delta[:N].tolist()
+    for node, delta in zip(res.nodes, res.meta["deltas"]):
+        assert abs(abs(node) - (1.0 - delta)) <= 1e-15
+
+
 def test_lempert_N_degenerate_at_pole():
     res = lempert_N_plane(PlaneDomain("annulus", R=0.2), 0.5, 0.5, 3)
     assert res.value == 0.0 and res.nodes == (0j,)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lempertpoles.acceptance import GRID_ORACLE_DELTA
-from lempertpoles.complex_kernel import PickProblem, moebius, pick_feasible
+from lempertpoles.acceptance import GRID_ORACLE_DELTA, c8_theorem7_failure
+from lempertpoles.complex_kernel import moebius, moebius_error
 from lempertpoles.covering_domains import PlaneDomain, build_cover
 from lempertpoles.disc_domain import PoleSet, lempert_disc
 from lempertpoles import node_optimizer
@@ -12,10 +12,12 @@ from lempertpoles.node_optimizer import (
     OptimizerSettings,
     _compass_chunk,
     _Coord,
+    _margins,
     _one_minus_outer,
     _pick_min_eig_grad,
     _pick_violation,
     _product_grad,
+    _repair,
     _restart_starts,
     bidisc_lempert,
     mixed_product_upper,
@@ -23,18 +25,14 @@ from lempertpoles.node_optimizer import (
 from lempertpoles.product_engine import theorem5_bounds
 
 FAST = OptimizerSettings(restarts=48, seed=0, max_iterations=1200)
+FAILURE_A = PoleSet(points=(0.5, 0.5j))
+FAILURE_B = PoleSet(points=(0.5, -0.5))
 
-_failure_runs = {}
 
-
-def _failure_case(restarts):
-    # Theorem 7 failure case at default settings, shared between tests
-    if restarts not in _failure_runs:
-        A = PoleSet(points=(0.5, 0.5j))
-        B = PoleSet(points=(0.5, -0.5))
-        _failure_runs[restarts] = bidisc_lempert(
-            A, B, 0, 0, OptimizerSettings(restarts=restarts, seed=0))
-    return _failure_runs[restarts]
+def _failure_case(session_cache, settings):
+    # Theorem 7 failure case, computed once per session for each settings
+    return session_cache(("failure", settings), bidisc_lempert, A=FAILURE_A, B=FAILURE_B,
+                         z=0, w=0, settings=settings)
 
 
 def test_singletons_exact():
@@ -52,27 +50,36 @@ def test_rotation_case_reaches_floor():
     assert v >= 0.25 - 1e-12
 
 
-def test_failure_case_strictly_above_floor():
-    A = PoleSet(points=(0.5, 0.5j))
-    B = PoleSet(points=(0.5, -0.5))
-    cfg, v = bidisc_lempert(A, B, 0, 0, FAST)
+def test_failure_case_strictly_above_floor(session_cache):
+    cfg, v = _failure_case(session_cache, FAST)
     assert v > 0.25 + 1e-3
     assert v == pytest.approx(0.2713, abs=2e-3)
 
 
-def test_failure_case_200_restarts_reach_full_subset():
+def test_failure_case_200_restarts_reach_full_subset(session_cache):
     # restarts that stall deep in the infeasible region must not crowd the
     # feasible 4-pair optimum out of the polish slots
-    cfg, v = _failure_case(200)
+    cfg, v = _failure_case(session_cache, OptimizerSettings(restarts=200, seed=0))
     assert len(cfg.subset) == 4
     assert abs((v - 0.25) - GRID_ORACLE_DELTA) <= 1e-3
 
 
-def test_failure_case_more_restarts_never_worse():
-    _, v200 = _failure_case(200)
-    cfg, v500 = _failure_case(500)
-    assert len(cfg.subset) == 4
-    assert v500 <= v200
+def test_failure_case_more_restarts_never_worse(session_cache):
+    _, v200 = _failure_case(session_cache, OptimizerSettings(restarts=200, seed=0))
+    # the 500-restart run is criterion 8's, shared with its acceptance test
+    c8 = session_cache("c8", c8_theorem7_failure)
+    assert len(c8.details["subset"]) == 4
+    assert c8.details["value"] <= v200
+
+
+def test_criterion8_output_is_positive_definite_at_50_digits(session_cache, pick_oracle):
+    c8 = session_cache("c8", c8_theorem7_failure)
+    assert len(c8.details["pick_margins"]) == 2 and min(c8.details["pick_margins"]) > 0.0
+    nodes = [0j, *c8.details["nodes"]]
+    for coord, poles in enumerate((FAILURE_A, FAILURE_B)):
+        targets = [0j] + [pick_oracle.moebius(0, poles.points[pair[coord]])
+                          for pair in c8.details["subset"]]
+        assert pick_oracle.min_eig(nodes, targets) > 0.0
 
 
 def test_restart_starts_are_prefix_stable():
@@ -102,21 +109,74 @@ def test_inequality_two_floor():
         assert v >= floor - 1e-12
 
 
-def test_upper_bound_soundness_reverified():
-    A = PoleSet(points=(0.5, 0.5j))
-    B = PoleSet(points=(0.5, -0.5))
-    cfg, v = bidisc_lempert(A, B, 0, 0, FAST)
-    for targets in cfg.coord_targets:
-        ok, min_eig = pick_feasible(PickProblem(nodes=(0j, *cfg.nodes),
-                                                targets=(0j, *targets)))
-        assert min_eig >= -1e-12
+def test_upper_bound_soundness_reverified(pick_oracle):
+    # the moved failure case: the Pick matrices of the exact targets
+    # Phi_z(a), Phi_w(b) of the float poles are positive definite at 50 digits
+    c = 0.3 - 0.1j
+    A = PoleSet(points=tuple(moebius(c, a) for a in FAILURE_A))
+    B = PoleSet(points=tuple(moebius(-c, b) for b in FAILURE_B))
+    z, w = moebius(c, 0), moebius(-c, 0)
+    cfg, v = bidisc_lempert(A, B, z, w, FAST)
+    assert len(cfg.subset) > 1 and min(cfg.margins) > 0.0
+    nodes = [0j, *cfg.nodes]
+    for base, poles, coord in ((z, A, 0), (w, B, 1)):
+        targets = [0j] + [pick_oracle.moebius(base, poles.points[pair[coord]])
+                          for pair in cfg.subset]
+        assert pick_oracle.min_eig(nodes, targets) > 0.0
     assert v == pytest.approx(float(np.prod([abs(n) for n in cfg.nodes])), abs=1e-14)
 
 
-def test_subset_monotonicity_under_pole_addition():
+def _disc_coords(ta, tb, err_a=0.0, err_b=0.0):
+    return [_Coord("disc", np.asarray(ta), None, err_a), _Coord("disc", np.asarray(tb), None, err_b)]
+
+
+def test_eight_pair_configuration_certifies_outward_only():
+    # nodes s * targets: g(z) = z / s interpolates them in both coordinates
+    # when s > 1; for s < 1 the Schwarz lemma |g(l)| <= |l| fails
+    rng = np.random.default_rng(53)
+    ta = (0.3 + 0.6 * rng.random(8)) * np.exp(2j * np.pi * (np.arange(8) + rng.random(8)) / 8)
+    coords = _disc_coords(ta, np.exp(0.4j) * ta)
+    for s in (1.05, 1.001):
+        nodes = s * ta
+        margins = _margins(nodes, coords)
+        assert margins.shape == (2,) and np.all(margins > 0.0)
+        repaired, _ = _repair(nodes, coords)
+        assert np.array_equal(repaired, nodes)
+    for s in (0.999, 0.95):
+        assert not np.any(_margins(s * ta, coords))
+    # the repair scales an inward configuration back out, by at most 1.05
+    repaired, margins = _repair(0.999 * ta, coords)
+    assert np.all(margins > 0.0)
+    assert 1.0 < abs(repaired[0] / ta[0]) <= 1.05 * 0.999
+
+
+def test_certified_test_rejects_slightly_negative_pick_matrix(pick_oracle):
+    # a criterion-8 instance moved by an automorphism pair, and the nodes a
+    # repair to lambda_min >= -5e-13 returned for it: the first coordinate's
+    # Pick matrix has lambda_min = -5.0e-13 at 50 digits
+    A = (-0.18535235199661007 - 0.3984783022842145j, 0.4852436977784281 - 0.36923299853283964j)
+    B = (-0.2962177183175819 - 0.48169236083933936j, -0.3177995979132005 + 0.44105059288894344j)
+    z, w = 0.1779011766573174 - 0.04064641788184798j, -0.24930228883577232 - 0.023076739672371244j
+    nodes = np.array([0.7052217141155567 + 0.07876039419811563j,
+                      -0.7320269123424106 - 0.05439266541348428j,
+                      0.4813169765953918 + 0.5542165057006918j,
+                      -0.4848201040093464 - 0.5181605323255084j])
+    subset = ((0, 0), (0, 1), (1, 0), (1, 1))
+    ta = [A[k] for k, l in subset]
+    tb = [B[l] for k, l in subset]
+    oracle_a = pick_oracle.min_eig([0j, *nodes], [0j] + [pick_oracle.moebius(z, a) for a in ta])
+    assert -6e-13 < oracle_a < -4e-13
+    coords = _disc_coords([moebius(z, a) for a in ta], [moebius(w, b) for b in tb],
+                          np.array([moebius_error(z, a) for a in ta]),
+                          np.array([moebius_error(w, b) for b in tb]))
+    margins = _margins(nodes, coords)
+    assert margins[0] == 0.0 and margins[1] > 0.0
+
+
+def test_subset_monotonicity_under_pole_addition(session_cache):
     A = PoleSet(points=(0.5, 0.5j))
     B = PoleSet(points=(0.5, -0.5))
-    _, v_small = bidisc_lempert(A, B, 0, 0, FAST)
+    _, v_small = _failure_case(session_cache, FAST)
     A_big = PoleSet(points=(0.5, 0.5j, -0.45))
     _, v_big = bidisc_lempert(A_big, B, 0, 0, FAST)
     assert v_big <= v_small + 1e-9
@@ -131,11 +191,11 @@ def test_determinism_same_seed_and_threads():
     assert repr(v1) == repr(v2) == repr(v4)
 
 
-def test_automorphism_reduction_invariance():
+def test_automorphism_reduction_invariance(session_cache):
     # moving the base point together with the poles leaves the value unchanged
     A = PoleSet(points=(0.5, 0.5j))
     B = PoleSet(points=(0.5, -0.5))
-    _, v0 = bidisc_lempert(A, B, 0, 0, FAST)
+    _, v0 = _failure_case(session_cache, FAST)
     c = 0.3 - 0.1j
     A2 = PoleSet(points=tuple(moebius(c, a) for a in A))
     _, v1 = bidisc_lempert(A2, B, moebius(c, 0), 0, FAST)
@@ -156,6 +216,7 @@ def test_mixed_upper_disc_singleton_matches_theorem5():
     z, w = 0.1 + 0.05j, -0.2 + 0.1j
     rep = theorem5_bounds(D, G, A, b, z, w)
     v, cfg = mixed_product_upper(D, G, A, PoleSet(points=(b,)), z, w, FAST)
+    assert len(cfg.margins) == 2 and min(cfg.margins) > 0.0
     assert v <= rep.upper + 1e-6
     assert v >= rep.lower - 1e-12
 
@@ -168,6 +229,7 @@ def test_mixed_upper_annulus_factor():
     z, w = 0.05, 0.45
     rep = theorem5_bounds(D, G, A, b, z, w)
     v, cfg = mixed_product_upper(D, G, A, PoleSet(points=(b,), domain=G), z, w, FAST)
+    assert len(cfg.margins) == 2 and min(cfg.margins) > 0.0
     # sound upper bound: above the Theorem 5 lower bound, at or below the
     # Lemma 4 certificate value up to optimizer tolerance
     assert v >= rep.lower - 1e-12
