@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re as _re
 import sys
 import time
 
@@ -39,9 +40,6 @@ from .product_engine import (
 
 class CliError(ValueError):
     pass
-
-
-import re as _re
 
 
 class _Parser(argparse.ArgumentParser):
@@ -409,10 +407,7 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         out, code, raw = args.fn(args)
-    except CliError as e:
-        print(json.dumps({"error": str(e), "kind": "validation"}))
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # CliError included
         print(json.dumps({"error": str(e), "kind": "validation"}))
         return 2
     except Exception as e:  # numeric / internal failure

@@ -8,6 +8,13 @@ strip coordinates `s`, where 1-|zeta|^2 has a closed form.  That matters:
 high-winding lifts have disc coordinates within 1e-16 of the unit circle, so
 all moduli and products are computed from `s`, never from the rounded disc
 representation.
+
+Every winding enumeration goes through one geometric window search, capped at
+LIFTS_PER_SIDE_MAX windings per side.  The K smallest lifts are searched from
+max(8, K//2 + 4) windings per side, growing x4 until the K-th deficit exceeds
+both edge deficits or underflows to 0.0.  The Green functions first pick the
+depth at which their closed-form tail bound meets the tolerance (annulus from
+4, x4; punctured disc from 1024, x2), then enumerate once.
 """
 
 from __future__ import annotations
@@ -114,10 +121,6 @@ def _punct_strip(a: complex, ks: np.ndarray) -> np.ndarray:
     return math.log(abs(a)) + 1j * (np.angle(a) + 2.0 * np.pi * ks)
 
 
-def _punct_zeta(s: np.ndarray) -> np.ndarray:
-    return (s + 1.0) / (s - 1.0)
-
-
 def _punct_one_minus_zeta_sq(s: np.ndarray) -> np.ndarray:
     x = s.real
     return -4.0 * x / ((x - 1.0) ** 2 + s.imag ** 2)
@@ -126,10 +129,6 @@ def _punct_one_minus_zeta_sq(s: np.ndarray) -> np.ndarray:
 def _annulus_strip(a: complex, L: float, ks: np.ndarray) -> np.ndarray:
     th = np.angle(a) + 2.0 * np.pi * ks
     return (np.pi / L) * th - 1j * (np.pi / L) * (math.log(abs(a)) + L / 2.0)
-
-
-def _annulus_zeta(s: np.ndarray) -> np.ndarray:
-    return np.tanh(s / 2.0)
 
 
 def _annulus_one_minus_zeta_sq(s: np.ndarray) -> np.ndarray:
@@ -144,6 +143,30 @@ def _annulus_one_minus_zeta_sq(s: np.ndarray) -> np.ndarray:
     out[big] = 4.0 * np.cos(2.0 * y[big]) * np.exp(-ax[big])
     out[~big] = 2.0 * np.cos(2.0 * y[~big]) / (np.cosh(ax[~big]) + np.cos(2.0 * y[~big]))
     return out
+
+
+def _raw_lifts(domain: PlaneDomain, a_rel: complex, ks: np.ndarray):
+    """(s, zeta, 1 - |zeta|^2) of the raw lifts of windings ks, for a point
+    a_rel given relative to the base point's ray."""
+    if domain.kind == "punctured":
+        s = _punct_strip(a_rel, ks)
+        return s, (s + 1.0) / (s - 1.0), _punct_one_minus_zeta_sq(s)
+    if domain.kind == "annulus":
+        s = _annulus_strip(a_rel, -math.log(domain.R), ks)
+        return s, np.tanh(s / 2.0), _annulus_one_minus_zeta_sq(s)
+    raise ValueError("disc cover is trivial; no winding enumeration")
+
+
+def _grow_window(start: int, factor: int, attempt):
+    """Run attempt(per_side) -> (done, result) for per_side = start,
+    start*factor, ... (capped at LIFTS_PER_SIDE_MAX) until done; returns the
+    last (done, per_side, result)."""
+    per_side = min(start, LIFTS_PER_SIDE_MAX)
+    while True:
+        done, result = attempt(per_side)
+        if done or per_side == LIFTS_PER_SIDE_MAX:
+            return done, per_side, result
+        per_side = min(per_side * factor, LIFTS_PER_SIDE_MAX)
 
 
 @dataclass
@@ -208,14 +231,7 @@ class CoverMap:
 
     # -- lifts -----------------------------------------------------------
     def _raw_lift_data(self, a: complex, ks: np.ndarray):
-        a_rel = abs(a) * np.exp(1j * self.relative_angle(a))
-        if self.domain.kind == "punctured":
-            s = _punct_strip(a_rel, ks)
-            return s, _punct_zeta(s), _punct_one_minus_zeta_sq(s)
-        if self.domain.kind == "annulus":
-            s = _annulus_strip(a_rel, self.L, ks)
-            return s, _annulus_zeta(s), _annulus_one_minus_zeta_sq(s)
-        raise ValueError("disc cover is trivial; no winding enumeration")
+        return _raw_lifts(self.domain, abs(a) * np.exp(1j * self.relative_angle(a)), ks)
 
     def lifts(self, a: complex, per_side: int, base_shift: int = 0) -> LiftSet:
         """Lifts of a through pi_z for windings |k| <= per_side, sorted ascending
@@ -266,23 +282,13 @@ def build_cover(domain: PlaneDomain, z: complex) -> CoverMap:
     if domain.kind == "disc":
         return CoverMap(domain, z, 0, 0j, complex(z), _c0=1.0 - abs(z) ** 2)
     rotation = float(np.angle(z))
-    z_rel = abs(z) + 0.0j
     ks = np.arange(-3, 4)
-    if domain.kind == "punctured":
-        s = _punct_strip(z_rel, ks)
-        zeta = _punct_zeta(s)
-        om = _punct_one_minus_zeta_sq(s)
-    else:
-        L = -math.log(domain.R)
-        s = _annulus_strip(z_rel, L, ks)
-        zeta = _annulus_zeta(s)
-        om = _annulus_one_minus_zeta_sq(s)
+    s, zeta, om = _raw_lifts(domain, abs(z) + 0.0j, ks)
     moduli = np.sqrt(np.clip(1.0 - om, 0.0, None))
     best = min(range(len(ks)),
                key=lambda i: (round(float(moduli[i]), 15), np.angle(zeta[i]) % (2 * np.pi)))
-    cover = CoverMap(domain, z, int(ks[best]), complex(s[best]), complex(zeta[best]),
-                     rotation=rotation, _c0=float(om[best]))
-    return cover
+    return CoverMap(domain, z, int(ks[best]), complex(s[best]), complex(zeta[best]),
+                    rotation=rotation, _c0=float(om[best]))
 
 
 @dataclass(frozen=True)
@@ -303,34 +309,27 @@ class CoverExpr(DiscExpr):
 # ---------------------------------------------------------------------------
 
 
-def preimage_moduli(cover: CoverMap, a: complex, K: int | None = None,
-                    delta: float | None = None, base_shift: int = 0) -> np.ndarray:
-    """Ascending moduli of the lifts of a through pi_z.
+def _smallest_lifts(cover: CoverMap, a: complex, K: int, base_shift: int = 0) -> LiftSet:
+    """Lifts of a over the first window, growing x4 from max(8, K//2 + 4)
+    windings per side, that holds the K smallest moduli.
 
-    Windings are enumerated for |k| increasing until K values are collected
-    or 1 - |eta| drops below delta on both sides.
+    Deficits fall with the winding, so the window holds them once the K-th
+    deficit exceeds both edge deficits, or has underflowed to 0.0: every lift
+    outside then has deficit 0.0 and log-modulus 0 too.
     """
-    if K is None and delta is None:
-        raise ValueError("provide K or delta")
-    if cover.domain.kind == "disc":
-        m = cover.lifts(a, 1).moduli
-        return m[: K if K is not None else None]
-    per_side = 4
-    while True:
+    def holds_K(per_side):
         ls = cover.lifts(a, per_side, base_shift=base_shift)
-        enough_K = K is not None and len(ls.delta) >= K + 2
-        tail_delta = max(ls.delta[-1], ls.delta[-2])
-        if delta is not None and tail_delta < delta:
-            cut = np.nonzero(ls.delta >= delta)[0]
-            m = ls.moduli[: (cut[-1] + 1) if len(cut) else 1]
-            return m[:K] if K is not None else m
-        # a K-th deficit of 0.0 leaves every lift outside the window at 0.0
-        if enough_K and (ls.delta[K - 1] > tail_delta or ls.delta[K - 1] == 0.0):
-            return ls.moduli[:K]
-        if per_side >= LIFTS_PER_SIDE_MAX:
-            m = ls.moduli
-            return m[:K] if K is not None else m
-        per_side = min(per_side * 4, LIFTS_PER_SIDE_MAX)
+        d = ls.delta
+        return len(d) >= K + 2 and not 0.0 < d[K - 1] <= max(d[-1], d[-2]), ls
+
+    return _grow_window(max(8, K // 2 + 4), 4, holds_K)[2]
+
+
+def preimage_moduli(cover: CoverMap, a: complex, K: int, base_shift: int = 0) -> np.ndarray:
+    """The K smallest moduli of the lifts of a through pi_z, ascending."""
+    if cover.domain.kind == "disc":
+        return cover.lifts(a, 1).moduli[:K]
+    return _smallest_lifts(cover, a, K, base_shift).moduli[:K]
 
 
 def lempert_N_plane(domain: PlaneDomain, a: complex, z: complex, N: int) -> EvalResult:
@@ -351,15 +350,7 @@ def lempert_N_plane(domain: PlaneDomain, a: complex, z: complex, N: int) -> Eval
         ls = cover.lifts(a, 1)
         return EvalResult(value=float(ls.moduli[0]), certificate=CoverExpr(cover),
                           nodes=tuple(ls.eta[:1]), meta={"N": N})
-    per_side = max(8, N // 2 + 4)
-    ls = cover.lifts(a, per_side)
-    # deficits fall with the winding, so once the N-th one underflows to 0.0
-    # every lift outside the window has deficit 0.0 and log-modulus 0 too
-    while len(ls.delta) < N + 2 or 0.0 < ls.delta[N - 1] <= max(ls.delta[-1], ls.delta[-2]):
-        if per_side >= LIFTS_PER_SIDE_MAX:
-            break
-        per_side = min(per_side * 4, LIFTS_PER_SIDE_MAX)
-        ls = cover.lifts(a, per_side)
+    ls = _smallest_lifts(cover, a, N)
     log_value = float(np.sum(ls.log_modulus[:N]))
     # lifts that round onto the circle are pulled radially to modulus
     # cap = 1 - 2^-50, whose margin survives the pull's rounding; their
@@ -384,10 +375,7 @@ def lempert_poleset_plane(domain: PlaneDomain, A: PoleSet, z: complex) -> EvalRe
             nodes.append(0.0 + 0.0j)
             log_value = -math.inf
             continue
-        if domain.kind == "disc":
-            ls = cover.lifts(a, 1)
-        else:
-            ls = cover.lifts(a, 6)
+        ls = cover.lifts(a, 6)  # the disc has its one Moebius lift
         nodes.append(complex(ls.eta[0]))
         log_value += float(ls.log_modulus[0])
     value = 0.0 if log_value == -math.inf else math.exp(log_value)
@@ -459,67 +447,55 @@ def _punctured_green(cover: CoverMap, a: complex, tol_tail: float):
     g = 2.0 * np.conj(zeta0) / (1.0 - np.conj(zeta0))
     kappa = abs(g) ** 2 - 2.0 * g.real * (x - 1.0)
 
-    a_rel = abs(a) * np.exp(1j * theta)
-    K2 = 1024
-    while True:
-        ks = np.arange(-K2, K2 + 1)
-        s = _punct_strip(a_rel, ks)
-        zeta = _punct_zeta(s)
-        om = _punct_one_minus_zeta_sq(s)
-        u = np.clip(c0 * om / np.abs(1.0 - np.conj(zeta0) * zeta) ** 2, 0.0, 1.0)
-        ls_sum = float(np.sum(0.5 * np.log1p(-u)))
+    def tail(K2):
+        """Whether the bracket beyond K2 windings per side meets tol_tail,
+        and (T_mid, tail bound)."""
         pos = _punctured_tail_side(K2, theta, c, M_eff, g, kappa, +1.0)
         neg = _punctured_tail_side(K2, -theta, c, M_eff, g, kappa, -1.0)
-        if pos is not None and neg is not None:
-            T_mid = pos[0] + neg[0]
-            half = pos[1] + neg[1]
-            slop = 2e-16 * K2 + 1e-15
-            if half + slop <= tol_tail:
-                value = math.exp(ls_sum - 0.5 * T_mid)
-                return value, half + slop
-        if K2 >= LIFTS_PER_SIDE_MAX:
-            raise RuntimeError(
-                f"tail tolerance {tol_tail} not reachable within {2 * LIFTS_PER_SIDE_MAX} lifts")
-        K2 = min(K2 * 2, LIFTS_PER_SIDE_MAX)
+        if pos is None or neg is None:
+            return False, None
+        bound = pos[1] + neg[1] + (2e-16 * K2 + 1e-15)
+        return bound <= tol_tail, (pos[0] + neg[0], bound)
+
+    done, K2, bracket = _grow_window(1024, 2, tail)
+    if not done:
+        raise RuntimeError(
+            f"tail tolerance {tol_tail} not reachable within {2 * LIFTS_PER_SIDE_MAX} lifts")
+    T_mid, bound = bracket
+    _, zeta, om = cover._raw_lift_data(a, np.arange(-K2, K2 + 1))
+    u = np.clip(c0 * om / np.abs(1.0 - np.conj(zeta0) * zeta) ** 2, 0.0, 1.0)
+    return math.exp(float(np.sum(0.5 * np.log1p(-u))) - 0.5 * T_mid), bound
 
 
 def _annulus_green(cover: CoverMap, a: complex, tol_tail: float):
     L = cover.L
     zeta0 = cover.base_lift
-    c0 = cover._c0
     C0 = (1.0 + abs(zeta0)) / (1.0 - abs(zeta0))
     theta = cover.relative_angle(a)
     q = math.exp(-2.0 * np.pi ** 2 / L)
 
-    per_side = 4
-    while True:
-        ls = cover.lifts(a, per_side)
-        # tail bound per winding direction: |theta_k| = 2 pi k +- theta
+    def tail(per_side):
+        """Whether the geometric majorant of the terms beyond per_side
+        windings per side meets tol_tail, and the majorant."""
         T_tail = 0.0
-        ok = True
         for sgn in (+1.0, -1.0):
-            k_next = per_side + 1
-            x_next = (np.pi / (2.0 * L)) * (2.0 * np.pi * k_next + sgn * theta)
+            # |theta_k| = 2 pi k +- theta
+            x_next = (np.pi / (2.0 * L)) * (2.0 * np.pi * (per_side + 1) + sgn * theta)
             if math.exp(min(2.0 * x_next, 700.0)) < 8.0:
-                ok = False
-                break
-            one_minus_sq = 8.0 * math.exp(-2.0 * x_next)
-            u_bound = C0 * one_minus_sq
+                return False, None
+            u_bound = C0 * (8.0 * math.exp(-2.0 * x_next))
             if u_bound >= 0.5:
-                ok = False
-                break
+                return False, None
             T_tail += u_bound / (1.0 - q) / (1.0 - u_bound)
-        if ok and (T_tail <= tol_tail or per_side >= LIFTS_PER_SIDE_MAX):
-            if T_tail > tol_tail:
-                raise RuntimeError(
-                    f"tail tolerance {tol_tail} not reachable within {2 * LIFTS_PER_SIDE_MAX} lifts")
-            log_value = float(np.sum(ls.log_modulus))
-            slop = 1e-16 * len(ls.log_modulus) + 1e-15
-            return math.exp(log_value), T_tail + slop
-        if per_side >= LIFTS_PER_SIDE_MAX:
-            raise RuntimeError(
-                f"tail tolerance {tol_tail} not reachable within {2 * LIFTS_PER_SIDE_MAX} lifts")
-        per_side = min(per_side * 4, LIFTS_PER_SIDE_MAX)
+        return T_tail <= tol_tail, T_tail
+
+    done, per_side, T_tail = _grow_window(4, 4, tail)
+    if not done:
+        raise RuntimeError(
+            f"tail tolerance {tol_tail} not reachable within {2 * LIFTS_PER_SIDE_MAX} lifts")
+    log_modulus = cover.lifts(a, per_side).log_modulus
+    slop = 1e-16 * len(log_modulus) + 1e-15
+    return math.exp(float(np.sum(log_modulus))), T_tail + slop
 
 
 def green_plane(domain: PlaneDomain, a: complex, z: complex,

@@ -525,8 +525,7 @@ def bidisc_lempert(A: PoleSet, B: PoleSet, z: complex, w: complex,
 def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
                         z: complex, w: complex,
                         settings: OptimizerSettings | None = None,
-                        degree_cap: int = MAX_BLASCHKE_DEGREE,
-                        lifts_per_pole: int = 6):
+                        degree_cap: int = MAX_BLASCHKE_DEGREE):
     """Upper bound for l_{DxG}(A x B, (z, w)) over the sufficient family of
     cover-composed disc maps.
 
@@ -547,11 +546,8 @@ def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
             return ("disc", [(complex(moebius(base, p)), float(moebius_error(base, p)))
                              for p in poles])
         cover = build_cover(domain, base)
-        lifts = []
-        for p in poles:
-            ls = cover.lifts(p, max(lifts_per_pole, 4))
-            lifts.append(np.asarray(ls.eta[:lifts_per_pole], dtype=complex))
-        return ("plane", lifts)
+        # a node may sit at any of the 6 smallest lifts of its pole
+        return ("plane", [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in poles])
 
     def subset_coord(kind, data, idx):
         """The coordinate of a subset and its poles projected into the disc."""

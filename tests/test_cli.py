@@ -64,18 +64,26 @@ def test_seed_is_echoed():
     assert json.loads(out)["seed"] == 3
 
 
-def _readme_example(prefix):
+def _readme_cli_examples():
+    """argv of every line of the README's CLI block but `verify`, which has
+    its own tests."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = text.replace("\\\n", " ").splitlines()
-    return next(shlex.split(ln)[1:] for ln in lines if ln.startswith(prefix))
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines
+            if ln.startswith("lempertpoles ") and not ln.startswith("lempertpoles verify")]
 
 
-def test_readme_counterexample_example_runs():
-    argv = _readme_example("lempertpoles counterexample --kind prop10")
-    assert "0.32+-0.64i" in argv
+README_CLI_EXAMPLES = _readme_cli_examples()
+
+
+@pytest.mark.parametrize("argv", README_CLI_EXAMPLES,
+                         ids=[f"{i}-{argv[0]}" for i, argv in enumerate(README_CLI_EXAMPLES)])
+def test_readme_cli_example_runs(argv):
     code, out = run_cli(argv)
     assert code == 0
-    assert json.loads(out)["command"] == "counterexample"
+    assert out.strip().count("\n") == 0
+    assert json.loads(out)["command"] == argv[0]
 
 
 def test_bidisc_rotation_flag_and_roundtrip():

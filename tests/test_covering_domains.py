@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import lempertpoles.covering_domains as cd
 from lempertpoles.acceptance import annulus_green_image_series
 from lempertpoles.complex_kernel import moebius
 from lempertpoles.covering_domains import (
@@ -73,16 +74,6 @@ def test_first_lift_of_base_is_zero():
     cover = build_cover(PlaneDomain("punctured"), 0.4 + 0.1j)
     m = preimage_moduli(cover, 0.4 + 0.1j, K=3)
     assert m[0] < 1e-14
-
-
-def test_preimage_moduli_delta_cutoff():
-    cover = build_cover(PlaneDomain("punctured"), 0.4)
-    m = preimage_moduli(cover, 0.5 * np.exp(0.9j), delta=1e-3)
-    assert np.all(np.diff(m) >= 0)
-    assert np.all(1.0 - m >= 1e-3)
-    # a tighter cutoff keeps strictly more lifts
-    m2 = preimage_moduli(cover, 0.5 * np.exp(0.9j), delta=1e-5)
-    assert len(m2) > len(m)
 
 
 def test_cover_maps_sampled_points_into_domain():
@@ -233,6 +224,30 @@ def test_partial_products_bounded_by_green():
         assert v < prev
         assert v >= g * (1 - tail) - 1e-15
         prev = v
+
+
+def test_green_enumerates_lifts_once(monkeypatch):
+    # the depth comes from the closed-form tail bound alone, so each Green
+    # function enumerates the lifts of one window, the one its bound accepts
+    windows, windings = [], []
+    lifts, punct_strip = CoverMap.lifts, cd._punct_strip
+
+    def counting_lifts(self, a, per_side, base_shift=0):
+        windows.append(per_side)
+        return lifts(self, a, per_side, base_shift)
+
+    def counting_strip(a, ks):
+        windings.append(len(ks))
+        return punct_strip(a, ks)
+
+    monkeypatch.setattr(CoverMap, "lifts", counting_lifts)
+    monkeypatch.setattr(cd, "_punct_strip", counting_strip)
+    res = green_plane(PlaneDomain("annulus", R=1e-6), 0.5, 0.5 * np.exp(2j), tol_tail=1e-12)
+    assert windows == [64]
+    assert res == (0.7729340492219975, 1.39e-14)
+    res = green_plane(PlaneDomain("punctured"), 0.4 + 0.2j, -0.3 + 0.1j, tol_tail=3e-12)
+    assert windings == [7, 4097]  # build_cover's 7 windings, then one window
+    assert res == (0.6401843996644254, 9.228837247850614e-13)
 
 
 def test_green_punctured_matches_moebius():
