@@ -249,6 +249,9 @@ class CoverMap:
             s0, z0s, om0 = self._raw_lift_data(self.base_point,
                                                np.array([self.base_winding + base_shift]))
             zeta0, c0 = complex(z0s[0]), float(om0[0])
+            if not c0 > 0.0:
+                raise ValueError(f"base_shift={base_shift} is unresolvable: the deck-shifted "
+                                 f"base lift {zeta0} has 1 - |zeta0|^2 = {c0} in floats")
         ks = np.arange(-per_side, per_side + 1)
         s, zeta, om = self._raw_lift_data(a, ks)
         u = c0 * om / np.abs(1.0 - np.conj(zeta0) * zeta) ** 2

@@ -9,22 +9,56 @@ again is a Pick problem once the lift assignment is chosen (a sufficient
 family of maps cover o h with h(0) = 0).
 
 The search over node space runs random-direction compass descent with an
-eigenvalue penalty max(0, -lambda_min) from many seeded restarts.  The penalty
-screens each batch of Pick matrices H with `cholesky_succeeds` on H - c I,
-c = 1e-10 max_i H_ii, and takes eigvalsh only of the matrices whose
+eigenvalue penalty max(0, -lambda_min) from many seeded restarts.  Each
+penalty call stacks the Pick matrices H of all its rows and coordinates into
+one division, screens them with `cholesky_succeeds` on H - c I,
+c = 1e-10 max_i H_ii, and gives one eigvalsh call only the matrices whose
 factorization fails.  A Cholesky that succeeds has backward error below about
 n gamma_{n+1} max_i H_ii ~ 1e-14 max_i H_ii for n <= 9 (Higham, Thm 10.3), and
 eigvalsh errs by at most p(n) u ||H||_2 <~ 1e-13 max_i H_ii, so eigvalsh would
 have returned lambda_min >= 0 there: the penalty has the same bits as with
-eigvalsh alone.  Restarts are then ranked feasibility-first: only those whose
-worst Pick violation is at most NEAR_FEASIBLE_TOL are candidates, ordered by
-node-moduli product.  The best are polished with SLSQP, which gets exact first
+eigvalsh alone.
+
+Loser proof.  A compass iteration moves restart r to its first probe of least
+value if that value is below thr_r = f_r - 1e-15.  Let base be a probe's value
+with pen = 0: the bits of its value when all its matrices pass the screen,
+and otherwise a floating lower bound of that value, every operation being
+monotone in pen.  A probe with base >= thr_r gets inf before its Pick
+matrices are formed.  Let cut_r = min(thr_r, base of the probes of r that
+pass the screen).  A probe that fails the screen gets inf instead of an
+eigvalsh when base > cut_r, or when, with t = (cut_r - base) / w, the
+Cholesky of H + (t (1 + 1e-6) + 2e-10 max_i H_ii) I fails for one of its
+matrices.  The factorization runs to completion on a Hermitian matrix whose
+smallest eigenvalue exceeds n gamma_{n+1} ~ 1e-14 times its largest diagonal
+entry (Higham, Thm 10.7), so the failure gives lambda_min(H) <=
+-t (1 + 1e-6) - 2e-10 max_i H_ii + 1e-14 (max_i H_ii + t (1 + 1e-6)).  With
+||H||_2 <= n max_i H_ii + (n - 1) |lambda_min|, eigvalsh errs by at most about
+1e-13 (max_i H_ii + |lambda_min|), so its violation is >= t (1 + 1e-6 - 1e-12)
++ 1.9e-10 max_i H_ii, where max_i H_ii >= H_00 = 1.  The probe's value thus
+exceeds cut_r by w 1.9e-10 before rounding, and the proof is used only where
+that margin dominates the rounding of a value near cut_r
+(w 2e-10 > 2^-46 |cut_r|).  So no dropped probe could have been accepted, or
+been the least of its restart, and every decision, trajectory and reported
+value has the same bits as with eigvalsh of every matrix.
+
+Subsets.  The subsets of pole pairs are searched size by size, and a subset
+whose closed-form lower bound sits within LB_SKIP_MARGIN of the best value so
+far is skipped.  Per size, the first subset not skipped runs alone; the others
+still not skipped then run their compass in one lockstep batch, the rows of a
+penalty call spanning several subsets (plane coordinates choose their lifts on
+each subset's own rows).  Their results are finished in subset order, the
+skip rule checked again before each, so the outcome is that of searching them
+one by one, and a subset pruned by the first one never enters the compass.
+Restarts are then ranked feasibility-first: only those whose worst Pick
+violation is at most NEAR_FEASIBLE_TOL are candidates, ordered by node-moduli
+product.  The best are polished with SLSQP, which gets exact first
 derivatives (the node-product gradient, and Magnus's eigenvalue derivative
 v^H (dH) v from one batched eigh per point), then scaled outward until both
 Pick problems pass the certified test `pick_margin`.  Each restart draws its
-start and its probe directions from its own RNG stream, so results are
-bit-identical for any thread count and the restarts of a smaller run are a
-prefix of those of a larger one.
+start and its probe directions from its own RNG stream, and every decision of
+the descent reads only the restart's own probes, so results are bit-identical
+for any thread count and batch composition, and the restarts of a smaller run
+are a prefix of those of a larger one.
 """
 
 from __future__ import annotations
@@ -55,8 +89,15 @@ MAX_SUBSET_SIZE = 8
 # Cholesky screen margin relative to max_i H_ii, far above the rounding of
 # both the factorization and eigvalsh (see the module docstring)
 CHOLESKY_SCREEN_MARGIN = 1e-10
+# loser proof: relative slack on the violation it proves, and margin
+# relative to max_i H_ii (see the module docstring)
+LOSER_SLACK = 1e-6
+LOSER_MARGIN = 2e-10
 # compass iterations whose probe directions a restart draws in one call
 DIRECTION_BLOCK = 8
+# probe rows per penalty call, which bounds its temporaries however many
+# subsets and restarts run in lockstep
+PENALTY_ROWS = 4096
 MAX_BLASCHKE_DEGREE = 6
 
 logger = logging.getLogger(__name__)
@@ -108,7 +149,8 @@ def _one_minus_outer(X: np.ndarray) -> np.ndarray:
     """1 - X_i conj(X_j) per row of X (B, m), with X_0 = 0 prepended: the Pick
     numerators of target rows, or the Pick denominators of node rows."""
     X = np.concatenate([np.zeros((X.shape[0], 1), dtype=complex), X], axis=1)
-    return 1.0 - X[:, :, None] * np.conj(X)[:, None, :]
+    out = X[:, :, None] * np.conj(X)[:, None, :]
+    return np.subtract(1.0, out, out=out)
 
 
 @dataclass
@@ -148,37 +190,143 @@ class _Coord:
         return _one_minus_outer(self.batch_targets(lam))
 
 
+def _diagonal(A: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a contiguous stack A (B, n, n)."""
+    n = A.shape[-1]
+    return A.reshape(len(A), n * n)[:, :: n + 1]
+
+
+def _shifted_cholesky_succeeds(A: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """cholesky_succeeds of A_b + shift_b I for each matrix of A (B, n, n).
+    A is overwritten."""
+    _diagonal(A).real += shift[:, None]
+    return cholesky_succeeds(A)
+
+
+def _screen_fails(H: np.ndarray) -> np.ndarray:
+    """Whether the floating Cholesky of H - c I fails, c =
+    CHOLESKY_SCREEN_MARGIN * max_i H_ii, for each matrix of H (B, n, n); where
+    it succeeds, eigvalsh returns lambda_min(H) >= 0 (see the module
+    docstring)."""
+    c = CHOLESKY_SCREEN_MARGIN * _diagonal(H).real.max(axis=1)
+    return ~_shifted_cholesky_succeeds(H.copy(), -c)
+
+
 def _pick_violation(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """max(0, -lambda_min(H)) per Pick matrix H = num / den of a batch, bit for
-    bit: matrices whose floating Cholesky of H - c I succeeds, with
-    c = CHOLESKY_SCREEN_MARGIN * max_i H_ii, get 0, the rest go to eigvalsh.
+    bit: matrices that pass the screen get 0, the rest go to eigvalsh.
     num is (1, n, n) or (B, n, n), den (B, n, n)."""
-    A = num / den
-    B, n, _ = A.shape
-    diag = A.reshape(B, n * n)[:, :: n + 1]
-    diag -= CHOLESKY_SCREEN_MARGIN * diag.real.max(axis=1)[:, None]
-    ok = cholesky_succeeds(A)
-    viol = np.zeros(B)
-    if not ok.all():
-        H = (num if len(num) == 1 else num[~ok]) / den[~ok]
-        viol[~ok] = np.maximum(0.0, -np.linalg.eigvalsh(H)[:, 0])
+    H = num / den
+    bad = _screen_fails(H)
+    viol = np.zeros(len(H))
+    if bad.any():
+        viol[bad] = np.maximum(0.0, -np.linalg.eigvalsh(H[bad])[:, 0])
     return viol
 
 
-def _penalized(lam: np.ndarray, coords: list, weight: np.ndarray) -> np.ndarray:
-    B, m = lam.shape
+def _proves_violation(A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Whether the floating Cholesky of A + (t (1 + LOSER_SLACK) +
+    LOSER_MARGIN max_i A_ii) I fails for each matrix of A (B, n, n), which
+    proves that eigvalsh returns lambda_min(A) <= -t (see the module
+    docstring).  A is overwritten."""
+    return ~_shifted_cholesky_succeeds(
+        A, t * (1.0 + LOSER_SLACK) + LOSER_MARGIN * _diagonal(A).real.max(axis=1))
+
+
+@dataclass
+class _Rows:
+    """The rows of a batch of same-size subsets, subset after subset:
+    coords[s] are the coordinates of rows bounds[s]:bounds[s + 1]."""
+
+    coords: list
+    bounds: np.ndarray
+
+    def slices(self):
+        return zip(self.coords, self.bounds[:-1], self.bounds[1:])
+
+    def take(self, rows: np.ndarray, repeat: int = 1) -> "_Rows":
+        """The rows of the sorted row indices `rows`, each repeated `repeat` times."""
+        return _Rows(self.coords, np.searchsorted(rows, self.bounds) * repeat)
+
+    def clip(self, lo: int, hi: int) -> "_Rows":
+        """The rows lo:hi."""
+        return _Rows(self.coords, np.clip(self.bounds, lo, hi) - lo)
+
+
+def _pick_matrices(lam: np.ndarray, rows: _Rows) -> np.ndarray:
+    """The Pick matrices of every row of lam (N, m) in every coordinate of its
+    subset, coordinate after coordinate, (ncoord * N, m + 1, m + 1), from one
+    division; each subset's numerators are broadcast over its rows."""
+    N, n = lam.shape[0], lam.shape[1] + 1
+    den = _one_minus_outer(lam)
+    H = np.empty((len(rows.coords[0]), N, n, n), dtype=complex)
+    for coords, lo, hi in rows.slices():
+        if lo < hi:
+            for c, coord in enumerate(coords):
+                np.divide(coord.pick_num(lam[lo:hi]), den[lo:hi], out=H[c, lo:hi])
+    return H.reshape(-1, n, n)
+
+
+def _penalized(lam: np.ndarray, rows: _Rows, weight: np.ndarray, thr=None) -> np.ndarray:
+    """obj + weight (pen + coll) + 1e7 outside per row of lam (N, m), pen the
+    sum over the coordinates of max(0, -lambda_min) of the Pick matrices.
+
+    All Pick matrices of the call go through one division, one Cholesky
+    screen and one eigvalsh.  With thr, one threshold f_r - 1e-15 per restart
+    whose probes are the rows (equally many each), a probe proved unable to
+    be accepted gets inf (see the module docstring); every other row has the
+    bits of the full penalty.
+    """
+    N, m = lam.shape
     am = np.abs(lam)
     obj = np.prod(am, axis=1)
-    den = _one_minus_outer(lam)
-    pen = np.zeros(B)
-    for coord in coords:
-        pen += _pick_violation(coord.pick_num(lam), den)
-    coll = np.zeros(B)
+    coll = np.zeros(N)
     for i in range(m):
         for j in range(i + 1, m):
             coll += np.maximum(0.0, NODE_COLLISION_TOL - np.abs(lam[:, i] - lam[:, j]))
     outside = np.maximum(0.0, np.max(am, axis=1) - 0.9999995)
-    return obj + weight * (pen + coll) + 1e7 * outside
+    pen = np.zeros(N)
+    base = obj + weight * (pen + coll) + 1e7 * outside
+    if thr is None:
+        live = np.arange(N)
+    else:
+        # a probe whose base reaches the threshold cannot be accepted
+        probes = N // len(thr)
+        live = np.nonzero(base < np.repeat(thr, probes))[0]
+
+    nl, ncoord = len(live), len(rows.coords[0])
+    H = _pick_matrices(lam[live], rows.take(live))
+    bad = _screen_fails(H)
+    failed = bad.reshape(ncoord, nl).any(axis=0)
+    lost = np.zeros(nl, dtype=bool)
+    if thr is not None and failed.any():
+        # cut: the threshold, or the least value of a probe of the restart
+        # whose Pick matrices all pass the screen, which is its base to the bit
+        b, w = base[live], weight[live]
+        passed = np.full(N, np.inf)
+        passed[live[~failed]] = b[~failed]
+        cut = np.minimum(thr, passed.reshape(len(thr), probes).min(axis=1))[live // probes]
+        lost = failed & (b > cut)
+        # the proof's margin w LOSER_MARGIN max_i H_ii, max_i H_ii >= H_00 = 1,
+        # must dominate the rounding of a value near cut
+        sure = w * LOSER_MARGIN > 2.0 ** -46 * np.abs(cut)
+        test = np.nonzero(bad & np.tile(failed & ~lost & sure, ncoord))[0]
+        r = test % nl
+        lost[r[_proves_violation(H[test], (cut[r] - b[r]) / w[r])]] = True
+    eig = bad & ~np.tile(lost, ncoord)
+    viol = np.zeros(ncoord * nl)
+    if eig.any():
+        viol[eig] = np.maximum(0.0, -np.linalg.eigvalsh(H[eig])[:, 0])
+    pen_live = np.zeros(nl)
+    for c in range(ncoord):
+        pen_live += viol[c * nl:(c + 1) * nl]
+    pen[live] = pen_live
+    value = obj + weight * (pen + coll) + 1e7 * outside
+    if thr is not None:
+        kept = np.zeros(N, dtype=bool)
+        kept[live[~lost]] = True
+        value[~kept] = np.inf
+    return value
 
 
 def _margins(nodes: np.ndarray, coords: list) -> np.ndarray:
@@ -266,18 +414,20 @@ def _structured_starts(subset, coords, rng, n_theta=8):
 # ---------------------------------------------------------------------------
 
 
-def _compass_chunk(x, step, weight, gens, coords, settings):
+def _compass_chunk(x, step, weight, gens, rows: _Rows, settings):
     """Lockstep compass descent for one chunk of restarts.
 
-    x: (n, 2m) real coordinates.  Each restart draws its probe directions
-    from its own generator, DIRECTION_BLOCK iterations per call, so
-    trajectories do not depend on the chunk composition.  All probes of an
-    iteration are evaluated in one batched penalty call; acceptance takes the
-    best probe per restart, which is order-independent.
+    x: (n, 2m) real coordinates, restarts of the subsets of `rows`.  Each
+    restart draws its probe directions from its own generator,
+    DIRECTION_BLOCK iterations per call, so trajectories do not depend on
+    the chunk composition.  All probes of an iteration are evaluated in one
+    batched penalty call; acceptance takes the best probe per restart, which
+    is order-independent, and probes proved unable to be accepted are never
+    given an eigvalsh.
     """
     n, d = x.shape
     lam_of = lambda xx: xx[..., 0::2] + 1j * xx[..., 1::2]
-    f = _penalized(lam_of(x), coords, weight)
+    f = _penalized(lam_of(x), rows, weight)
     ndir = 2 * d + 2
     for it in range(settings.max_iterations):
         active = np.nonzero(step >= settings.tolerance)[0]
@@ -299,18 +449,23 @@ def _compass_chunk(x, step, weight, gens, coords, settings):
         shrink_probe = np.stack([shrunk.real, shrunk.imag], axis=-1).reshape(na, 1, d)
         probes = np.concatenate([probes, shrink_probe], axis=1)
         nprobe = probes.shape[1]
-        fp = _penalized(lam_of(probes.reshape(na * nprobe, d)), coords,
-                        np.repeat(weight[active], nprobe)).reshape(na, nprobe)
+        thr = f[active] - 1e-15
+        fp = np.empty((na, nprobe))
+        per_call = max(1, PENALTY_ROWS // nprobe)
+        for lo in range(0, na, per_call):
+            sl = slice(lo, lo + per_call)
+            fp[sl] = _penalized(lam_of(probes[sl].reshape(-1, d)), rows.take(active[sl], nprobe),
+                                np.repeat(weight[active[sl]], nprobe), thr[sl]).reshape(-1, nprobe)
         jbest = np.argmin(fp, axis=1)
         fbest = fp[np.arange(na), jbest]
-        improved = fbest < f[active] - 1e-15
+        improved = fbest < thr
         acc = active[improved]
         x[acc] = probes[improved, jbest[improved], :]
         f[acc] = fbest[improved]
         step[active[~improved]] *= settings.step_decay
         if (it + 1) % settings.penalty_ramp_every == 0:
             weight[active] *= settings.penalty_ramp_factor
-            f[active] = _penalized(lam_of(x[active]), coords, weight[active])
+            f[active] = _penalized(lam_of(x[active]), rows.take(active), weight[active])
     return x
 
 
@@ -414,29 +569,38 @@ def _restart_starts(subset, coords, settings: OptimizerSettings, subset_key):
     return gens, lam0
 
 
-def _search_subset(subset, coords, settings: OptimizerSettings, subset_key):
-    m = len(subset)
-    restarts = settings.restarts
-    gens, lam0 = _restart_starts(subset, coords, settings, subset_key)
-    x = np.empty((restarts, 2 * m))
+def _compass(items, settings: OptimizerSettings) -> list:
+    """Lockstep compass descent over the restarts of several subsets of one
+    size, items being (subset, coords, key, ...).  Returns the final nodes of
+    each subset, (restarts, m), which have the bits of a run of that subset
+    alone: every decision of the descent reads only the restart's own probes."""
+    starts = [_restart_starts(subset, coords, settings, key) for subset, coords, key, *_ in items]
+    gens = [gen for subset_gens, _ in starts for gen in subset_gens]
+    lam0 = np.concatenate([lam for _, lam in starts])
+    total, m = lam0.shape
+    x = np.empty((total, 2 * m))
     x[:, 0::2] = lam0.real
     x[:, 1::2] = lam0.imag
-    step = np.full(restarts, settings.step_init)
-    weight = np.full(restarts, settings.penalty_weight)
+    step = np.full(total, settings.step_init)
+    weight = np.full(total, settings.penalty_weight)
+    rows = _Rows([item[1] for item in items], settings.restarts * np.arange(len(items) + 1))
 
-    if settings.threads == 1 or restarts < 2 * settings.threads:
-        x = _compass_chunk(x, step, weight, gens, coords, settings)
+    if settings.threads == 1 or total < 2 * settings.threads:
+        x = _compass_chunk(x, step, weight, gens, rows, settings)
     else:
-        bounds = np.linspace(0, restarts, settings.threads + 1, dtype=int)
+        bounds = np.linspace(0, total, settings.threads + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=settings.threads) as pool:
-            futs = []
-            for t in range(settings.threads):
-                sl = slice(bounds[t], bounds[t + 1])
-                futs.append(pool.submit(_compass_chunk, x[sl], step[sl].copy(),
-                                        weight[sl].copy(), gens[sl], coords, settings))
+            futs = [pool.submit(_compass_chunk, x[lo:hi], step[lo:hi].copy(),
+                                weight[lo:hi].copy(), gens[lo:hi], rows.clip(lo, hi), settings)
+                    for lo, hi in zip(bounds[:-1], bounds[1:])]
             x = np.concatenate([f.result() for f in futs], axis=0)
+    return np.split(x[:, 0::2] + 1j * x[:, 1::2], len(items))
 
-    lam = x[:, 0::2] + 1j * x[:, 1::2]
+
+def _finish(subset, coords, lam: np.ndarray, settings: OptimizerSettings):
+    """Rank the compass restarts lam (restarts, m) of one subset, polish and
+    repair the best; returns the best certified NodeConfig, or None."""
+    restarts = len(lam)
     raw_vals = np.prod(np.abs(lam), axis=1)
     den = _one_minus_outer(lam)
     viol = np.zeros(restarts)
@@ -458,6 +622,36 @@ def _search_subset(subset, coords, settings: OptimizerSettings, subset_key):
                       coord_targets=tuple(tuple(c.batch_targets(best_nodes[None, :])[0])
                                           for c in coords),
                       margins=tuple(float(c) for c in margins))
+
+
+def _search_levels(levels, best_val: float, best_cfg, settings: OptimizerSettings):
+    """Search the subsets of each size level and return the best (value,
+    config).  A level lists (subset, coords, key, lower bound) in subset
+    order; a subset is skipped when its lower bound sits within
+    LB_SKIP_MARGIN of the best value found before it.  The first subset of a
+    level that is not skipped runs alone; the others still not skipped then
+    run their compass in one lockstep batch and are finished in subset
+    order, the skip rule checked again before each, so the result is that of
+    searching them one by one."""
+
+    def unpruned(item):
+        return item[3] < best_val - LB_SKIP_MARGIN
+
+    for level in levels:
+        todo = [item for item in level if unpruned(item)]
+        for batch in (todo[:1], todo[1:]):
+            batch = [item for item in batch if unpruned(item)]
+            if not batch:
+                continue
+            for item, lam in zip(batch, _compass(batch, settings)):
+                if not unpruned(item):
+                    continue
+                cfg = _finish(item[0], item[1], lam, settings)
+                if cfg is None:
+                    logger.debug("subset %s: no feasible configuration found", item[0])
+                elif cfg.value < best_val:
+                    best_val, best_cfg = cfg.value, cfg
+    return best_val, best_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -505,20 +699,16 @@ def bidisc_lempert(A: PoleSet, B: PoleSet, z: complex, w: complex,
             best_cfg = NodeConfig(subset=((k, l),), nodes=(node,), value=val,
                                   coord_targets=((a_red[k],), (b_red[l],)))
 
-    for size in range(2, min(len(pairs), MAX_SUBSET_SIZE) + 1):
-        for subset in itertools.combinations(pairs, size):
-            ta = np.array([a_red[k] for k, l in subset])
-            tb = np.array([b_red[l] for k, l in subset])
-            if _subset_lower_bound((ta, tb)) >= best_val - LB_SKIP_MARGIN:
-                continue
-            coords = [_Coord("disc", ta, None, a_err[[k for k, l in subset]]),
-                      _Coord("disc", tb, None, b_err[[l for k, l in subset]])]
-            key = tuple(k * 64 + l for k, l in subset)
-            cfg = _search_subset(subset, coords, settings, key)
-            if cfg is None:
-                logger.debug("subset %s: no feasible configuration found", subset)
-            elif cfg.value < best_val:
-                best_val, best_cfg = cfg.value, cfg
+    def item(subset):
+        ta = np.array([a_red[k] for k, l in subset])
+        tb = np.array([b_red[l] for k, l in subset])
+        coords = [_Coord("disc", ta, None, a_err[[k for k, l in subset]]),
+                  _Coord("disc", tb, None, b_err[[l for k, l in subset]])]
+        return subset, coords, tuple(k * 64 + l for k, l in subset), _subset_lower_bound((ta, tb))
+
+    levels = ([item(subset) for subset in itertools.combinations(pairs, size)]
+              for size in range(2, min(len(pairs), MAX_SUBSET_SIZE) + 1))
+    best_val, best_cfg = _search_levels(levels, best_val, best_cfg, settings)
     return best_cfg, best_val
 
 
@@ -561,17 +751,15 @@ def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
     kind_b, data_b = coord_data(G, list(B), w)
     pairs = list(itertools.product(range(len(A)), range(len(B))))
 
-    best_val, best_cfg = math.inf, None
-    for size in range(1, min(len(pairs), degree_cap, MAX_SUBSET_SIZE) + 1):
-        for subset in itertools.combinations(pairs, size):
-            ca, proj_a = subset_coord(kind_a, data_a, [k for k, l in subset])
-            cb, proj_b = subset_coord(kind_b, data_b, [l for k, l in subset])
-            if _subset_lower_bound((proj_a, proj_b)) >= best_val - LB_SKIP_MARGIN:
-                continue
-            key = tuple(1_000_000 + k * 64 + l for k, l in subset)
-            cfg = _search_subset(subset, [ca, cb], settings, key)
-            if cfg is not None and cfg.value < best_val:
-                best_val, best_cfg = cfg.value, cfg
+    def item(subset):
+        ca, proj_a = subset_coord(kind_a, data_a, [k for k, l in subset])
+        cb, proj_b = subset_coord(kind_b, data_b, [l for k, l in subset])
+        key = tuple(1_000_000 + k * 64 + l for k, l in subset)
+        return subset, [ca, cb], key, _subset_lower_bound((proj_a, proj_b))
+
+    levels = ([item(subset) for subset in itertools.combinations(pairs, size)]
+              for size in range(1, min(len(pairs), degree_cap, MAX_SUBSET_SIZE) + 1))
+    best_val, best_cfg = _search_levels(levels, math.inf, None, settings)
     if best_cfg is None:
         raise RuntimeError("no feasible configuration found")
     return best_val, best_cfg

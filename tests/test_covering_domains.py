@@ -101,6 +101,19 @@ def test_deck_invariance_of_moduli():
             assert np.max(np.abs(m0 - m1)) < 1e-10
 
 
+def test_unresolvable_base_shift_raises():
+    # on Annulus(0.9999) the deck-shifted base lift rounds onto the unit
+    # circle, 1 - |zeta0|^2 = 0.0, and would turn every modulus into 0/0
+    cover = build_cover(PlaneDomain("annulus", R=0.9999), 0.99995)
+    a = 0.99993 + 1e-4j
+    assert np.all(np.isfinite(preimage_moduli(cover, a, K=3)))
+    for shift in (1, -1):
+        with pytest.raises(ValueError, match=f"base_shift={shift} is unresolvable"):
+            cover.lifts(a, 3, base_shift=shift)
+        with pytest.raises(ValueError, match="unresolvable"):
+            preimage_moduli(cover, a, K=3, base_shift=shift)
+
+
 def test_moduli_increase_to_one_with_annulus_exponential_rate():
     R = 0.3
     dom = PlaneDomain("annulus", R=R)

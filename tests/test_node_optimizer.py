@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,18 @@ from lempertpoles.node_optimizer import (
     DIRECTION_BLOCK,
     LB_SKIP_MARGIN,
     OptimizerSettings,
+    _compass,
     _compass_chunk,
     _Coord,
     _margins,
     _one_minus_outer,
+    _penalized,
     _pick_min_eig_grad,
     _pick_violation,
     _product_grad,
     _repair,
     _restart_starts,
+    _Rows,
     bidisc_lempert,
     mixed_product_upper,
 )
@@ -299,28 +304,30 @@ def test_node_product_gradient_matches_central_differences():
         assert np.max(np.abs(grad - numeric)) <= 1e-6
 
 
-def test_rotation_congruent_moved_instance_prunes_after_first_subset(monkeypatch):
-    # at 24 restarts the first pair subset must land within LB_SKIP_MARGIN of
-    # |a1 a2|, so every other subset is pruned by its lower bound
+@pytest.mark.parametrize("restarts", [4, 24, 96])
+def test_rotation_congruent_moved_instance_prunes_after_first_subset(monkeypatch, restarts):
+    # the first pair subset must land within LB_SKIP_MARGIN of |a1 a2|, so
+    # every other subset is pruned by its lower bound before it enters the
+    # compass, also where the rest of its size level would run in one batch
     A0 = np.array([-0.146574 - 0.417096j, -0.165564 + 0.601919j])
     B0 = np.exp(-3.036411j) * A0
     z, w = -0.147264 - 0.089353j, 0.284063 - 0.080081j
     A = PoleSet(points=tuple(complex(moebius(z, a)) for a in A0))
     B = PoleSet(points=tuple(complex(moebius(w, b)) for b in B0))
-    searched = []
-    search = node_optimizer._search_subset
+    compassed = []
+    compass = node_optimizer._compass
 
-    def counting_search(subset, *args):
-        searched.append(subset)
-        return search(subset, *args)
+    def counting_compass(items, settings):
+        compassed.extend(item[0] for item in items)
+        return compass(items, settings)
 
-    monkeypatch.setattr(node_optimizer, "_search_subset", counting_search)
-    _, v = bidisc_lempert(A, B, z, w, OptimizerSettings(restarts=24, seed=1))
+    monkeypatch.setattr(node_optimizer, "_compass", counting_compass)
+    _, v = bidisc_lempert(A, B, z, w, OptimizerSettings(restarts=restarts, seed=1))
     a1, a2 = (complex(moebius(z, a)) for a in A)
     exact = abs(a1 * a2)
     assert abs(v - exact) <= LB_SKIP_MARGIN
     assert v >= exact - 1e-12
-    assert len(searched) == 1
+    assert len(compassed) == 1
 
 
 def _assert_bit_identical(num, den):
@@ -405,13 +412,14 @@ def test_compass_directions_are_per_iteration_draws(monkeypatch, m):
                                  step_decay=0.5)
     calls = []
 
-    def spy(lam, coords, weight):
+    def spy(lam, rows, weight, thr=None):
         calls.append(lam.copy())
         return np.zeros(len(lam))  # no probe is ever accepted
 
     monkeypatch.setattr(node_optimizer, "_penalized", spy)
     gens = [np.random.default_rng(100 + r) for r in range(n)]
-    _compass_chunk(np.zeros((n, d)), step0.copy(), np.ones(n), gens, [], settings)
+    _compass_chunk(np.zeros((n, d)), step0.copy(), np.ones(n), gens, _Rows([[]], np.array([0, n])),
+                   settings)
 
     ref_gens = [np.random.default_rng(100 + r) for r in range(n)]
     for it, lam in enumerate(calls[1:]):
@@ -425,3 +433,149 @@ def test_compass_directions_are_per_iteration_draws(monkeypatch, m):
             v = ref_gens[r].standard_normal((ndir, d))
             assert np.array_equal(got, v / np.linalg.norm(v, axis=1, keepdims=True))
     assert len(calls) == 1 + iterations
+
+
+def _level_items(kind):
+    # the six pair subsets of size 2 of a 2 x 2 instance, disc x disc or
+    # disc x annulus, with the coordinates the entry points build
+    rng = np.random.default_rng(41)
+    ta = 0.6 * np.sqrt(rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
+    tb = 0.6 * np.sqrt(rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
+    cover = build_cover(PlaneDomain("annulus", R=0.1), 0.45)
+    lifts = [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in (0.4j, -0.3 + 0.2j)]
+    items = []
+    for subset in itertools.combinations(itertools.product(range(2), range(2)), 2):
+        ca = _Coord("disc", ta[[k for k, l in subset]], None)
+        cb = (_Coord("disc", tb[[l for k, l in subset]], None) if kind == "disc"
+              else _Coord("plane", None, [lifts[l] for k, l in subset]))
+        items.append((subset, [ca, cb], tuple(k * 64 + l for k, l in subset)))
+    return items
+
+
+@pytest.mark.parametrize("kind", ["disc", "annulus"])
+@pytest.mark.parametrize("threads", [1, 4])
+def test_lockstep_batch_reproduces_each_solo_run(kind, threads):
+    # the ramp is brought forward so that the re-evaluation after it runs too
+    settings = dict(restarts=6, seed=5, max_iterations=160, penalty_ramp_every=60)
+    items = _level_items(kind)
+    batch = _compass(items, OptimizerSettings(threads=threads, **settings))
+    for item, got in zip(items, batch):
+        solo = _compass([item], OptimizerSettings(**settings))[0]
+        assert got.shape == solo.shape == (6, 2)
+        assert np.array_equal(got, solo)
+
+
+def _penalty_by_eigvalsh(lam, slices, weight):
+    # the penalized objective with every Pick matrix given to eigvalsh, its
+    # value at zero penalty, and whether all Pick matrices pass the screen
+    N, m = lam.shape
+    am = np.abs(lam)
+    obj = np.prod(am, axis=1)
+    outside = np.maximum(0.0, am.max(axis=1) - 0.9999995)
+    coll = np.zeros(N)
+    for i in range(m):
+        for j in range(i + 1, m):
+            coll += np.maximum(0.0, 1e-8 - np.abs(lam[:, i] - lam[:, j]))
+    pen = np.zeros(N)
+    passed = np.ones(N, dtype=bool)
+    den = _one_minus_outer(lam)
+    for c in range(2):
+        H = np.concatenate([coords[c].pick_num(lam[lo:hi]) / den[lo:hi]
+                            for coords, lo, hi in slices])
+        pen += np.maximum(0.0, -np.linalg.eigvalsh(H)[:, 0])
+        passed &= ~node_optimizer._screen_fails(H)
+    return (obj + weight * (pen + coll) + 1e7 * outside, obj + weight * coll + 1e7 * outside,
+            passed)
+
+
+def test_loser_proof_drops_only_rows_that_cannot_be_accepted():
+    rng = np.random.default_rng(43)
+    restarts, probes = 40, 9
+    proved = 0
+    for kind in ("disc", "annulus"):
+        items = _level_items(kind)[:3]
+        rows = _Rows([item[1] for item in items], np.array([0, 10, 30, 40]) * probes)
+        for _ in range(4):
+            # probes scattered around a centre per restart, some outside the disc
+            centre = 0.8 * np.sqrt(rng.random((restarts, 1, 2))) * np.exp(
+                2j * np.pi * rng.random((restarts, 1, 2)))
+            spread = 10.0 ** rng.uniform(-4, -0.5, (restarts, 1, 1))
+            lam = (centre + spread * (rng.standard_normal((restarts, probes, 2))
+                                      + 1j * rng.standard_normal((restarts, probes, 2))))
+            lam = lam.reshape(restarts * probes, 2)
+            weight = np.repeat(rng.choice([0.0, 1e4, 1e6, 1e8], restarts), probes)
+            want, base, passed = _penalty_by_eigvalsh(lam, list(rows.slices()), weight)
+            # thresholds at random quantiles of each restart's probe values,
+            # and for a few restarts below all of them
+            w2 = want.reshape(restarts, probes)
+            thr = np.array([np.quantile(row, u) for row, u in zip(w2, rng.random(restarts))])
+            thr[:6] = w2[:6].min(axis=1) - 1e-3
+            got = _penalized(lam, rows, weight, thr)
+            kept = np.isfinite(got)
+            assert np.array_equal(got[kept], want[kept])
+            # a dropped row is beaten by the threshold, or by a probe of its
+            # restart whose Pick matrices all pass the screen
+            cut = np.minimum(thr, np.where(passed, want, np.inf).reshape(restarts, probes).min(1))
+            thr_r, cut_r = np.repeat(thr, probes), np.repeat(cut, probes)
+            assert np.all((want[~kept] >= thr_r[~kept]) | (want[~kept] > cut_r[~kept]))
+            # so every restart accepts the same probe with the same value
+            accept = w2.min(axis=1) < thr
+            g2 = got.reshape(restarts, probes)
+            assert np.array_equal(g2.min(axis=1) < thr, accept)
+            assert np.array_equal(g2.argmin(axis=1)[accept], w2.argmin(axis=1)[accept])
+            proved += np.count_nonzero(~kept & (base < thr_r) & (base <= cut_r))
+    # the shifted-Cholesky proof, not only the comparisons of base, drops rows
+    assert proved > 100
+
+
+def test_loser_proof_keeps_a_probe_tied_with_the_cut():
+    # probe 0 sits just inside the feasibility boundary of coordinate B
+    # (lambda_min = 1.3e-11): it fails the screen, but eigvalsh gives it
+    # pen = 0.  Probe 1 multiplies its first node by i, keeping every
+    # modulus, and passes the screen, so the cut is probe 0's own value.
+    # Probe 0 is the first least probe of its restart and must stay.
+    ta = np.array([0.46307792222749516 + 0.12192229238818252j,
+                   0.30996708954909524 + 0.032305113394886564j])
+    tb = np.array([-0.42411312080413976 - 0.3360139087506219j,
+                   -0.07364328054252924 - 0.5684792652779115j])
+    row0 = np.array([-0.8022087690197053 - 0.22556620798239496j,
+                     0.5929179532418191 - 0.25625823946186904j])
+    lam = np.array([row0, row0 * np.array([1j, 1])])
+    rows = _Rows([_disc_coords(ta, tb)], np.array([0, 2]))
+    weight = np.full(2, 1e4)
+    want, base, passed = _penalty_by_eigvalsh(lam, list(rows.slices()), weight)
+    assert list(passed) == [False, True] and want[0] == want[1] == base[0]
+    got = _penalized(lam, rows, weight, np.array([1.0]))
+    assert np.array_equal(got, want)
+
+
+def _spectrum_matrix(rng, n, lam_min):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    mu = np.concatenate([[lam_min], 0.5 + rng.random(n - 1)])
+    return (Q * mu) @ np.conj(Q).T
+
+
+def _split_pair_matrix(rng, n, b):
+    # I + b (e_i e_j^T + e_j e_i^T), b real: eigenvalues 1 - b, 1 + b and 1, exactly
+    i, j = rng.choice(n, 2, replace=False)
+    H = np.eye(n, dtype=complex)
+    H[i, j] = H[j, i] = b
+    return H
+
+
+def test_loser_proof_never_drops_a_violation_below_its_cut():
+    rng = np.random.default_rng(47)
+    for n in range(2, 10):
+        # lambda_min = -t (1 - 1e-9) with t from 1e-14 to 0.4 max_i H_ii
+        t = 10.0 ** rng.uniform(-14, -0.4, 80)
+        H = np.array([_spectrum_matrix(rng, n, -s * (1 - 1e-9)) for s in t])
+        assert not np.any(node_optimizer._proves_violation(H, t))
+        # a violation of t (1 + 1e-5) + 1e-9 max_i H_ii lies beyond the slack
+        H = np.array([_spectrum_matrix(rng, n, -s * (1 + 1e-5) - 1e-9 * 1.5) for s in t])
+        assert np.all(node_optimizer._proves_violation(H, t))
+        # violations b - 1 far above max_i H_ii = 1, exact in floats, with t
+        # one part in 1e9, or one ulp, above them
+        b = 1.0 + 10.0 ** rng.uniform(0, 12, 80)
+        H = np.array([_split_pair_matrix(rng, n, s) for s in b])
+        for t in ((b - 1.0) * (1 + 1e-9), np.nextafter(b - 1.0, np.inf)):
+            assert not np.any(node_optimizer._proves_violation(H.copy(), t))
