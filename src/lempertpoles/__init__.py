@@ -20,7 +20,15 @@ from .covering_domains import (
     parse_domain,
     preimage_moduli,
 )
-from .interpolation import Lemma4Problem, Lemma4Solution, curves_gh, lemma4_solve, theorem5_certificate
+from .interpolation import (
+    Lemma4Problem,
+    Lemma4Solution,
+    curves_gh,
+    lemma4_solve,
+    lemma4_solve_batch,
+    theorem5_certificate,
+    theorem5_certificates,
+)
 from .node_optimizer import NodeConfig, OptimizerSettings, bidisc_lempert, mixed_product_upper
 from .product_engine import (
     BoundsReport,
@@ -64,6 +72,7 @@ __all__ = [
     "lempert_disc_N",
     "lempert_poleset_plane",
     "lemma4_solve",
+    "lemma4_solve_batch",
     "moebius",
     "moebius_apply",
     "parse_domain",
@@ -71,6 +80,7 @@ __all__ = [
     "preimage_moduli",
     "solve_node_quadratic",
     "theorem5_certificate",
+    "theorem5_certificates",
 ]
 
 __version__ = "0.1.0"

@@ -594,15 +594,16 @@ def find_pole_with_value(domain: PlaneDomain, z: complex, t: float,
     if lo is None:
         raise RuntimeError(
             f"bracketing failed for t={t} along direction {d}: samples {samples[-5:]}")
+    flo = prev_v - log_t  # the bracket's lo is always the last sample before hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         v = log_l(mid)
         if abs(math.expm1(v - log_t) * t) <= tol:
             return z + mid * d
-        if (log_l(lo) - log_t) * (v - log_t) <= 0.0:
+        if flo * (v - log_t) <= 0.0:
             hi = mid
         else:
-            lo = mid
+            lo, flo = mid, v - log_t
     a = z + 0.5 * (lo + hi) * d
     if abs(math.exp(log_l(0.5 * (lo + hi))) - t) > max(tol * 10, 1e-9):
         raise RuntimeError(f"bisection did not converge for t={t}")

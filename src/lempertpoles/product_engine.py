@@ -30,7 +30,7 @@ from .disc_domain import (
     RotationExpr,
     lempert_disc,
 )
-from .interpolation import theorem5_certificate
+from .interpolation import theorem5_certificates
 
 ROTATION_TOL = 1e-12
 EQUALITY_TOL = 1e-10
@@ -93,8 +93,9 @@ def theorem5_bounds(D: PlaneDomain, G: PlaneDomain, A: PoleSet, b: complex,
 
     lower = max(l_D(A,z), l_G^{#A}(b,w)); the upper bound
     max(l_D(A,z), l_G(b,w)) is certified constructively at alpha = upper +
-    slack, with the slack tightened geometrically while the certificate
-    construction keeps succeeding.  equality_flag reports whether
+    slack, with the slack tightened geometrically (/8, down to slack_floor)
+    while the certificate construction keeps succeeding.  The whole ladder of
+    slacks is built in one Lemma-4 batch.  equality_flag reports whether
     l_G(b,w) = l_G^{#A}(b,w) within 1e-10, the equality criterion for the
     product property with #A-point pole sets.
     """
@@ -112,19 +113,21 @@ def theorem5_bounds(D: PlaneDomain, G: PlaneDomain, A: PoleSet, b: complex,
     psi, zeta_nodes, _ = _extremal(G, PoleSet(points=(b,), domain=G if G.kind != "disc" else None), w)
     zeta = complex(zeta_nodes[0])
 
-    xi = eta = None
-    alpha = None
+    ladder = []
     s = slack
     while s >= slack_floor:
         cand = upper0 + s
         if cand >= 1.0 or cand <= max(p, abs(zeta)):
             break
-        try:
-            xi_c, eta_c = theorem5_certificate(phi, lam, psi, zeta, cand)
-        except (ValueError, RuntimeError):
-            break
-        xi, eta, alpha = xi_c, eta_c, cand
+        ladder.append(cand)
         s /= 8.0
+    # every rung in one batch; the bound is the last rung before the first
+    # that failed, as if the rungs were built one after another
+    xi = eta = alpha = None
+    for cand, cert in zip(ladder, theorem5_certificates(phi, lam, psi, zeta, ladder)):
+        if isinstance(cert, Exception):
+            break
+        (xi, eta), alpha = cert, cand
     upper = alpha if alpha is not None else upper0
     residual = None
     if xi is not None:

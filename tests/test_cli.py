@@ -64,6 +64,14 @@ def test_seed_is_echoed():
     assert json.loads(out)["seed"] == 3
 
 
+def test_lemma4_zero_target_below_old_alpha_floor():
+    code, out = run_cli(["lemma4", "--mu", "0+0i,0.5+0i", "--q", "1e-12"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["residual"] <= 1e-9 and doc["product_error"] <= 1e-9
+    assert doc["reduction_alpha"] is not None
+
+
 def _readme_cli_examples():
     """argv of every line of the README's CLI block but `verify`, which has
     its own tests."""

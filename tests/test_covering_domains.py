@@ -338,6 +338,24 @@ def test_find_pole_continuity_and_multiplicity():
     assert abs(v1 - 0.7) < 1e-10 and abs(v2 - 0.7) < 1e-10
 
 
+@pytest.mark.parametrize("dom,z,t,d,point,old_calls", [
+    (PlaneDomain("annulus", R=0.3), 0.6 + 0.1j, 0.5, 1j, 0.6 + 0.3459071364222197j, 232),
+    (PlaneDomain("punctured"), 0.4, 0.3, -1 + 1j,
+     0.24033527037076702 + 0.159664729629233j, 144),
+])
+def test_find_pole_bisection_keeps_lower_value(monkeypatch, dom, z, t, d, point, old_calls):
+    # the bisection keeps l - t at its lower end instead of re-evaluating it
+    # every step: the same point, with fewer lift enumerations than the
+    # re-evaluating loop (old_calls, counted on it)
+    calls = []
+    real = cd.CoverMap.min_lift_log_modulus
+    monkeypatch.setattr(cd.CoverMap, "min_lift_log_modulus",
+                        lambda self, x: calls.append(x) or real(self, x))
+    a = find_pole_with_value(dom, z, t, d, tol=1e-11)
+    assert a == point
+    assert len(calls) < old_calls
+
+
 def test_complex_trigamma_against_real_reference():
     from scipy.special import polygamma
     from lempertpoles.covering_domains import _trigamma_complex

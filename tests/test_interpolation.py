@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from lempertpoles.complex_kernel import solve_node_quadratic
 from lempertpoles.disc_domain import MoebiusExpr, PoleSet, lempert_disc
 from lempertpoles.interpolation import (
+    RESIDUAL_TOL,
     Lemma4Problem,
     curves_gh,
     lemma4_solve,
+    lemma4_solve_batch,
     theorem5_certificate,
 )
 
@@ -92,6 +94,22 @@ def test_zero_entry_reduction():
     assert abs(complex(sol.f.eval(0.0))) < 1e-14
 
 
+@pytest.mark.parametrize("mu,q", [
+    ((0j, 0.5), 1e-12),
+    ((0j, 0.5), 1e-15),
+    ((0j, 0.5, 0.3j), 1e-12),
+    ((0j, 0j, 0.7), 1e-9),
+])
+def test_zero_entry_reduction_below_old_alpha_floor(mu, q):
+    # 0 = p < q < 1 is a valid problem however small q is; the reduction
+    # must push alpha below q instead of stopping at a fixed floor
+    sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
+    assert sol.reduction_alpha is not None
+    assert sol.residual <= RESIDUAL_TOL
+    assert sol.product_error <= RESIDUAL_TOL
+    assert abs(complex(sol.f.eval(0.0))) < 1e-14
+
+
 def test_all_zero_targets():
     sol = lemma4_solve(Lemma4Problem(mu=(0j, 0j, 0j), q=0.75))
     assert sol.residual < 1e-9 and sol.product_error < 1e-9
@@ -102,6 +120,130 @@ def test_solver_is_deterministic():
     s1 = lemma4_solve(prob)
     s2 = lemma4_solve(prob)
     assert s1.a == s2.a and s1.eta == s2.eta
+
+
+def _c1_problems():
+    # the 500 instances of acceptance.c1_lemma4_roundtrip: 1-6 targets,
+    # each zero with probability 0.1
+    rng = np.random.default_rng(20240601)
+    problems = []
+    for _ in range(500):
+        N = int(rng.integers(1, 7))
+        mu = [0j if rng.random() < 0.1
+              else (0.05 + 0.90 * rng.random()) * np.exp(2j * np.pi * rng.random())
+              for _ in range(N)]
+        p = float(np.prod([abs(m) for m in mu]))
+        q = p + (1.0 - p) * rng.uniform(1e-6, 1.0 - 1e-6)
+        problems.append(Lemma4Problem(mu=tuple(mu), q=q))
+    return problems
+
+
+def test_batch_reproduces_each_solo_solve():
+    problems = _c1_problems()
+    assert len({len(pr.mu) for pr in problems}) == 6
+    assert sum(any(m == 0 for m in pr.mu) for pr in problems) > 100
+    batch = lemma4_solve_batch(problems)
+    for pr, got in zip(problems, batch):
+        solo = lemma4_solve(pr)
+        assert (got.a, got.branch, got.eta, got.residual, got.product_error,
+                got.reduction_alpha) == (solo.a, solo.branch, solo.eta, solo.residual,
+                                         solo.product_error, solo.reduction_alpha)
+        assert type(got.a) is float
+
+
+@pytest.mark.parametrize("mu,q,a,branch,eta,alpha", [
+    ((0.3, 0.4j), 0.9, 0.9611294912683661, "large",
+     (0.9252217436457328 + 0j, 0.9723759119246284 - 0.026604045997456388j), None),
+    ((0.2 + 0.1j, -0.4j, 0.6), 0.2, 0.2705651483265683, "small",
+     (0.051528755984005935 + 0.444930579889106j, -0.3125112256867938 - 0.48439913482266866j,
+      0.21645211866125466 + 0.7437395245158442j), None),
+    ((0j, 0.5), 0.3, 0.8199544162052916, "small",
+     (0.4001013686618672 + 0j, 0.04980437432293249 + 0.7481540839118955j), 0.25),
+    ((0.7j, 0j, -0.5 + 0.1j, 0.25), 0.05, 0.8525046017020941, "small",
+     (-0.5785743296292094 + 0.6052043635218939j, 0.15556979380784866 + 0j,
+      -0.6997410514792689 + 0.07282051052065669j, 0.011241790986205997 + 0.5455200432646777j),
+     0.125),
+])
+def test_solver_bits_pinned_to_scalar_bisection(mu, q, a, branch, eta, alpha):
+    # bits of the one-problem-at-a-time solver (a scan and a scalar
+    # bisection per problem); the lockstep batch must keep them
+    sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
+    assert (sol.a, sol.branch, sol.eta, sol.reduction_alpha) == (a, branch, eta, alpha)
+
+
+def _scalar_crossing(mu, q):
+    """The one-problem scan and scalar bisection the lockstep batch replaced."""
+    import lempertpoles.interpolation as itp
+
+    mus = np.asarray(mu)
+    idx = 0 if q <= math.sqrt(float(np.prod(np.abs(mus)))) else 1
+    grid = itp.BRACKET_GRID
+    diff = itp._roots_grid(mus, grid)[idx].prod(axis=1) - q
+    j = int(np.nonzero(diff[:-1] * diff[1:] <= 0.0)[0][0])
+    lo, hi, flo = float(grid[j]), float(grid[j + 1]), float(diff[j])
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = float(itp._roots_grid(mus, np.asarray([mid]))[idx].prod(axis=1)[0]) - q
+        if abs(fm) <= itp.BISECT_TOL:
+            return mid
+        if flo * fm <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def test_lockstep_bisection_matches_scalar_loop():
+    problems = [pr for pr in _c1_problems() if all(m != 0 for m in pr.mu)]
+    batch = lemma4_solve_batch(problems)
+    assert len(problems) > 250
+    for pr, sol in zip(problems, batch):
+        assert sol.a == _scalar_crossing(pr.mu, pr.q)
+
+
+def test_batch_shares_one_scan_per_target_list(monkeypatch):
+    import lempertpoles.interpolation as itp
+
+    calls = []
+    real = itp._roots_grid
+    monkeypatch.setattr(itp, "_roots_grid",
+                        lambda mus, a: calls.append(len(a)) or real(mus, a))
+    mu = (0.3, 0.4j, -0.2 + 0.35j)
+    problems = [Lemma4Problem(mu=mu, q=0.9 + 1e-6 / 8 ** k) for k in range(6)]
+    steps = []
+    for pr in problems:
+        calls.clear()
+        lemma4_solve(pr)
+        assert calls[0] == len(itp.BRACKET_GRID)
+        steps.append(len(calls) - 1)
+    calls.clear()
+    lemma4_solve_batch(problems)
+    # one scan for the shared targets, then one kernel call per lockstep step
+    assert calls[0] == len(itp.BRACKET_GRID)
+    assert calls[1:] == sorted(calls[1:], reverse=True)
+    assert len(calls) - 1 == max(steps) < sum(steps)
+
+
+def test_batch_scans_each_branch_of_shared_targets():
+    # one target list on both branches: g for q <= sqrt(p), h above it
+    mu = (0.3, 0.4j, -0.2 + 0.35j)
+    problems = [Lemma4Problem(mu=mu, q=q) for q in (0.9, 0.1, 0.95, 0.06)]
+    batch = lemma4_solve_batch(problems)
+    assert [s.branch for s in batch] == ["large", "small", "large", "small"]
+    for pr, got in zip(problems, batch):
+        solo = lemma4_solve(pr)
+        assert (got.a, got.eta) == (solo.a, solo.eta)
+        assert got.product_error <= 1e-9
+
+
+def test_batch_reports_each_failure_in_its_own_slot():
+    sols = lemma4_solve_batch([Lemma4Problem(mu=(0.3, 0.4j), q=0.9),
+                               Lemma4Problem(mu=(0j, 0.5), q=5e-324),
+                               Lemma4Problem(mu=(0j, 0.5), q=0.3)])
+    assert sols[0].residual <= 1e-9 and sols[2].residual <= 1e-9
+    assert isinstance(sols[1], RuntimeError)
+    with pytest.raises(RuntimeError, match="zero-value reduction"):
+        lemma4_solve(Lemma4Problem(mu=(0j, 0.5), q=5e-324))
 
 
 def test_precondition_rejected():

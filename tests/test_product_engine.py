@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import lempertpoles.interpolation as itp
+import lempertpoles.product_engine as pe
 from lempertpoles.complex_kernel import moebius
-from lempertpoles.covering_domains import PlaneDomain, find_pole_with_value
+from lempertpoles.covering_domains import PlaneDomain, find_pole_with_value, lempert_N_plane
 from lempertpoles.disc_domain import PoleSet, lempert_disc
+from lempertpoles.interpolation import theorem5_certificate
 from lempertpoles.product_engine import (
     BoundsReport,
     ProductInstance,
@@ -58,6 +61,116 @@ def test_theorem5_pole_through_base():
     assert rep.lower == pytest.approx(0.3)
     assert rep.upper == pytest.approx(0.3, abs=1e-5)
     assert rep.meta["certificate_residual"] < 1e-9
+
+
+def _sequential_ladder(D, G, A, b, z, w, slack=1e-6, slack_floor=2e-11):
+    """Theorem 5's slack ladder built one rung at a time through
+    theorem5_certificate, stopping at the first rung that raises: the loop
+    that theorem5_bounds's one batch must reproduce.  Returns the repr of the
+    upper bound, the nodes, the certificate at 0 and at every node, and the
+    certificate residual."""
+    lD = pe.lempert_value(D, A, z).value
+    lG1 = abs(moebius(b, w)) if G.kind == "disc" else lempert_N_plane(G, b, w, 1).value
+    upper0 = max(lD, lG1)
+    phi, lam, p = pe._extremal(D, A, z)
+    psi, zeta_nodes, _ = pe._extremal(
+        G, PoleSet(points=(b,), domain=G if G.kind != "disc" else None), w)
+    zeta = complex(zeta_nodes[0])
+    xi = eta = alpha = None
+    s = slack
+    while s >= slack_floor:
+        cand = upper0 + s
+        if cand >= 1.0 or cand <= max(p, abs(zeta)):
+            break
+        try:
+            xi, eta = theorem5_certificate(phi, lam, psi, zeta, cand)
+        except (ValueError, RuntimeError):
+            break
+        alpha = cand
+        s /= 8.0
+    upper = alpha if alpha is not None else upper0
+    return _ladder_repr(float(upper), xi, tuple(eta) if eta is not None else (), z, w, A, b)
+
+
+def _ladder_repr(upper, xi, eta, z, w, A, b):
+    if xi is None:
+        return repr((upper, eta, None, None))
+    values = [xi.eval(v) for v in (0.0,) + eta]
+    residual = max(abs(complex(values[0][0]) - z), abs(complex(values[0][1]) - w))
+    for v, a in zip(values[1:], A):
+        residual = max(residual, abs(complex(v[0]) - a), abs(complex(v[1]) - b))
+    return repr((upper, eta, values, residual))
+
+
+def _bounds_repr(rep):
+    xi, eta = rep.certificate, rep.certificate_nodes
+    values = None if xi is None else [xi.eval(v) for v in (0.0,) + eta]
+    return repr((rep.upper, eta, values, rep.meta["certificate_residual"]))
+
+
+def _certify_like_instances(seed, per_stratum):
+    """Instances drawn like the certify benchmark's strata: G a disc, an
+    annulus or a punctured disc; 1-4 poles placed by their reduced nodes,
+    with and without a pole at the base point z."""
+    rng = np.random.default_rng(seed)
+    point = lambda lo, hi: (lo + (hi - lo) * rng.random()) * np.exp(2j * np.pi * rng.random())
+    for g_kind in ("disc", "annulus", "punctured"):
+        for n in (1, 2, 3, 4):
+            for zero in (False, True) if n > 1 else (False,):
+                for _ in range(per_stratum):
+                    z = 0.5 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+                    nodes = []
+                    while len(nodes) < n:
+                        u = point(0.3, 0.9)
+                        if all(abs(u - v) >= 0.05 for v in nodes):
+                            nodes.append(u)
+                    if zero:
+                        nodes[0] = 0j
+                    A = PoleSet(points=tuple(complex(moebius(z, u)) for u in nodes))
+                    if g_kind == "disc":
+                        G, lo, hi = DISC, 0.0, 0.9
+                    elif g_kind == "annulus":
+                        R = 0.05 + 0.2 * rng.random()
+                        G, lo, hi = PlaneDomain("annulus", R=R), R + 0.2 * (1 - R), 1 - 0.2 * (1 - R)
+                    else:
+                        G, lo, hi = PlaneDomain("punctured"), 0.1, 0.9
+                    w = point(lo, hi)
+                    b = point(lo, hi)
+                    while abs(b - w) < 0.05:
+                        b = point(lo, hi)
+                    yield G, A, complex(b), complex(z), complex(w)
+
+
+def test_theorem5_ladder_batch_matches_sequential_ladder():
+    instances = list(_certify_like_instances(seed=5, per_stratum=3))
+    assert len(instances) == 63
+    zero_nodes = 0
+    for G, A, b, z, w in instances:
+        rep = theorem5_bounds(DISC, G, A, b, z, w)
+        assert _bounds_repr(rep) == _sequential_ladder(DISC, G, A, b, z, w)
+        zero_nodes += any(abs(a - z) == 0 for a in A)
+    assert zero_nodes >= 18
+
+
+def test_theorem5_ladder_stops_at_first_failed_rung(monkeypatch):
+    A = PoleSet(points=(0.5, 0.5j))
+    b, z, w = 0.3 - 0.2j, 0.1 + 0.05j, -0.2 + 0.1j
+    clean = theorem5_bounds(DISC, DISC, A, b, z, w)
+    upper0 = max(clean.meta["l_D_A"], clean.meta["l_G_1"])
+    assert clean.upper == upper0 + 1e-6 / 8 ** 5  # all six rungs succeed
+    bad = upper0 + 1e-6 / 8 / 8  # the third rung
+    real = itp.lemma4_solve_batch
+
+    def failing_third_rung(problems):
+        problems = list(problems)
+        return [RuntimeError("rung failed") if pr.q == bad else sol
+                for pr, sol in zip(problems, real(problems))]
+
+    monkeypatch.setattr(itp, "lemma4_solve_batch", failing_third_rung)
+    rep = theorem5_bounds(DISC, DISC, A, b, z, w)
+    # the previous rung's candidate, although later rungs succeed in the batch
+    assert rep.upper == upper0 + 1e-6 / 8
+    assert _bounds_repr(rep) == _sequential_ladder(DISC, DISC, A, b, z, w)
 
 
 def test_theorem7_rotation_detection():
