@@ -20,7 +20,13 @@ from .complex_kernel import moebius
 from .covering_domains import PlaneDomain, green_plane, lempert_N_plane
 from .disc_domain import PoleSet
 from .interpolation import Lemma4Problem, _roots_grid, lemma4_solve
-from .node_optimizer import OptimizerSettings, bidisc_lempert
+from .node_optimizer import (
+    OptimizerSettings,
+    _bidisc_level,
+    _compass,
+    _reduce_poles,
+    bidisc_lempert,
+)
 from .product_engine import prop10_construct, theorem5_bounds, theorem7_decide
 
 # margin of the bidisc failure case over the inequality-(2) floor, frozen from
@@ -292,12 +298,11 @@ _CASE8 = dict(A=(0.5, 0.5j), B=(0.5, -0.5))
 
 def c7_theorem7_equality(expected: float = 0.25, tol: float = 1e-6,
                          floor_slack: float = 1e-12, restarts: int = 200,
-                         seed: int = 0, threads: int = 1,
-                         time_budget_s: float = 30.0) -> CriterionResult:
+                         seed: int = 0, time_budget_s: float = 30.0) -> CriterionResult:
     t0 = time.perf_counter()
     A = PoleSet(points=_CASE7["A"])
     B = PoleSet(points=_CASE7["B"])
-    settings = OptimizerSettings(restarts=restarts, seed=seed, threads=threads)
+    settings = OptimizerSettings(restarts=restarts, seed=seed)
     cfg, value = bidisc_lempert(A, B, 0.0, 0.0, settings)
     t7 = theorem7_decide(A, B)
     dt = time.perf_counter() - t0
@@ -312,11 +317,11 @@ def c7_theorem7_equality(expected: float = 0.25, tol: float = 1e-6,
 
 def c8_theorem7_failure(delta_oracle: float = GRID_ORACLE_DELTA,
                         agree_tol: float = 1e-3, restarts: int = 500,
-                        seed: int = 0, threads: int = 1) -> CriterionResult:
+                        seed: int = 0) -> CriterionResult:
     t0 = time.perf_counter()
     A = PoleSet(points=_CASE8["A"])
     B = PoleSet(points=_CASE8["B"])
-    settings = OptimizerSettings(restarts=restarts, seed=seed, threads=threads)
+    settings = OptimizerSettings(restarts=restarts, seed=seed)
     cfg, value = bidisc_lempert(A, B, 0.0, 0.0, settings)
     delta = value - 0.25
     dt = time.perf_counter() - t0
@@ -352,29 +357,22 @@ def c9_prop10(equal_tol: float = 1e-10, margin_tol: float = 1e-6,
                  "poles": [repr(complex(a)) for a in A_N]})
 
 
-def c10_determinism(threads: int = 4, baseline: dict | None = None) -> CriterionResult:
-    """Criteria 7-9 recomputed with --threads produce bit-identical values."""
+def c10_determinism(restarts: int = 500, seed: int = 0) -> CriterionResult:
+    """Criterion 8's size-2 pair level, run through the compass as one
+    lockstep batch and each subset alone, gives bit-identical nodes."""
     t0 = time.perf_counter()
-    if baseline is None:
-        baseline = {}
-    if "c7" not in baseline:
-        baseline["c7"] = c7_theorem7_equality().details["value"]
-    if "c8" not in baseline:
-        baseline["c8"] = c8_theorem7_failure().details["value"]
-    if "c9" not in baseline:
-        baseline["c9"] = c9_prop10().details["equal_errors"]
-    v7 = c7_theorem7_equality(threads=threads).details["value"]
-    v8 = c8_theorem7_failure(threads=threads).details["value"]
-    v9 = c9_prop10().details["equal_errors"]
-    same = (repr(v7) == repr(baseline["c7"]) and repr(v8) == repr(baseline["c8"])
-            and repr(v9) == repr(baseline["c9"]))
+    reduced = _reduce_poles(PoleSet(points=_CASE8["A"]), PoleSet(points=_CASE8["B"]), 0.0, 0.0)
+    level = _bidisc_level(reduced, 2)
+    settings = OptimizerSettings(restarts=restarts, seed=seed)
+    subsets = [list(item[0]) for item in level]
+    differing = [subset for subset, item, nodes in zip(subsets, level, _compass(level, settings))
+                 if not np.array_equal(nodes, _compass([item], settings)[0])]
     dt = time.perf_counter() - t0
     return CriterionResult(
-        key="determinism", name=f"Criteria 7-9 bit-identical with threads={threads}",
-        passed=same, margin=None, runtime_ms=1e3 * dt,
-        details={"threads": threads,
-                 "values_single": [repr(baseline["c7"]), repr(baseline["c8"])],
-                 "values_threaded": [repr(v7), repr(v8)]})
+        key="determinism", name="Criterion 8's size-2 level bit-identical batched and solo",
+        passed=not differing, margin=None, runtime_ms=1e3 * dt,
+        details={"subsets": subsets, "restarts": restarts,
+                 "first_differing": differing[0] if differing else None})
 
 
 ALL_CRITERIA = (
@@ -391,25 +389,6 @@ ALL_CRITERIA = (
 )
 
 
-def run_acceptance(only: str | None = None, threads: int = 4) -> list:
+def run_acceptance(only: str | None = None) -> list:
     """Run the acceptance criteria (optionally filtered by key substring)."""
-    results = []
-    baseline = {}
-    for key, fn in ALL_CRITERIA:
-        if only and only not in key:
-            continue
-        if key == "theorem7_equality":
-            r = fn()
-            baseline["c7"] = r.details["value"]
-        elif key == "theorem7_failure":
-            r = fn()
-            baseline["c8"] = r.details["value"]
-        elif key == "prop10_construction":
-            r = fn()
-            baseline["c9"] = r.details["equal_errors"]
-        elif key == "determinism":
-            r = fn(threads=threads, baseline=baseline or None)
-        else:
-            r = fn()
-        results.append(r)
-    return results
+    return [fn() for key, fn in ALL_CRITERIA if not only or only in key]

@@ -206,8 +206,7 @@ def _cmd_bidisc(args) -> tuple:
     B = PoleSet(points=tuple(parse_complex_list(args.B)))
     z = parse_complex(args.z)
     w = parse_complex(args.w)
-    settings = OptimizerSettings(restarts=args.restarts, seed=args.seed,
-                                 threads=args.threads)
+    settings = OptimizerSettings(restarts=args.restarts, seed=args.seed)
     cfg, value = bidisc_lempert(A, B, z, w, settings)
     rotation = None
     if len(A) == 2 and len(B) == 2 and abs(z) < 1e-14 and abs(w) < 1e-14:
@@ -218,7 +217,7 @@ def _cmd_bidisc(args) -> tuple:
             rotation = None
     floor = max(lempert_disc(A, z).value, lempert_disc(B, w).value)
     rep = _report("bidisc", {"A": args.A, "B": args.B, "z": args.z, "w": args.w,
-                             "restarts": args.restarts, "threads": args.threads},
+                             "restarts": args.restarts},
                   t0, seed=args.seed,
                   value=value,
                   bounds={"lower": floor, "upper": value},
@@ -312,7 +311,7 @@ def _cmd_counterexample(args) -> tuple:
 
 def _cmd_verify(args) -> tuple:
     t0 = time.perf_counter()
-    results = run_acceptance(only=args.only, threads=args.threads)
+    results = run_acceptance(only=args.only)
     if not results:
         raise CliError(f"no acceptance criterion matches --only {args.only!r}")
     all_pass = all(r.passed for r in results)
@@ -321,7 +320,7 @@ def _cmd_verify(args) -> tuple:
         margin = f" margin={r.margin:.3e}" if r.margin is not None else ""
         print(f"[{mark}] {r.key}: {r.name}{margin} ({r.runtime_ms:.0f} ms)",
               file=sys.stderr)
-    rep = _report("verify", {"only": args.only, "threads": args.threads}, t0,
+    rep = _report("verify", {"only": args.only}, t0,
                   seed=args.seed,
                   value=None,
                   passed=all_pass,
@@ -363,7 +362,6 @@ def build_parser() -> _Parser:
     pb.add_argument("--w", default="0+0i")
     pb.add_argument("--restarts", type=int, default=200)
     pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--threads", type=int, default=1)
     pb.set_defaults(fn=_cmd_bidisc)
 
     po = sub.add_parser("bounds", help="Theorem 5 two-sided bounds with certificate")
@@ -396,7 +394,6 @@ def build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", help="run the acceptance criteria suite")
     pv.add_argument("--only", help="filter criteria by key substring")
-    pv.add_argument("--threads", type=int, default=4)
     pv.add_argument("--seed", type=int, default=0)
     pv.set_defaults(fn=_cmd_verify)
     return p

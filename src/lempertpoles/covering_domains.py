@@ -398,7 +398,7 @@ def _trigamma_complex(z: complex) -> complex:
     error is below 1e-18, far under the float precision of the callers.
     """
     if z.real < 50.0:
-        raise ValueError("asymptotic trigamma needs Re z >= 50")
+        raise RuntimeError("asymptotic trigamma needs Re z >= 50")
     zi = 1.0 / z
     zi2 = zi * zi
     return zi * (1.0 + zi * (0.5 + zi * (1.0 / 6.0 + zi2 * (-1.0 / 30.0 + zi2 * (1.0 / 42.0 - zi2 / 30.0)))))

@@ -57,8 +57,8 @@ v^H (dH) v from one batched eigh per point), then scaled outward until both
 Pick problems pass the certified test `pick_margin`.  Each restart draws its
 start and its probe directions from its own RNG stream, and every decision of
 the descent reads only the restart's own probes, so results are bit-identical
-for any thread count and batch composition, and the restarts of a smaller run
-are a prefix of those of a larger one.
+for any batch composition, and the restarts of a smaller run are a prefix of
+those of a larger one.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,14 +116,13 @@ class OptimizerSettings:
     tolerance: float = 1e-9
     step_init: float = 0.12
     step_decay: float = 0.6
-    threads: int = 1
     polish_top: int = 2
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1 or self.threads < 1:
-            raise ValueError("invalid settings")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -247,10 +245,6 @@ class _Rows:
     def take(self, rows: np.ndarray, repeat: int = 1) -> "_Rows":
         """The rows of the sorted row indices `rows`, each repeated `repeat` times."""
         return _Rows(self.coords, np.searchsorted(rows, self.bounds) * repeat)
-
-    def clip(self, lo: int, hi: int) -> "_Rows":
-        """The rows lo:hi."""
-        return _Rows(self.coords, np.clip(self.bounds, lo, hi) - lo)
 
 
 def _pick_matrices(lam: np.ndarray, rows: _Rows) -> np.ndarray:
@@ -415,12 +409,12 @@ def _structured_starts(subset, coords, rng, n_theta=8):
 
 
 def _compass_chunk(x, step, weight, gens, rows: _Rows, settings):
-    """Lockstep compass descent for one chunk of restarts.
+    """Lockstep compass descent for a batch of restarts.
 
     x: (n, 2m) real coordinates, restarts of the subsets of `rows`.  Each
     restart draws its probe directions from its own generator,
     DIRECTION_BLOCK iterations per call, so trajectories do not depend on
-    the chunk composition.  All probes of an iteration are evaluated in one
+    the batch composition.  All probes of an iteration are evaluated in one
     batched penalty call; acceptance takes the best probe per restart, which
     is order-independent, and probes proved unable to be accepted are never
     given an eigvalsh.
@@ -584,16 +578,7 @@ def _compass(items, settings: OptimizerSettings) -> list:
     step = np.full(total, settings.step_init)
     weight = np.full(total, settings.penalty_weight)
     rows = _Rows([item[1] for item in items], settings.restarts * np.arange(len(items) + 1))
-
-    if settings.threads == 1 or total < 2 * settings.threads:
-        x = _compass_chunk(x, step, weight, gens, rows, settings)
-    else:
-        bounds = np.linspace(0, total, settings.threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=settings.threads) as pool:
-            futs = [pool.submit(_compass_chunk, x[lo:hi], step[lo:hi].copy(),
-                                weight[lo:hi].copy(), gens[lo:hi], rows.clip(lo, hi), settings)
-                    for lo, hi in zip(bounds[:-1], bounds[1:])]
-            x = np.concatenate([f.result() for f in futs], axis=0)
+    x = _compass_chunk(x, step, weight, gens, rows, settings)
     return np.split(x[:, 0::2] + 1j * x[:, 1::2], len(items))
 
 
@@ -668,6 +653,29 @@ def _subset_lower_bound(reduced_targets) -> float:
     return lb
 
 
+def _reduce_poles(A: PoleSet, B: PoleSet, z: complex, w: complex):
+    """The poles moved to base point (0, 0) by (Phi_z, Phi_w), and the
+    rounding bound of each moved pole: (a_red, b_red, a_err, b_err)."""
+    return ([complex(moebius(z, a)) for a in A], [complex(moebius(w, b)) for b in B],
+            moebius_error(z, list(A)), moebius_error(w, list(B)))
+
+
+def _bidisc_level(reduced, size: int) -> list:
+    """The pair subsets of one size of a bidisc instance reduced by
+    `_reduce_poles`, in subset order, as (subset, coords, key, lower bound)."""
+    a_red, b_red, a_err, b_err = reduced
+    pairs = itertools.product(range(len(a_red)), range(len(b_red)))
+    level = []
+    for subset in itertools.combinations(pairs, size):
+        ta = np.array([a_red[k] for k, l in subset])
+        tb = np.array([b_red[l] for k, l in subset])
+        coords = [_Coord("disc", ta, None, a_err[[k for k, l in subset]]),
+                  _Coord("disc", tb, None, b_err[[l for k, l in subset]])]
+        level.append((subset, coords, tuple(k * 64 + l for k, l in subset),
+                      _subset_lower_bound((ta, tb))))
+    return level
+
+
 def bidisc_lempert(A: PoleSet, B: PoleSet, z: complex, w: complex,
                    settings: OptimizerSettings | None = None):
     """Upper-bound evaluation of the bidisc Lempert function with pole set
@@ -682,14 +690,12 @@ def bidisc_lempert(A: PoleSet, B: PoleSet, z: complex, w: complex,
     settings = settings or OptimizerSettings()
     if len(A) > 4 or len(B) > 4:
         raise ValueError("pole sets capped at 4 points each")
-    a_red = [complex(moebius(z, a)) for a in A]
-    b_red = [complex(moebius(w, b)) for b in B]
-    a_err, b_err = moebius_error(z, list(A)), moebius_error(w, list(B))
-    pairs = list(itertools.product(range(len(A)), range(len(B))))
+    reduced = _reduce_poles(A, B, z, w)
+    a_red, b_red = reduced[:2]
 
     best_val, best_cfg = math.inf, None
     # singletons are exact
-    for (k, l) in pairs:
+    for (k, l) in itertools.product(range(len(A)), range(len(B))):
         val = max(abs(a_red[k]), abs(b_red[l]))
         if val < best_val:
             node = a_red[k] if abs(a_red[k]) >= abs(b_red[l]) else b_red[l]
@@ -699,15 +705,8 @@ def bidisc_lempert(A: PoleSet, B: PoleSet, z: complex, w: complex,
             best_cfg = NodeConfig(subset=((k, l),), nodes=(node,), value=val,
                                   coord_targets=((a_red[k],), (b_red[l],)))
 
-    def item(subset):
-        ta = np.array([a_red[k] for k, l in subset])
-        tb = np.array([b_red[l] for k, l in subset])
-        coords = [_Coord("disc", ta, None, a_err[[k for k, l in subset]]),
-                  _Coord("disc", tb, None, b_err[[l for k, l in subset]])]
-        return subset, coords, tuple(k * 64 + l for k, l in subset), _subset_lower_bound((ta, tb))
-
-    levels = ([item(subset) for subset in itertools.combinations(pairs, size)]
-              for size in range(2, min(len(pairs), MAX_SUBSET_SIZE) + 1))
+    levels = (_bidisc_level(reduced, size)
+              for size in range(2, min(len(A) * len(B), MAX_SUBSET_SIZE) + 1))
     best_val, best_cfg = _search_levels(levels, best_val, best_cfg, settings)
     return best_cfg, best_val
 

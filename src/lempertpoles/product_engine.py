@@ -67,7 +67,7 @@ class BoundsReport:
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-12:
-            raise ValueError("lower bound exceeds upper bound")
+            raise RuntimeError("lower bound exceeds upper bound")
 
 
 def lempert_value(domain: PlaneDomain, A: PoleSet, z: complex) -> EvalResult:

@@ -25,6 +25,7 @@ from lempertpoles.acceptance import (
     c10_determinism,
     winding_rate_deviation,
 )
+from lempertpoles import node_optimizer
 from lempertpoles.covering_domains import PlaneDomain, lempert_N_plane
 
 def test_c1_lemma4_roundtrip():
@@ -126,11 +127,25 @@ def test_c9_prop10_construction(session_cache):
     assert r.passed
 
 
-def test_c10_determinism_across_threads(session_cache):
-    baseline = {
-        "c7": session_cache("c7", c7_theorem7_equality).details["value"],
-        "c8": session_cache("c8", c8_theorem7_failure).details["value"],
-        "c9": session_cache("c9", c9_prop10).details["equal_errors"],
-    }
-    r = c10_determinism(threads=4, baseline=baseline)
+def test_c10_determinism():
+    r = c10_determinism()
+    assert r.details["restarts"] == 500
+    assert len(r.details["subsets"]) == 6
+    assert r.details["first_differing"] is None
     assert r.passed, r.details
+
+
+def test_c10_negative_control_shared_generator(monkeypatch):
+    # every restart drawing from one shared generator makes a trajectory
+    # depend on the subsets that share its batch, which c10 must catch
+    shared = np.random.default_rng(0)
+    restart_starts = node_optimizer._restart_starts
+
+    def shared_starts(*args):
+        gens, lam0 = restart_starts(*args)
+        return [shared] * len(gens), lam0
+
+    monkeypatch.setattr(node_optimizer, "_restart_starts", shared_starts)
+    r = c10_determinism(restarts=4)
+    assert not r.passed
+    assert r.details["first_differing"] in r.details["subsets"]

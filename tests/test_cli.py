@@ -142,10 +142,32 @@ def test_validation_errors_exit_2():
 
 
 def test_unknown_flag_rejected():
-    code, out = run_cli(["eval", "--domain", "disc", "--poles", "0.5+0i",
-                         "--at", "0+0i", "--bogus", "1"])
-    assert code == 2
-    assert json.loads(out)["kind"] == "validation"
+    for argv in (["eval", "--domain", "disc", "--poles", "0.5+0i", "--at", "0+0i",
+                  "--bogus", "1"],
+                 ["bidisc", "--A", "0.5+0i,0+0.5i", "--B", "0+0.5i,-0.5+0i",
+                  "--threads", "2"],
+                 ["verify", "--only", "lemma4", "--threads", "4"]):
+        code, out = run_cli(argv)
+        assert code == 2, argv
+        assert json.loads(out)["kind"] == "validation"
+
+
+def test_numeric_failure_exits_1(monkeypatch):
+    # an internal consistency failure is not an input error
+    from lempertpoles import cli
+    from lempertpoles.product_engine import BoundsReport
+
+    def inconsistent(*args):
+        return BoundsReport(lower=0.5, upper=0.4, certificate=None,
+                            certificate_nodes=(), equality_flag=False)
+
+    monkeypatch.setattr(cli, "theorem5_bounds", inconsistent)
+    code, out = run_cli(["bounds", "--D", "disc", "--G", "disc", "--A", "0.5+0i",
+                         "--b", "0.3+0i", "--z", "0+0i", "--w", "0+0i"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["kind"] == "internal"
+    assert doc["error"] == "lower bound exceeds upper bound"
 
 
 def test_csv_sweep():

@@ -22,7 +22,7 @@ DISC = PlaneDomain("disc")
 
 
 def test_bounds_report_ordering_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         BoundsReport(lower=0.5, upper=0.4, certificate=None,
                      certificate_nodes=(), equality_flag=False)
 
