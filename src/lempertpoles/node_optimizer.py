@@ -41,7 +41,13 @@ that margin dominates the rounding of a value near cut_r
 been the least of its restart, and every decision, trajectory and reported
 value has the same bits as with eigvalsh of every matrix.
 
-Subsets.  The subsets of pole pairs are searched size by size, and a subset
+Subsets.  One search, `mixed_product_upper`, serves every pair of factor
+domains; `bidisc_lempert` is that search on disc x disc.  Each factor's poles
+are moved to base point 0 once, and each pole projected into the disc (its
+disc target, or its smallest lift).  A single pair has the exact value
+max(|t_A|, |t_B|) of its projected poles by the Schwarz lemma, which is also
+its closed-form lower bound, so no single pair enters the compass.  The
+subsets of 2 to MAX_SUBSET_SIZE pairs are searched size by size, and a subset
 whose closed-form lower bound sits within LB_SKIP_MARGIN of the best value so
 far is skipped.  Per size, the first subset not skipped runs alone; the others
 still not skipped then run their compass in one lockstep batch, the rows of a
@@ -97,7 +103,6 @@ DIRECTION_BLOCK = 8
 # probe rows per penalty call, which bounds its temporaries however many
 # subsets and restarts run in lockstep
 PENALTY_ROWS = 4096
-MAX_BLASCHKE_DEGREE = 6
 
 logger = logging.getLogger(__name__)
 # subsets whose closed-form lower bound sits within this margin of the best
@@ -153,17 +158,27 @@ def _one_minus_outer(X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Coord:
-    """One coordinate of the product: fixed disc targets or lift candidates."""
+    """One coordinate of the product: fixed disc targets or lift candidates,
+    with each pole projected into the disc (its target, or its smallest lift)."""
 
     kind: str                      # "disc" | "plane"
     targets: np.ndarray | None     # (m,) for disc coordinates
-    lift_candidates: list | None   # per node: (n_lifts,) complex arrays
+    lift_candidates: list | None   # per node: (n_lifts,) complex arrays, ascending modulus
     target_err: np.ndarray | float = 0.0  # Moebius rounding; lifts are exact data
 
     def __post_init__(self):
-        # fixed targets give node-independent Pick numerators
         if self.kind == "disc":
+            self.proj = self.targets
+            # fixed targets give node-independent Pick numerators
             self._num = _one_minus_outer(self.targets[None, :])
+        else:
+            self.proj = np.array([c[0] for c in self.lift_candidates])
+
+    def take(self, idx: list) -> "_Coord":
+        """The coordinate of the poles idx."""
+        if self.kind == "disc":
+            return _Coord("disc", self.targets[idx], None, self.target_err[idx])
+        return _Coord("plane", None, [self.lift_candidates[i] for i in idx])
 
     def batch_targets(self, lam: np.ndarray) -> np.ndarray:
         """Targets per configuration; greedy nearest-lift for plane kind."""
@@ -369,14 +384,10 @@ def _structured_starts(subset, coords, rng, n_theta=8):
     live."""
     m = len(subset)
     starts = []
-    for role, coord in enumerate(coords):
-        if coord.kind == "disc":
-            pole_of = coord.targets
-        else:
-            pole_of = np.array([c[0] if len(c) else 0j for c in coord.lift_candidates])
+    for coord in coords:
         labels = {}
         for j in range(m):
-            labels.setdefault(complex(pole_of[j]), []).append(j)
+            labels.setdefault(complex(coord.proj[j]), []).append(j)
         if any(len(v) > 2 for v in labels.values()):
             continue
         for th in np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False):
@@ -542,12 +553,7 @@ def _restart_starts(subset, coords, settings: OptimizerSettings, subset_key):
     # Schwarz floor per node: |node| >= |target| in each coordinate
     floors = np.zeros(m)
     for coord in coords:
-        if coord.kind == "disc":
-            floors = np.maximum(floors, np.abs(coord.targets))
-        else:
-            floors = np.maximum(floors,
-                                np.array([np.min(np.abs(c)) if len(c) else 0.0
-                                          for c in coord.lift_candidates]))
+        floors = np.maximum(floors, np.abs(coord.proj))
     gens = [np.random.default_rng(np.random.SeedSequence(entropy=settings.seed,
                                                          spawn_key=(*subset_key, r)))
             for r in range(settings.restarts)]
@@ -653,112 +659,74 @@ def _subset_lower_bound(reduced_targets) -> float:
     return lb
 
 
-def _reduce_poles(A: PoleSet, B: PoleSet, z: complex, w: complex):
-    """The poles moved to base point (0, 0) by (Phi_z, Phi_w), and the
-    rounding bound of each moved pole: (a_red, b_red, a_err, b_err)."""
-    return ([complex(moebius(z, a)) for a in A], [complex(moebius(w, b)) for b in B],
-            moebius_error(z, list(A)), moebius_error(w, list(B)))
+def _factor_coord(domain: PlaneDomain, poles: PoleSet, base: complex) -> _Coord:
+    """The coordinate of all poles of one factor, moved to base point 0: the
+    disc targets Phi_base(p) with their rounding bounds, or the 6 smallest
+    lifts of each pole through the normalized cover."""
+    if domain.kind == "disc":
+        return _Coord("disc", np.array([complex(moebius(base, p)) for p in poles]), None,
+                      moebius_error(base, list(poles)))
+    cover = build_cover(domain, base)
+    return _Coord("plane", None, [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex)
+                                  for p in poles])
 
 
-def _bidisc_level(reduced, size: int) -> list:
-    """The pair subsets of one size of a bidisc instance reduced by
-    `_reduce_poles`, in subset order, as (subset, coords, key, lower bound)."""
-    a_red, b_red, a_err, b_err = reduced
-    pairs = itertools.product(range(len(a_red)), range(len(b_red)))
+def _pair_level(ca: _Coord, cb: _Coord, size: int) -> list:
+    """The pole-pair subsets of one size of the factor coordinates ca, cb, in
+    subset order, as (subset, coords, key, lower bound)."""
+    pairs = itertools.product(range(len(ca.proj)), range(len(cb.proj)))
     level = []
     for subset in itertools.combinations(pairs, size):
-        ta = np.array([a_red[k] for k, l in subset])
-        tb = np.array([b_red[l] for k, l in subset])
-        coords = [_Coord("disc", ta, None, a_err[[k for k, l in subset]]),
-                  _Coord("disc", tb, None, b_err[[l for k, l in subset]])]
+        coords = [ca.take([k for k, l in subset]), cb.take([l for k, l in subset])]
         level.append((subset, coords, tuple(k * 64 + l for k, l in subset),
-                      _subset_lower_bound((ta, tb))))
+                      _subset_lower_bound(c.proj for c in coords)))
     return level
 
 
-def bidisc_lempert(A: PoleSet, B: PoleSet, z: complex, w: complex,
-                   settings: OptimizerSettings | None = None):
-    """Upper-bound evaluation of the bidisc Lempert function with pole set
-    A x B at (z, w), minimized over nonempty subsets of pole pairs.
+def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
+                        z: complex, w: complex, settings: OptimizerSettings | None = None):
+    """Upper bound for l_{DxG}(A x B, (z, w)) over the sufficient family of
+    cover-composed disc maps, minimized over nonempty subsets of pole pairs;
+    returns (config, value).
 
-    The instance is first reduced by the automorphism pair (Phi_z, Phi_w) to
-    base point (0, 0).  Singleton subsets have the exact value
-    max(|a'|, |b'|); larger subsets run the compass/polish/repair search.
-    Subsets whose coordinate-projection lower bound cannot beat the current
-    best are skipped.
+    Each factor is moved to base point 0: disc coordinates by Phi_z (Phi_w),
+    plane-domain coordinates through the normalized cover, where a node may
+    go to any of the 6 smallest lifts of its pole (greedy nearest-lift
+    assignment inside the search).  A single pair has the exact value
+    max(|t_A|, |t_B|) of its projected poles t, by the Schwarz lemma; subsets
+    of 2 to MAX_SUBSET_SIZE pairs run the compass/polish/repair search, and
+    those whose closed-form lower bound cannot beat the best value so far are
+    skipped.  The value is a certified upper bound on the Lempert function;
+    it is not claimed minimal.
     """
     settings = settings or OptimizerSettings()
     if len(A) > 4 or len(B) > 4:
         raise ValueError("pole sets capped at 4 points each")
-    reduced = _reduce_poles(A, B, z, w)
-    a_red, b_red = reduced[:2]
+    D.require_interior(z, "z")
+    G.require_interior(w, "w")
+    ca, cb = _factor_coord(D, A, z), _factor_coord(G, B, w)
 
     best_val, best_cfg = math.inf, None
-    # singletons are exact
-    for (k, l) in itertools.product(range(len(A)), range(len(B))):
-        val = max(abs(a_red[k]), abs(b_red[l]))
+    # single pairs are exact
+    for k, l in itertools.product(range(len(A)), range(len(B))):
+        ta, tb = complex(ca.proj[k]), complex(cb.proj[l])
+        val = max(abs(ta), abs(tb))
         if val < best_val:
-            node = a_red[k] if abs(a_red[k]) >= abs(b_red[l]) else b_red[l]
+            node = ta if abs(ta) >= abs(tb) else tb
             if abs(node) < 1e-15:
                 node = 0j
             best_val = val
             best_cfg = NodeConfig(subset=((k, l),), nodes=(node,), value=val,
-                                  coord_targets=((a_red[k],), (b_red[l],)))
+                                  coord_targets=((ta,), (tb,)))
 
-    levels = (_bidisc_level(reduced, size)
+    levels = (_pair_level(ca, cb, size)
               for size in range(2, min(len(A) * len(B), MAX_SUBSET_SIZE) + 1))
     best_val, best_cfg = _search_levels(levels, best_val, best_cfg, settings)
     return best_cfg, best_val
 
 
-def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
-                        z: complex, w: complex,
-                        settings: OptimizerSettings | None = None,
-                        degree_cap: int = MAX_BLASCHKE_DEGREE):
-    """Upper bound for l_{DxG}(A x B, (z, w)) over the sufficient family of
-    cover-composed disc maps.
-
-    Plane-domain coordinates route each node to a lift of its pole (greedy
-    nearest-lift assignment inside the search); disc coordinates use Pick
-    feasibility after automorphism reduction.  The returned value is an upper
-    bound on the Lempert function; it is not claimed minimal, but it always
-    satisfies every known lower bound.
-    """
-    settings = settings or OptimizerSettings()
-    if degree_cap > MAX_BLASCHKE_DEGREE:
-        raise ValueError(f"Blaschke degree > {MAX_BLASCHKE_DEGREE}")
-    if len(A) > 4 or len(B) > 4:
-        raise ValueError("pole sets capped at 4 points each")
-
-    def coord_data(domain, poles, base):
-        if domain.kind == "disc":
-            return ("disc", [(complex(moebius(base, p)), float(moebius_error(base, p)))
-                             for p in poles])
-        cover = build_cover(domain, base)
-        # a node may sit at any of the 6 smallest lifts of its pole
-        return ("plane", [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in poles])
-
-    def subset_coord(kind, data, idx):
-        """The coordinate of a subset and its poles projected into the disc."""
-        if kind == "disc":
-            targets = np.array([data[i][0] for i in idx])
-            return _Coord("disc", targets, None, np.array([data[i][1] for i in idx])), targets
-        lifts = [data[i] for i in idx]
-        return _Coord("plane", None, lifts), np.array([c[0] for c in lifts])
-
-    kind_a, data_a = coord_data(D, list(A), z)
-    kind_b, data_b = coord_data(G, list(B), w)
-    pairs = list(itertools.product(range(len(A)), range(len(B))))
-
-    def item(subset):
-        ca, proj_a = subset_coord(kind_a, data_a, [k for k, l in subset])
-        cb, proj_b = subset_coord(kind_b, data_b, [l for k, l in subset])
-        key = tuple(1_000_000 + k * 64 + l for k, l in subset)
-        return subset, [ca, cb], key, _subset_lower_bound((proj_a, proj_b))
-
-    levels = ([item(subset) for subset in itertools.combinations(pairs, size)]
-              for size in range(1, min(len(pairs), degree_cap, MAX_SUBSET_SIZE) + 1))
-    best_val, best_cfg = _search_levels(levels, math.inf, None, settings)
-    if best_cfg is None:
-        raise RuntimeError("no feasible configuration found")
-    return best_val, best_cfg
+def bidisc_lempert(A: PoleSet, B: PoleSet, z: complex, w: complex,
+                   settings: OptimizerSettings | None = None):
+    """`mixed_product_upper` on the bidisc: an upper bound for the bidisc
+    Lempert function with pole set A x B at (z, w); returns (config, value)."""
+    return mixed_product_upper(PlaneDomain("disc"), PlaneDomain("disc"), A, B, z, w, settings)

@@ -1,4 +1,4 @@
-import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from lempertpoles.node_optimizer import (
     _Coord,
     _margins,
     _one_minus_outer,
+    _pair_level,
     _penalized,
     _pick_min_eig_grad,
     _pick_violation,
@@ -40,11 +41,29 @@ def _failure_case(session_cache, settings):
                          z=0, w=0, settings=settings)
 
 
+def _assert_exact_singleton(cfg, v):
+    # a single pair: value max(|t_A|, |t_B|) of its projected poles, to the bit,
+    # at the larger one, with no margins
+    assert len(cfg.subset) == 1 and cfg.margins == ()
+    assert v == cfg.value == max(abs(t) for (t,) in cfg.coord_targets)
+    assert all(abs(cfg.nodes[0]) >= abs(t) for (t,) in cfg.coord_targets)
+    assert type(v) is float
+
+
 def test_singletons_exact():
     cfg, v = bidisc_lempert(PoleSet(points=(0.3,)), PoleSet(points=(0.6j,)), 0, 0, FAST)
     assert v == pytest.approx(0.6)
+    _assert_exact_singleton(cfg, v)
     cfg, v = bidisc_lempert(PoleSet(points=(0.7,)), PoleSet(points=(0.2,)), 0, 0, FAST)
     assert v == pytest.approx(0.7)
+    _assert_exact_singleton(cfg, v)
+    # a plane coordinate: the smallest lift of b, which is l_G(b, w)
+    G = PlaneDomain("annulus", R=0.1)
+    b, w = 0.4 * np.exp(2.0j), 0.45
+    cfg, v = mixed_product_upper(PlaneDomain("disc"), G, PoleSet(points=(0.1,)),
+                                 PoleSet(points=(b,), domain=G), 0, w, FAST)
+    _assert_exact_singleton(cfg, v)
+    assert math.log(v) == pytest.approx(build_cover(G, w).min_lift_log_modulus(b), abs=1e-12)
 
 
 def test_rotation_case_reaches_floor():
@@ -214,9 +233,21 @@ def test_settings_validation_names_the_field():
 
 
 def test_pole_cap():
-    with pytest.raises(ValueError):
-        bidisc_lempert(PoleSet(points=tuple(0.1 * k + 0.1j for k in range(1, 6))),
-                       PoleSet(points=(0.5,)), 0, 0, FAST)
+    five = PoleSet(points=tuple(0.1 * k + 0.1j for k in range(1, 6)))
+    with pytest.raises(ValueError, match="capped"):
+        bidisc_lempert(five, PoleSet(points=(0.5,)), 0, 0, FAST)
+    with pytest.raises(ValueError, match="capped"):
+        mixed_product_upper(PlaneDomain("disc"), PlaneDomain("annulus", R=0.1),
+                            five, PoleSet(points=(0.5,)), 0, 0.45, FAST)
+
+
+def test_base_point_outside_its_factor_rejected():
+    A, B = PoleSet(points=(0.5,)), PoleSet(points=(0.3,))
+    with pytest.raises(ValueError, match="z="):
+        bidisc_lempert(A, B, 1.5, 0, FAST)
+    with pytest.raises(ValueError, match="w="):
+        mixed_product_upper(PlaneDomain("disc"), PlaneDomain("annulus", R=0.1), A, B, 0, 0.05,
+                            FAST)
 
 
 def test_mixed_upper_disc_singleton_matches_theorem5():
@@ -226,8 +257,8 @@ def test_mixed_upper_disc_singleton_matches_theorem5():
     b = 0.3 - 0.2j
     z, w = 0.1 + 0.05j, -0.2 + 0.1j
     rep = theorem5_bounds(D, G, A, b, z, w)
-    v, cfg = mixed_product_upper(D, G, A, PoleSet(points=(b,)), z, w, FAST)
-    assert len(cfg.margins) == 2 and min(cfg.margins) > 0.0
+    cfg, v = mixed_product_upper(D, G, A, PoleSet(points=(b,)), z, w, FAST)
+    _assert_exact_singleton(cfg, v)
     assert v <= rep.upper + 1e-6
     assert v >= rep.lower - 1e-12
 
@@ -239,31 +270,33 @@ def test_mixed_upper_annulus_factor():
     b = 0.4 * np.exp(2.0j)
     z, w = 0.05, 0.45
     rep = theorem5_bounds(D, G, A, b, z, w)
-    v, cfg = mixed_product_upper(D, G, A, PoleSet(points=(b,), domain=G), z, w, FAST)
-    assert len(cfg.margins) == 2 and min(cfg.margins) > 0.0
+    cfg, v = mixed_product_upper(D, G, A, PoleSet(points=(b,), domain=G), z, w, FAST)
+    _assert_exact_singleton(cfg, v)
     # sound upper bound: above the Theorem 5 lower bound, at or below the
     # Lemma 4 certificate value up to optimizer tolerance
     assert v >= rep.lower - 1e-12
     assert v <= rep.upper + 1e-4
 
 
-def test_mixed_upper_degree_cap_monotone():
+def test_mixed_upper_plane_pair_is_pick_certified(pick_oracle):
+    # two pairs beat every single pair through a lift-assignment Pick problem
+    # in the annulus coordinate
     D = PlaneDomain("disc")
     G = PlaneDomain("annulus", R=0.1)
-    A = PoleSet(points=(0.15, 0.1j))
-    b = 0.4 * np.exp(2.0j)
-    v2, _ = mixed_product_upper(D, G, A, PoleSet(points=(b,), domain=G), 0.05, 0.45,
-                                FAST, degree_cap=2)
-    v1, _ = mixed_product_upper(D, G, A, PoleSet(points=(b,), domain=G), 0.05, 0.45,
-                                FAST, degree_cap=1)
-    assert v1 >= v2 - 1e-12
-
-
-def test_mixed_upper_degree_cap_validation():
-    D = PlaneDomain("disc")
-    with pytest.raises(ValueError, match="degree"):
-        mixed_product_upper(D, D, PoleSet(points=(0.3,)), PoleSet(points=(0.4,)),
-                            0, 0, FAST, degree_cap=7)
+    A = PoleSet(points=(0.5, 0.5j))
+    b, z, w = 0.3, 0, 0.45
+    B = PoleSet(points=(b,), domain=G)
+    cfg, v = mixed_product_upper(D, G, A, B, z, w, FAST)
+    assert len(cfg.subset) >= 2 and len(cfg.margins) == 2 and min(cfg.margins) > 0.0
+    assert v == cfg.value == pytest.approx(float(np.prod(np.abs(cfg.nodes))), abs=1e-15)
+    smallest_lift = abs(build_cover(G, w).lifts(b, 6).eta[0])
+    singles = [max(abs(moebius(z, a)), smallest_lift) for a in A]
+    assert v < min(singles)
+    assert v >= theorem5_bounds(D, G, A, b, z, w).lower - 1e-12
+    # the float lifts are taken as exact data
+    nodes = [0j, *cfg.nodes]
+    for targets in cfg.coord_targets:
+        assert pick_oracle.min_eig(nodes, [0j, *targets]) > 0.0
 
 
 def _central_differences(fun, lam, h=1e-6):
@@ -443,19 +476,15 @@ def test_compass_directions_are_per_iteration_draws(monkeypatch, m):
 
 def _level_items(kind):
     # the six pair subsets of size 2 of a 2 x 2 instance, disc x disc or
-    # disc x annulus, with the coordinates the entry points build
+    # disc x annulus, from the level builder of the entry points
     rng = np.random.default_rng(41)
     ta = 0.6 * np.sqrt(rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
     tb = 0.6 * np.sqrt(rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
     cover = build_cover(PlaneDomain("annulus", R=0.1), 0.45)
     lifts = [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in (0.4j, -0.3 + 0.2j)]
-    items = []
-    for subset in itertools.combinations(itertools.product(range(2), range(2)), 2):
-        ca = _Coord("disc", ta[[k for k, l in subset]], None)
-        cb = (_Coord("disc", tb[[l for k, l in subset]], None) if kind == "disc"
-              else _Coord("plane", None, [lifts[l] for k, l in subset]))
-        items.append((subset, [ca, cb], tuple(k * 64 + l for k, l in subset)))
-    return items
+    cb = (_Coord("disc", tb, None, np.zeros(2)) if kind == "disc"
+          else _Coord("plane", None, lifts))
+    return _pair_level(_Coord("disc", ta, None, np.zeros(2)), cb, 2)
 
 
 @pytest.mark.parametrize("kind", ["disc", "annulus"])
