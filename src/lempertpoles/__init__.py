@@ -2,9 +2,7 @@
 
 from .complex_kernel import (
     BlaschkeDisc,
-    blaschke_eval,
     moebius,
-    moebius_apply,
     pick_margin,
     solve_node_quadratic,
 )
@@ -32,7 +30,6 @@ from .interpolation import (
 from .node_optimizer import NodeConfig, OptimizerSettings, bidisc_lempert, mixed_product_upper
 from .product_engine import (
     BoundsReport,
-    ProductInstance,
     corollary8_sample,
     prop9_extend,
     prop10_construct,
@@ -45,7 +42,6 @@ __all__ = [
     "BoundsReport",
     "NodeConfig",
     "OptimizerSettings",
-    "ProductInstance",
     "bidisc_lempert",
     "corollary8_sample",
     "mixed_product_upper",
@@ -61,7 +57,6 @@ __all__ = [
     "Lemma4Solution",
     "PlaneDomain",
     "PoleSet",
-    "blaschke_eval",
     "build_cover",
     "curves_gh",
     "find_pole_with_value",
@@ -74,7 +69,6 @@ __all__ = [
     "lemma4_solve",
     "lemma4_solve_batch",
     "moebius",
-    "moebius_apply",
     "parse_domain",
     "pick_margin",
     "preimage_moduli",

@@ -21,7 +21,7 @@ from .covering_domains import PlaneDomain, green_plane, lempert_N_plane
 from .disc_domain import PoleSet
 from .interpolation import Lemma4Problem, _roots_grid, lemma4_solve
 from .node_optimizer import OptimizerSettings, _compass, _factor_coord, _pair_level, bidisc_lempert
-from .product_engine import prop10_construct, theorem5_bounds, theorem7_decide
+from .product_engine import MARGIN_TOL, prop10_construct, theorem5_bounds, theorem7_decide
 
 # margin of the bidisc failure case over the inequality-(2) floor, frozen from
 # the pre-build node-space grid scan (scripts/grid_oracle.py, beam lattice)
@@ -332,16 +332,15 @@ _CASE9 = dict(R_D=0.3, R_G=0.5, z=0.6 * np.exp(0.5j), w=0.72 * np.exp(-1.1j),
               b=0.68 * np.exp(2.0j), N=4)
 
 
-def c9_prop10(equal_tol: float = 1e-10, margin_tol: float = 1e-6,
-              seed: int = 0) -> CriterionResult:
+def c9_prop10(equal_tol: float = 1e-10, seed: int = 0) -> CriterionResult:
     t0 = time.perf_counter()
     D = PlaneDomain("annulus", R=_CASE9["R_D"])
     G = PlaneDomain("annulus", R=_CASE9["R_G"])
     A_N, rep = prop10_construct(D, G, _CASE9["z"], _CASE9["w"], _CASE9["b"],
-                                N=_CASE9["N"], seed=seed, margin_tol=margin_tol)
+                                N=_CASE9["N"], seed=seed)
     dt = time.perf_counter() - t0
     worst_eq = max(rep["equal_errors"])
-    passed = worst_eq <= equal_tol and rep["condition4_margin"] > margin_tol
+    passed = worst_eq <= equal_tol and rep["condition4_margin"] > MARGIN_TOL
     return CriterionResult(
         key="prop10_construction", name="Prop 10 construction on Annulus(0.3) x Annulus(0.5)",
         passed=passed, margin=equal_tol - worst_eq, runtime_ms=1e3 * dt,

@@ -22,7 +22,6 @@ from .covering_domains import (
     find_pole_with_value,
     green_plane,
     lempert_N_plane,
-    lempert_poleset_plane,
     parse_domain,
 )
 from .disc_domain import PoleSet, green_disc, lempert_disc, lempert_disc_N
@@ -30,6 +29,7 @@ from .interpolation import Lemma4Problem, lemma4_solve
 from .node_optimizer import OptimizerSettings, bidisc_lempert
 from .product_engine import (
     corollary8_sample,
+    lempert_value,
     prop9_extend,
     prop10_construct,
     prop11_construct,
@@ -143,7 +143,7 @@ def _cmd_eval(args) -> tuple:
             continue
         if args.poles:
             pts = tuple(parse_complex_list(args.poles))
-            A = PoleSet(points=pts, domain=None if domain.kind == "disc" else domain)
+            A = PoleSet(points=pts, domain=domain)
             if args.green:
                 if domain.kind == "disc":
                     value, tail = green_disc(A, z), 0.0
@@ -155,8 +155,7 @@ def _cmd_eval(args) -> tuple:
                         tail += tb
                 rows.append({"at": format_complex(z), "value": value, "tail_bound": tail})
             else:
-                res = lempert_disc(A, z) if domain.kind == "disc" \
-                    else lempert_poleset_plane(domain, A, z)
+                res = lempert_value(domain, A, z)
                 rows.append({"at": format_complex(z), "value": res.value})
                 certificate = res
         elif args.pole:
@@ -233,8 +232,7 @@ def _cmd_bounds(args) -> tuple:
     t0 = time.perf_counter()
     D = parse_domain(args.D)
     G = parse_domain(args.G)
-    A = PoleSet(points=tuple(parse_complex_list(args.A)),
-                domain=None if D.kind == "disc" else D)
+    A = PoleSet(points=tuple(parse_complex_list(args.A)), domain=D)
     b = parse_complex(args.b)
     z = parse_complex(args.z)
     w = parse_complex(args.w)
@@ -282,8 +280,7 @@ def _cmd_counterexample(args) -> tuple:
                       poles=[format_complex(a) for a in A_N], report=rep10)
         return rep, 0, False
     if args.kind == "prop11":
-        extra = PoleSet(points=tuple(parse_complex_list(args.extra)),
-                        domain=None if D.kind == "disc" else D)
+        extra = PoleSet(points=tuple(parse_complex_list(args.extra)), domain=D)
         rep11 = prop11_construct(D, G, z, w, b, extra, seed=args.seed)
         rep11 = {k: ([format_complex(v) for v in val] if k == "A2" else val)
                  for k, val in rep11.items()}
@@ -293,14 +290,10 @@ def _cmd_counterexample(args) -> tuple:
                       value=rep11["chain_floor"], report=rep11)
         return rep, 0, False
     if args.kind == "prop9":
-        A = PoleSet(points=tuple(parse_complex_list(args.A)),
-                    domain=None if D.kind == "disc" else D)
-        B = PoleSet(points=tuple(parse_complex_list(args.B)),
-                    domain=None if G.kind == "disc" else G)
-        A1 = PoleSet(points=tuple(parse_complex_list(args.A1)),
-                     domain=None if D.kind == "disc" else D)
-        B1 = PoleSet(points=tuple(parse_complex_list(args.B1)),
-                     domain=None if G.kind == "disc" else G)
+        A = PoleSet(points=tuple(parse_complex_list(args.A)), domain=D)
+        B = PoleSet(points=tuple(parse_complex_list(args.B)), domain=G)
+        A1 = PoleSet(points=tuple(parse_complex_list(args.A1)), domain=D)
+        B1 = PoleSet(points=tuple(parse_complex_list(args.B1)), domain=G)
         rep9 = prop9_extend(D, G, A, B, z, w, args.q, A1, B1)
         rep = _report("counterexample", {"kind": "prop9", "D": args.D, "G": args.G,
                                          "q": args.q}, t0, seed=args.seed,

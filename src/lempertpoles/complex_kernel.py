@@ -31,13 +31,6 @@ def moebius(alpha: complex, z: complex) -> complex:
     return (alpha - z) / (1.0 - np.conj(alpha) * z)
 
 
-def moebius_apply(alpha: complex, z: complex) -> complex:
-    """Checked variant of :func:`moebius` for interior points."""
-    alpha = require_disc_point(alpha, "alpha")
-    z = require_disc_point(z, "z")
-    return complex(moebius(alpha, z))
-
-
 @dataclass(frozen=True)
 class BlaschkeDisc:
     """Finite Blaschke product e^{i phase} * prod_j Phi_{z_j}(z).
@@ -72,12 +65,6 @@ class BlaschkeDisc:
         for zj in self.zeros:
             out = out * (zj - z) / (1.0 - np.conj(zj) * z)
         return out if out.shape else complex(out)
-
-
-def blaschke_eval(b: BlaschkeDisc, z: complex) -> complex:
-    if abs(z) > 1.0 + 1e-12:
-        raise ValueError(f"|z|={abs(z)} exceeds 1")
-    return complex(b.eval(z))
 
 
 def solve_node_quadratic(a: float, mu: complex) -> tuple:

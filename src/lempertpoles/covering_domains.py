@@ -233,10 +233,9 @@ class CoverMap:
     def _raw_lift_data(self, a: complex, ks: np.ndarray):
         return _raw_lifts(self.domain, abs(a) * np.exp(1j * self.relative_angle(a)), ks)
 
-    def lifts(self, a: complex, per_side: int, base_shift: int = 0) -> LiftSet:
+    def lifts(self, a: complex, per_side: int) -> LiftSet:
         """Lifts of a through pi_z for windings |k| <= per_side, sorted ascending
-        by modulus.  base_shift replaces zeta0 by the deck-translated base
-        lift (test hook for deck invariance)."""
+        by modulus."""
         a = self.domain.require_interior(a, "a")
         if self.domain.kind == "disc":
             eta = np.array([moebius(self.base_lift, complex(a))])
@@ -245,13 +244,6 @@ class CoverMap:
             logm = math.log(am) if am > 0 else -math.inf
             return LiftSet(np.array([0]), np.array([0j]), eta, delta, np.array([logm]))
         zeta0, c0 = self.base_lift, self._c0
-        if base_shift:
-            s0, z0s, om0 = self._raw_lift_data(self.base_point,
-                                               np.array([self.base_winding + base_shift]))
-            zeta0, c0 = complex(z0s[0]), float(om0[0])
-            if not c0 > 0.0:
-                raise ValueError(f"base_shift={base_shift} is unresolvable: the deck-shifted "
-                                 f"base lift {zeta0} has 1 - |zeta0|^2 = {c0} in floats")
         ks = np.arange(-per_side, per_side + 1)
         s, zeta, om = self._raw_lift_data(a, ks)
         u = c0 * om / np.abs(1.0 - np.conj(zeta0) * zeta) ** 2
@@ -312,7 +304,7 @@ class CoverExpr(DiscExpr):
 # ---------------------------------------------------------------------------
 
 
-def _smallest_lifts(cover: CoverMap, a: complex, K: int, base_shift: int = 0) -> LiftSet:
+def _smallest_lifts(cover: CoverMap, a: complex, K: int) -> LiftSet:
     """Lifts of a over the first window, growing x4 from max(8, K//2 + 4)
     windings per side, that holds the K smallest moduli.
 
@@ -321,18 +313,18 @@ def _smallest_lifts(cover: CoverMap, a: complex, K: int, base_shift: int = 0) ->
     outside then has deficit 0.0 and log-modulus 0 too.
     """
     def holds_K(per_side):
-        ls = cover.lifts(a, per_side, base_shift=base_shift)
+        ls = cover.lifts(a, per_side)
         d = ls.delta
         return len(d) >= K + 2 and not 0.0 < d[K - 1] <= max(d[-1], d[-2]), ls
 
     return _grow_window(max(8, K // 2 + 4), 4, holds_K)[2]
 
 
-def preimage_moduli(cover: CoverMap, a: complex, K: int, base_shift: int = 0) -> np.ndarray:
+def preimage_moduli(cover: CoverMap, a: complex, K: int) -> np.ndarray:
     """The K smallest moduli of the lifts of a through pi_z, ascending."""
     if cover.domain.kind == "disc":
         return cover.lifts(a, 1).moduli[:K]
-    return _smallest_lifts(cover, a, K, base_shift).moduli[:K]
+    return _smallest_lifts(cover, a, K).moduli[:K]
 
 
 def lempert_N_plane(domain: PlaneDomain, a: complex, z: complex, N: int) -> EvalResult:

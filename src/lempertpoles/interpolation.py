@@ -17,7 +17,8 @@ ladder of values q that share one target list (`theorem5_certificates`),
 so the batch scans the curve g or h once per distinct target list and
 branch, since the curves do not depend on q, and every problem reuses that
 scan.  The bisections then run in lockstep: each step is one root-kernel
-call over the rows still live, and a row leaves as soon as |f - q| <= 1e-11.
+call over the rows still live, and a row leaves as soon as |f - q| <=
+min(1e-11, 1e-9 q), so that a small q is met to a relative 1e-9 too.
 Every row gets the bits of its solo run: the scan is the same computation,
 each row of a step applies the same elementwise operations to its own
 targets and midpoint, and a row's product runs over its own targets in
@@ -47,6 +48,8 @@ from .disc_domain import (
 
 MAX_TARGETS = 64
 BISECT_TOL = 1e-11
+# the stop is relative below q = BISECT_TOL / BISECT_RTOL = 0.01
+BISECT_RTOL = 1e-9
 BISECT_STEPS = 200
 RESIDUAL_TOL = 1e-9
 # bracket scan: uniform 1/1024 plus points accumulating at 1 so that the
@@ -127,12 +130,14 @@ def _bisect_lockstep(mus: np.ndarray, pad: np.ndarray, large: np.ndarray,
 
     Row r bisects g (large[r] false) or h of the targets mus[r], whose
     padding entries pad[r] count as exact 1.0 factors; flo is the curve
-    minus q at lo; lo, hi and flo are updated in place.  Returns each row's
-    crossing parameter, with the steps and the exit rule of the scalar loop,
-    so each row's bits are its solo run's.
+    minus q at lo; lo, hi and flo are updated in place.  A row stops once
+    |f - q| <= min(BISECT_TOL, BISECT_RTOL q).  Returns each row's crossing
+    parameter, with the steps and the exit rule of the scalar loop, so each
+    row's bits are its solo run's.
     """
     a_star = np.empty(len(q))
     live = np.arange(len(q))
+    tol = np.minimum(BISECT_TOL, BISECT_RTOL * q)
     for _ in range(BISECT_STEPS):
         if not live.size:
             return a_star
@@ -140,7 +145,7 @@ def _bisect_lockstep(mus: np.ndarray, pad: np.ndarray, large: np.ndarray,
         small, big = _roots_grid(mus[live], mid)
         vals = np.where(pad[live], 1.0, np.where(large[live, None], big, small))
         fm = vals.prod(axis=1) - q[live]
-        done = np.abs(fm) <= BISECT_TOL
+        done = np.abs(fm) <= tol[live]
         a_star[live[done]] = mid[done]
         left = flo[live] * fm <= 0.0
         to_hi, to_lo = ~done & left, ~done & ~left

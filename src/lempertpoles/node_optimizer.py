@@ -9,7 +9,10 @@ again is a Pick problem once the lift assignment is chosen (a sufficient
 family of maps cover o h with h(0) = 0).
 
 The search over node space runs random-direction compass descent with an
-eigenvalue penalty max(0, -lambda_min) from many seeded restarts.  Each
+eigenvalue penalty max(0, -lambda_min) from many seeded restarts.  Its
+penalty weight, step schedule and polish are module constants;
+`OptimizerSettings` sets only the restart count, the seed and the iteration
+cap.  Each
 penalty call stacks the Pick matrices H of all its rows and coordinates into
 one division, screens them with `cholesky_succeeds` on H - c I,
 c = 1e-10 max_i H_ii, and gives one eigvalsh call only the matrices whose
@@ -103,6 +106,21 @@ DIRECTION_BLOCK = 8
 # probe rows per penalty call, which bounds its temporaries however many
 # subsets and restarts run in lockstep
 PENALTY_ROWS = 4096
+# compass: initial penalty weight, multiplied by PENALTY_RAMP_FACTOR every
+# PENALTY_RAMP_EVERY iterations; initial step, multiplied by STEP_DECAY after
+# an iteration without an accepted probe; a restart stops once its step is
+# below TOLERANCE
+PENALTY_WEIGHT = 1e4
+PENALTY_RAMP_EVERY = 500
+PENALTY_RAMP_FACTOR = 10.0
+STEP_INIT = 0.12
+STEP_DECAY = 0.6
+TOLERANCE = 1e-9
+# candidates per subset given to the SLSQP polish, and its rounds
+POLISH_TOP = 2
+POLISH_ROUNDS = 2
+# rotation angles e^{i theta} of the structured starts
+STRUCTURED_ANGLES = 8
 
 logger = logging.getLogger(__name__)
 # subsets whose closed-form lower bound sits within this margin of the best
@@ -112,16 +130,12 @@ LB_SKIP_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class OptimizerSettings:
+    """Restarts per subset, the seed of their RNG streams, and the cap on
+    compass iterations per restart."""
+
     restarts: int = 200
     seed: int = 0
     max_iterations: int = 2000
-    penalty_weight: float = 1e4
-    penalty_ramp_every: int = 500
-    penalty_ramp_factor: float = 10.0
-    tolerance: float = 1e-9
-    step_init: float = 0.12
-    step_decay: float = 0.6
-    polish_top: int = 2
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -376,7 +390,7 @@ def _repair(nodes: np.ndarray, coords: list):
 # ---------------------------------------------------------------------------
 
 
-def _structured_starts(subset, coords, rng, n_theta=8):
+def _structured_starts(subset, coords, rng):
     """Degree-2 Blaschke starts: nodes are preimages of the coordinate poles
     under e^{i theta} z Phi_alpha.  Available when no pole repeats more than
     twice in that coordinate.  These sit at the coordinate-extremal product
@@ -390,7 +404,7 @@ def _structured_starts(subset, coords, rng, n_theta=8):
             labels.setdefault(complex(coord.proj[j]), []).append(j)
         if any(len(v) > 2 for v in labels.values()):
             continue
-        for th in np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False):
+        for th in np.linspace(0.0, 2.0 * np.pi, STRUCTURED_ANGLES, endpoint=False):
             alpha = 0.35 * complex(rng.random() - 0.5, rng.random() - 0.5)
             rootmap = {}
             ok = True
@@ -435,7 +449,7 @@ def _compass_chunk(x, step, weight, gens, rows: _Rows, settings):
     f = _penalized(lam_of(x), rows, weight)
     ndir = 2 * d + 2
     for it in range(settings.max_iterations):
-        active = np.nonzero(step >= settings.tolerance)[0]
+        active = np.nonzero(step >= TOLERANCE)[0]
         na = len(active)
         if na == 0:
             break
@@ -467,9 +481,9 @@ def _compass_chunk(x, step, weight, gens, rows: _Rows, settings):
         acc = active[improved]
         x[acc] = probes[improved, jbest[improved], :]
         f[acc] = fbest[improved]
-        step[active[~improved]] *= settings.step_decay
-        if (it + 1) % settings.penalty_ramp_every == 0:
-            weight[active] *= settings.penalty_ramp_factor
+        step[active[~improved]] *= STEP_DECAY
+        if (it + 1) % PENALTY_RAMP_EVERY == 0:
+            weight[active] *= PENALTY_RAMP_FACTOR
             f[active] = _penalized(lam_of(x[active]), rows.take(active), weight[active])
     return x
 
@@ -501,7 +515,7 @@ def _pick_min_eig_grad(lam: np.ndarray, targets: np.ndarray):
     return mu[:, 0], np.concatenate([2.0 * a[:, 1:].real, -2.0 * a[:, 1:].imag], axis=1)
 
 
-def _polish(nodes: np.ndarray, coords: list, rounds: int = 2) -> np.ndarray:
+def _polish(nodes: np.ndarray, coords: list) -> np.ndarray:
     """SLSQP refinement of a candidate with eigenvalue inequality constraints.
 
     The lift assignment of plane coordinates is frozen at the incoming
@@ -530,7 +544,7 @@ def _polish(nodes: np.ndarray, coords: list, rounds: int = 2) -> np.ndarray:
              "jac": cap_grad}]
     x0 = np.concatenate([nodes.real, nodes.imag])
     best = nodes
-    for _ in range(rounds):
+    for _ in range(POLISH_ROUNDS):
         res = minimize(lambda x: _product_grad(to_lam(x)), x0, jac=True,
                        method="SLSQP", constraints=cons,
                        options={"maxiter": 80, "ftol": 1e-14})
@@ -581,14 +595,14 @@ def _compass(items, settings: OptimizerSettings) -> list:
     x = np.empty((total, 2 * m))
     x[:, 0::2] = lam0.real
     x[:, 1::2] = lam0.imag
-    step = np.full(total, settings.step_init)
-    weight = np.full(total, settings.penalty_weight)
+    step = np.full(total, STEP_INIT)
+    weight = np.full(total, PENALTY_WEIGHT)
     rows = _Rows([item[1] for item in items], settings.restarts * np.arange(len(items) + 1))
     x = _compass_chunk(x, step, weight, gens, rows, settings)
     return np.split(x[:, 0::2] + 1j * x[:, 1::2], len(items))
 
 
-def _finish(subset, coords, lam: np.ndarray, settings: OptimizerSettings):
+def _finish(subset, coords, lam: np.ndarray):
     """Rank the compass restarts lam (restarts, m) of one subset, polish and
     repair the best; returns the best certified NodeConfig, or None."""
     restarts = len(lam)
@@ -602,7 +616,7 @@ def _finish(subset, coords, lam: np.ndarray, settings: OptimizerSettings):
     # so only near-feasible restarts are ranked by product
     near = [r for r in range(restarts) if viol[r] <= NEAR_FEASIBLE_TOL]
     order = sorted(near, key=lambda r: (raw_vals[r], r))
-    candidates = [lam[r] for r in order[: max(settings.polish_top, 1)]]
+    candidates = [lam[r] for r in order[:POLISH_TOP]]
     candidates += [_polish(c, coords) for c in list(candidates)]
     repaired = [r for r in (_repair(c, coords) for c in candidates) if r is not None]
     if not repaired:
@@ -637,7 +651,7 @@ def _search_levels(levels, best_val: float, best_cfg, settings: OptimizerSetting
             for item, lam in zip(batch, _compass(batch, settings)):
                 if not unpruned(item):
                     continue
-                cfg = _finish(item[0], item[1], lam, settings)
+                cfg = _finish(item[0], item[1], lam)
                 if cfg is None:
                     logger.debug("subset %s: no feasible configuration found", item[0])
                 elif cfg.value < best_val:

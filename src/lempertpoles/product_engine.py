@@ -13,7 +13,6 @@ import numpy as np
 
 from .complex_kernel import moebius
 from .covering_domains import (
-    CoverExpr,
     PlaneDomain,
     build_cover,
     find_pole_with_value,
@@ -24,7 +23,6 @@ from .covering_domains import (
 from .disc_domain import (
     DiscExpr,
     EvalResult,
-    MoebiusExpr,
     PairExpr,
     PoleSet,
     RotationExpr,
@@ -34,26 +32,19 @@ from .interpolation import theorem5_certificates
 
 ROTATION_TOL = 1e-12
 EQUALITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ProductInstance:
-    """A product-domain instance: pole sets A x B and base point (z, w)."""
-
-    D: PlaneDomain
-    G: PlaneDomain
-    A: PoleSet
-    B: PoleSet
-    z: complex
-    w: complex
-
-    def __post_init__(self):
-        self.D.require_interior(self.z, "z")
-        self.G.require_interior(self.w, "w")
-        for j, a in enumerate(self.A):
-            self.D.require_interior(a, f"A[{j}]")
-        for j, b in enumerate(self.B):
-            self.G.require_interior(b, f"B[{j}]")
+# Theorem 5's slack ladder: the first rung sits SLACK above the upper bound,
+# each next one 8 times closer, down to SLACK_FLOOR
+SLACK = 1e-6
+SLACK_FLOOR = 2e-11
+# condition (4): lifts per point, the modulus match, and the distance from the
+# unit circle below which a lift carries no argument information
+LIFTS_PER_POINT = 200
+MODULUS_TOL = 1e-6
+RESOLVE_TOL = 1e-12
+# Prop. 10: the condition-(4) margin a pole set must exceed, and the most
+# seeded direction draws tried
+MARGIN_TOL = 1e-6
+MAX_RETRIES = 100
 
 
 @dataclass
@@ -77,30 +68,22 @@ def lempert_value(domain: PlaneDomain, A: PoleSet, z: complex) -> EvalResult:
     return lempert_poleset_plane(domain, A, z)
 
 
-def _extremal(domain: PlaneDomain, A: PoleSet, z: complex):
-    """Extremal disc through z hitting A, with its nodes and value."""
-    if domain.kind == "disc":
-        res = lempert_disc(A, z)
-        return MoebiusExpr(complex(z)), res.nodes, res.value
-    res = lempert_poleset_plane(domain, A, z)
-    return res.certificate, res.nodes, res.value
-
-
 def theorem5_bounds(D: PlaneDomain, G: PlaneDomain, A: PoleSet, b: complex,
-                    z: complex, w: complex, slack: float = 1e-6,
-                    slack_floor: float = 2e-11) -> BoundsReport:
+                    z: complex, w: complex) -> BoundsReport:
     """Two-sided estimate of l_{DxG}(A x {b}, (z, w)).
 
     lower = max(l_D(A,z), l_G^{#A}(b,w)); the upper bound
     max(l_D(A,z), l_G(b,w)) is certified constructively at alpha = upper +
-    slack, with the slack tightened geometrically (/8, down to slack_floor)
-    while the certificate construction keeps succeeding.  The whole ladder of
-    slacks is built in one Lemma-4 batch.  equality_flag reports whether
-    l_G(b,w) = l_G^{#A}(b,w) within 1e-10, the equality criterion for the
-    product property with #A-point pole sets.
+    slack, with the slack starting at SLACK and tightened geometrically (/8,
+    down to SLACK_FLOOR) while the certificate construction keeps
+    succeeding.  The whole ladder of slacks is built in one Lemma-4 batch.
+    equality_flag reports whether l_G(b,w) = l_G^{#A}(b,w) within 1e-10, the
+    equality criterion for the product property with #A-point pole sets.
     """
     N = len(A)
-    lD = lempert_value(D, A, z).value
+    # the extremal disc of l_D(A, z) with its nodes
+    resD = lempert_value(D, A, z)
+    phi, lam, lD = resD.certificate, resD.nodes, resD.value
     if G.kind == "disc":
         lG1 = lGN = abs(moebius(b, w))
     else:
@@ -109,15 +92,14 @@ def theorem5_bounds(D: PlaneDomain, G: PlaneDomain, A: PoleSet, b: complex,
     lower = max(lD, lGN)
     upper0 = max(lD, lG1)
 
-    phi, lam, p = _extremal(D, A, z)
-    psi, zeta_nodes, _ = _extremal(G, PoleSet(points=(b,), domain=G if G.kind != "disc" else None), w)
-    zeta = complex(zeta_nodes[0])
+    resG = lempert_value(G, PoleSet(points=(b,), domain=G), w)
+    psi, zeta = resG.certificate, complex(resG.nodes[0])
 
     ladder = []
-    s = slack
-    while s >= slack_floor:
+    s = SLACK
+    while s >= SLACK_FLOOR:
         cand = upper0 + s
-        if cand >= 1.0 or cand <= max(p, abs(zeta)):
+        if cand >= 1.0 or cand <= max(lD, abs(zeta)):
             break
         ladder.append(cand)
         s /= 8.0
@@ -315,8 +297,8 @@ def prop9_extend(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
     lA = lempert_value(D, A, z).value
     lB = lempert_value(G, B, w).value
     max_small = max(lA, lB)
-    union_A = PoleSet(points=tuple(A) + tuple(A1), domain=None if D.kind == "disc" else D)
-    union_B = PoleSet(points=tuple(B) + tuple(B1), domain=None if G.kind == "disc" else G)
+    union_A = PoleSet(points=tuple(A) + tuple(A1), domain=D)
+    union_B = PoleSet(points=tuple(B) + tuple(B1), domain=G)
     max_enlarged = max(lempert_value(D, union_A, z).value,
                        lempert_value(G, union_B, w).value)
     condition3 = gD * gG > q
@@ -338,34 +320,33 @@ def prop9_extend(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
     }
 
 
-def condition4_margin(cover_D, a1: complex, a2: complex, cover_G, b: complex,
-                      lifts_per_point: int = 200, modulus_tol: float = 1e-6,
-                      resolve_tol: float = 1e-12) -> float:
+def condition4_margin(cover_D, a1: complex, a2: complex, cover_G, b: complex) -> float:
     """Genericity margin of the lift-ratio condition over truncated lift sets.
 
     A rotated-cover coincidence requires xi_i = e^{i theta} eta_i with the
     SAME theta, hence both |xi_i| = |eta_i| and xi1/xi2 = eta1/eta2.  The
-    margin is min |xi1/xi2 - eta1/eta2| over pairs whose moduli match within
-    modulus_tol.  Lifts within resolve_tol of the unit circle are excluded:
+    margin is min |xi1/xi2 - eta1/eta2| over the LIFTS_PER_POINT smallest
+    lifts of each point, taken over pairs whose moduli match within
+    MODULUS_TOL.  Lifts within RESOLVE_TOL of the unit circle are excluded:
     their float positions collapse onto the circle and carry no argument
     information (the true ratios there accumulate trivially).  When no
     modulus-matched candidate exists the condition holds vacuously over the
     truncation and the margin is reported as 1.
     """
-    per_side = max(4, lifts_per_point // 2 + 2)
+    per_side = max(4, LIFTS_PER_POINT // 2 + 2)
 
     def resolved(cover, point):
         ls = cover.lifts(point, per_side)
-        keep = ls.delta > resolve_tol
-        return np.asarray(ls.eta[keep][:lifts_per_point]), ls.moduli[keep][:lifts_per_point]
+        keep = ls.delta > RESOLVE_TOL
+        return np.asarray(ls.eta[keep][:LIFTS_PER_POINT]), ls.moduli[keep][:LIFTS_PER_POINT]
 
     xi1, m1 = resolved(cover_D, a1)
     xi2, m2 = resolved(cover_D, a2)
     eta, mg = resolved(cover_G, b)
     pairs1 = [(i, k) for i in range(len(xi1)) for k in range(len(eta))
-              if abs(m1[i] - mg[k]) <= modulus_tol]
+              if abs(m1[i] - mg[k]) <= MODULUS_TOL]
     pairs2 = [(j, l) for j in range(len(xi2)) for l in range(len(eta))
-              if abs(m2[j] - mg[l]) <= modulus_tol]
+              if abs(m2[j] - mg[l]) <= MODULUS_TOL]
     margin = 1.0
     for i, k in pairs1:
         for j, l in pairs2:
@@ -374,17 +355,15 @@ def condition4_margin(cover_D, a1: complex, a2: complex, cover_G, b: complex,
 
 
 def prop10_construct(D: PlaneDomain, G: PlaneDomain, z: complex, w: complex,
-                     b: complex, N: int, seed: int = 0,
-                     lifts_per_point: int = 200, margin_tol: float = 1e-6,
-                     max_retries: int = 100):
+                     b: complex, N: int, seed: int = 0):
     """Pole set A_N in D with l_D(A_N, z) = l_G^N(b, w) for every truncation,
     with the genericity margin of the lift-ratio condition verified.
 
     Each a_k is placed on a seeded random ray from z at the level
     |eta_k(b, w)| (the k-th smallest lift modulus of b), so the partial
-    products match the covering formula term by term; directions are redrawn
-    until the ratio clouds of (a_1, a_2) against the lifts of b stay
-    margin_tol apart.
+    products match the covering formula term by term; directions are redrawn,
+    at most MAX_RETRIES times, until the ratio clouds of (a_1, a_2) against
+    the lifts of b stay MARGIN_TOL apart.
     """
     if G.is_simply_connected():
         raise ValueError("G must be non-simply connected")
@@ -401,7 +380,7 @@ def prop10_construct(D: PlaneDomain, G: PlaneDomain, z: complex, w: complex,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     margin = -1.0
     a_points = None
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         dirs = np.exp(2j * np.pi * rng.random(N))
         try:
             cand = [find_pole_with_value(D, z, float(tk), complex(dk), tol=1e-11)
@@ -410,19 +389,18 @@ def prop10_construct(D: PlaneDomain, G: PlaneDomain, z: complex, w: complex,
             continue
         if min(abs(cand[i] - cand[j]) for i in range(N) for j in range(i + 1, N)) < 1e-10:
             continue
-        margin = condition4_margin(cover_D, cand[0], cand[1], cover_G, b,
-                                   lifts_per_point)
-        if margin > margin_tol:
+        margin = condition4_margin(cover_D, cand[0], cand[1], cover_G, b)
+        if margin > MARGIN_TOL:
             a_points = cand
             break
     if a_points is None:
         raise RuntimeError(
-            f"condition (4) margin above {margin_tol} not attained in {max_retries} tries")
+            f"condition (4) margin above {MARGIN_TOL} not attained in {MAX_RETRIES} tries")
 
-    A_N = PoleSet(points=tuple(a_points), domain=D if D.kind != "disc" else None)
+    A_N = PoleSet(points=tuple(a_points), domain=D)
     equal_errors = []
     for k in range(1, N + 1):
-        Ak = PoleSet(points=tuple(a_points[:k]), domain=D if D.kind != "disc" else None)
+        Ak = PoleSet(points=tuple(a_points[:k]), domain=D)
         lDk = lempert_value(D, Ak, z).value
         lGk = lempert_N_plane(G, b, w, k).value
         equal_errors.append(abs(lDk - lGk))
@@ -436,7 +414,7 @@ def prop10_construct(D: PlaneDomain, G: PlaneDomain, z: complex, w: complex,
         "bounds_upper": bounds.upper,
         "l_G_N": lGN,
         "q": lGN / bounds.upper if bounds.upper > 0 else None,
-        "paper_strict": margin > margin_tol,
+        "paper_strict": margin > MARGIN_TOL,
     }
     return A_N, report
 
@@ -454,8 +432,7 @@ def prop11_construct(D: PlaneDomain, G: PlaneDomain, z: complex, w: complex,
     l_extra = lempert_value(D, extra, z).value
     if l_extra <= q:
         raise ValueError(f"l_D(extra, z) = {l_extra} <= q = {q}")
-    union = PoleSet(points=tuple(A2) + tuple(extra),
-                    domain=D if D.kind != "disc" else None)
+    union = PoleSet(points=tuple(A2) + tuple(extra), domain=D)
     l_union = lempert_value(D, union, z).value
     gG = _green_value(G, b, w)
     lG2 = rep10["l_G_N"]

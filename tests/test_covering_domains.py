@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -87,9 +88,10 @@ def test_cover_maps_sampled_points_into_domain():
 
 
 def test_deck_invariance_of_moduli():
-    # shifted base lifts must reproduce the modulus multiset; shifts are kept
-    # within the float-resolved range of the deck orbit (deeper annulus
-    # translates collapse onto the unit circle and carry no position data)
+    # a cover normalized at a deck-translated base lift must reproduce the
+    # modulus multiset; shifts are kept within the float-resolved range of
+    # the deck orbit (deeper annulus translates collapse onto the unit circle
+    # and carry no position data)
     for dom, shifts in ((PlaneDomain("punctured"), (1, -2)),
                         (PlaneDomain("annulus", R=0.25), (1,))):
         lo = 0.1 if dom.kind == "punctured" else 0.35
@@ -97,21 +99,12 @@ def test_deck_invariance_of_moduli():
         a = (lo + 0.3) * np.exp(1.3j)
         m0 = preimage_moduli(cover, a, K=9)
         for shift in shifts:
-            m1 = preimage_moduli(cover, a, K=9, base_shift=shift)
+            k = cover.base_winding + shift
+            s, zeta, om = cover._raw_lift_data(cover.base_point, np.array([k]))
+            shifted = dataclasses.replace(cover, base_winding=k, base_s=complex(s[0]),
+                                          base_lift=complex(zeta[0]), _c0=float(om[0]))
+            m1 = preimage_moduli(shifted, a, K=9)
             assert np.max(np.abs(m0 - m1)) < 1e-10
-
-
-def test_unresolvable_base_shift_raises():
-    # on Annulus(0.9999) the deck-shifted base lift rounds onto the unit
-    # circle, 1 - |zeta0|^2 = 0.0, and would turn every modulus into 0/0
-    cover = build_cover(PlaneDomain("annulus", R=0.9999), 0.99995)
-    a = 0.99993 + 1e-4j
-    assert np.all(np.isfinite(preimage_moduli(cover, a, K=3)))
-    for shift in (1, -1):
-        with pytest.raises(ValueError, match=f"base_shift={shift} is unresolvable"):
-            cover.lifts(a, 3, base_shift=shift)
-        with pytest.raises(ValueError, match="unresolvable"):
-            preimage_moduli(cover, a, K=3, base_shift=shift)
 
 
 def test_moduli_increase_to_one_with_annulus_exponential_rate():
@@ -165,9 +158,9 @@ def test_lempert_N_stops_enumerating_once_deficits_underflow(monkeypatch, R, a, 
     windows = []
     lifts = CoverMap.lifts
 
-    def counting_lifts(self, a, per_side, base_shift=0):
+    def counting_lifts(self, a, per_side):
         windows.append(per_side)
-        return lifts(self, a, per_side, base_shift)
+        return lifts(self, a, per_side)
 
     monkeypatch.setattr(CoverMap, "lifts", counting_lifts)
     res = lempert_N_plane(dom, a, z, N)
@@ -245,9 +238,9 @@ def test_green_enumerates_lifts_once(monkeypatch):
     windows, windings = [], []
     lifts, punct_strip = CoverMap.lifts, cd._punct_strip
 
-    def counting_lifts(self, a, per_side, base_shift=0):
+    def counting_lifts(self, a, per_side):
         windows.append(per_side)
-        return lifts(self, a, per_side, base_shift)
+        return lifts(self, a, per_side)
 
     def counting_strip(a, ks):
         windings.append(len(ks))

@@ -110,6 +110,15 @@ def test_zero_entry_reduction_below_old_alpha_floor(mu, q):
     assert abs(complex(sol.f.eval(0.0))) < 1e-14
 
 
+@pytest.mark.parametrize("q", [1e-12, 1e-100])
+def test_small_q_product_is_met_relatively(q):
+    # below q = 0.01 the bisection stop is relative, so the node product
+    # meets q to 1e-9 relative, not only to BISECT_TOL = 1e-11 absolute
+    sol = lemma4_solve(Lemma4Problem(mu=(0j, 0.5), q=q))
+    product = float(np.prod(np.abs(np.asarray(sol.eta))))
+    assert abs(product - q) <= 1e-9 * q
+
+
 def test_all_zero_targets():
     sol = lemma4_solve(Lemma4Problem(mu=(0j, 0j, 0j), q=0.75))
     assert sol.residual < 1e-9 and sol.product_error < 1e-9

@@ -447,8 +447,9 @@ def test_compass_directions_are_per_iteration_draws(monkeypatch, m):
     d, ndir = 2 * m, 4 * m + 2
     iterations = 3 * DIRECTION_BLOCK + 1
     step0 = np.array([1.0, 2.0 ** -20, 2.0 ** -27])  # two drop out mid-block
-    settings = OptimizerSettings(max_iterations=iterations, tolerance=2.0 ** -30,
-                                 step_decay=0.5)
+    monkeypatch.setattr(node_optimizer, "TOLERANCE", 2.0 ** -30)
+    monkeypatch.setattr(node_optimizer, "STEP_DECAY", 0.5)
+    settings = OptimizerSettings(max_iterations=iterations)
     calls = []
 
     def spy(lam, rows, weight, thr=None):
@@ -463,7 +464,7 @@ def test_compass_directions_are_per_iteration_draws(monkeypatch, m):
     ref_gens = [np.random.default_rng(100 + r) for r in range(n)]
     for it, lam in enumerate(calls[1:]):
         steps = step0 * 0.5 ** it
-        active = np.nonzero(steps >= settings.tolerance)[0]
+        active = np.nonzero(steps >= node_optimizer.TOLERANCE)[0]
         lam = lam.reshape(len(active), ndir + 1, m)[:, :ndir]
         for i, r in enumerate(active):
             got = np.empty((ndir, d))
@@ -488,9 +489,10 @@ def _level_items(kind):
 
 
 @pytest.mark.parametrize("kind", ["disc", "annulus"])
-def test_lockstep_batch_reproduces_each_solo_run(kind):
+def test_lockstep_batch_reproduces_each_solo_run(monkeypatch, kind):
     # the ramp is brought forward so that the re-evaluation after it runs too
-    settings = OptimizerSettings(restarts=6, seed=5, max_iterations=160, penalty_ramp_every=60)
+    monkeypatch.setattr(node_optimizer, "PENALTY_RAMP_EVERY", 60)
+    settings = OptimizerSettings(restarts=6, seed=5, max_iterations=160)
     items = _level_items(kind)
     batch = _compass(items, settings)
     for item, got in zip(items, batch):

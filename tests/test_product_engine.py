@@ -9,7 +9,6 @@ from lempertpoles.disc_domain import PoleSet, lempert_disc
 from lempertpoles.interpolation import theorem5_certificate
 from lempertpoles.product_engine import (
     BoundsReport,
-    ProductInstance,
     corollary8_sample,
     prop9_extend,
     prop10_construct,
@@ -63,24 +62,23 @@ def test_theorem5_pole_through_base():
     assert rep.meta["certificate_residual"] < 1e-9
 
 
-def _sequential_ladder(D, G, A, b, z, w, slack=1e-6, slack_floor=2e-11):
+def _sequential_ladder(D, G, A, b, z, w):
     """Theorem 5's slack ladder built one rung at a time through
     theorem5_certificate, stopping at the first rung that raises: the loop
     that theorem5_bounds's one batch must reproduce.  Returns the repr of the
     upper bound, the nodes, the certificate at 0 and at every node, and the
     certificate residual."""
-    lD = pe.lempert_value(D, A, z).value
+    resD = pe.lempert_value(D, A, z)
+    phi, lam, lD = resD.certificate, resD.nodes, resD.value
     lG1 = abs(moebius(b, w)) if G.kind == "disc" else lempert_N_plane(G, b, w, 1).value
     upper0 = max(lD, lG1)
-    phi, lam, p = pe._extremal(D, A, z)
-    psi, zeta_nodes, _ = pe._extremal(
-        G, PoleSet(points=(b,), domain=G if G.kind != "disc" else None), w)
-    zeta = complex(zeta_nodes[0])
+    resG = pe.lempert_value(G, PoleSet(points=(b,), domain=G), w)
+    psi, zeta = resG.certificate, complex(resG.nodes[0])
     xi = eta = alpha = None
-    s = slack
-    while s >= slack_floor:
+    s = pe.SLACK
+    while s >= pe.SLACK_FLOOR:
         cand = upper0 + s
-        if cand >= 1.0 or cand <= max(p, abs(zeta)):
+        if cand >= 1.0 or cand <= max(lD, abs(zeta)):
             break
         try:
             xi, eta = theorem5_certificate(phi, lam, psi, zeta, cand)
@@ -307,10 +305,3 @@ def test_prop11_rejects_weak_extra():
     weak = PoleSet(points=(0.6 * np.exp(1.5j),), domain=D)
     with pytest.raises(ValueError, match="<= q"):
         prop11_construct(D, G, z, w, b, weak, seed=0)
-
-
-def test_product_instance_validation():
-    with pytest.raises(ValueError):
-        ProductInstance(D=DISC, G=PlaneDomain("annulus", R=0.3),
-                        A=PoleSet(points=(0.5,)), B=PoleSet(points=(0.2,)),
-                        z=0.0, w=0.5)  # B[0]=0.2 outside the annulus
