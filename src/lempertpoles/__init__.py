@@ -6,7 +6,7 @@ from .complex_kernel import (
     pick_margin,
     solve_node_quadratic,
 )
-from .disc_domain import EvalResult, PoleSet, green_disc, lempert_disc, lempert_disc_N
+from .disc_domain import EvalResult, PoleSet
 from .covering_domains import (
     CoverMap,
     PlaneDomain,
@@ -60,11 +60,8 @@ __all__ = [
     "build_cover",
     "curves_gh",
     "find_pole_with_value",
-    "green_disc",
     "green_plane",
     "lempert_N_plane",
-    "lempert_disc",
-    "lempert_disc_N",
     "lempert_poleset_plane",
     "lemma4_solve",
     "lemma4_solve_batch",

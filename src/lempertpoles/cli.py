@@ -22,14 +22,14 @@ from .covering_domains import (
     find_pole_with_value,
     green_plane,
     lempert_N_plane,
+    lempert_poleset_plane,
     parse_domain,
 )
-from .disc_domain import PoleSet, green_disc, lempert_disc, lempert_disc_N
+from .disc_domain import PoleSet
 from .interpolation import Lemma4Problem, lemma4_solve
 from .node_optimizer import OptimizerSettings, bidisc_lempert
 from .product_engine import (
     corollary8_sample,
-    lempert_value,
     prop9_extend,
     prop10_construct,
     prop11_construct,
@@ -145,17 +145,14 @@ def _cmd_eval(args) -> tuple:
             pts = tuple(parse_complex_list(args.poles))
             A = PoleSet(points=pts, domain=domain)
             if args.green:
-                if domain.kind == "disc":
-                    value, tail = green_disc(A, z), 0.0
-                else:
-                    value = tail = 0.0
-                    for a in A:
-                        v, tb = green_plane(domain, a, z)
-                        value = v if value == 0.0 else value * v
-                        tail += tb
+                value, tail = 1.0, 0.0
+                for a in A:
+                    v, tb = green_plane(domain, a, z)
+                    value *= v
+                    tail += tb
                 rows.append({"at": format_complex(z), "value": value, "tail_bound": tail})
             else:
-                res = lempert_value(domain, A, z)
+                res = lempert_poleset_plane(domain, A, z)
                 rows.append({"at": format_complex(z), "value": res.value})
                 certificate = res
         elif args.pole:
@@ -164,9 +161,7 @@ def _cmd_eval(args) -> tuple:
                 value, tail = green_plane(domain, a, z)
                 rows.append({"at": format_complex(z), "value": value, "tail_bound": tail})
             else:
-                N = args.N or 1
-                res = lempert_disc_N(a, z, N) if domain.kind == "disc" \
-                    else lempert_N_plane(domain, a, z, N)
+                res = lempert_N_plane(domain, a, z, args.N or 1)
                 rows.append({"at": format_complex(z), "value": res.value})
                 certificate = res
         else:
@@ -214,7 +209,8 @@ def _cmd_bidisc(args) -> tuple:
             rotation = t7.rotation
         except ValueError:
             rotation = None
-    floor = max(lempert_disc(A, z).value, lempert_disc(B, w).value)
+    disc = PlaneDomain("disc")
+    floor = max(lempert_poleset_plane(disc, A, z).value, lempert_poleset_plane(disc, B, w).value)
     rep = _report("bidisc", {"A": args.A, "B": args.B, "z": args.z, "w": args.w,
                              "restarts": args.restarts},
                   t0, seed=args.seed,
@@ -251,8 +247,17 @@ def _cmd_bounds(args) -> tuple:
     return out, 0, False
 
 
+# the flags without a default that each counterexample kind reads
+_COUNTEREXAMPLE_FLAGS = {"cor8": ("A", "B"), "prop9": ("A", "B", "A1", "B1", "q"),
+                         "prop10": ("b",), "prop11": ("b", "extra")}
+
+
 def _cmd_counterexample(args) -> tuple:
     t0 = time.perf_counter()
+    missing = [f"--{f}" for f in _COUNTEREXAMPLE_FLAGS.get(args.kind, ())
+               if getattr(args, f) is None]
+    if missing:
+        raise CliError(f"counterexample --kind {args.kind} needs {', '.join(missing)}")
     if args.kind == "cor8":
         A = PoleSet(points=tuple(parse_complex_list(args.A)))
         B = PoleSet(points=tuple(parse_complex_list(args.B)))
@@ -261,7 +266,7 @@ def _cmd_counterexample(args) -> tuple:
         rep = _report("counterexample", {"kind": "cor8", "A": args.A, "B": args.B,
                                          "z": args.z, "count": args.count},
                       t0, seed=args.seed,
-                      value=lempert_disc(A, z).value,
+                      value=lempert_poleset_plane(PlaneDomain("disc"), A, z).value,
                       samples=[{"w": format_complex(s.w),
                                 "level_residual": s.level_residual,
                                 "automorphism": s.automorphism} for s in samples])
@@ -270,8 +275,8 @@ def _cmd_counterexample(args) -> tuple:
     G = parse_domain(args.G)
     z = parse_complex(args.z)
     w = parse_complex(args.w)
-    b = parse_complex(args.b)
     if args.kind == "prop10":
+        b = parse_complex(args.b)
         A_N, rep10 = prop10_construct(D, G, z, w, b, N=args.N, seed=args.seed)
         rep = _report("counterexample", {"kind": "prop10", "D": args.D, "G": args.G,
                                          "z": args.z, "w": args.w, "b": args.b,
@@ -280,6 +285,7 @@ def _cmd_counterexample(args) -> tuple:
                       poles=[format_complex(a) for a in A_N], report=rep10)
         return rep, 0, False
     if args.kind == "prop11":
+        b = parse_complex(args.b)
         extra = PoleSet(points=tuple(parse_complex_list(args.extra)), domain=D)
         rep11 = prop11_construct(D, G, z, w, b, extra, seed=args.seed)
         rep11 = {k: ([format_complex(v) for v in val] if k == "A2" else val)

@@ -1,13 +1,18 @@
-"""Universal covers of the punctured disc and annulus, preimage enumeration,
+"""Universal covers of the plane domains, preimage enumeration,
 covering-product evaluators and the Green function by truncated products.
 
-The cover of the punctured disc sends the disc through the Cayley map to the
-left half plane and exponentiates; the annulus cover goes through a rotated
-logarithmic strip.  Lifts are enumerated by winding number and carried in
-strip coordinates `s`, where 1-|zeta|^2 has a closed form.  That matters:
-high-winding lifts have disc coordinates within 1e-16 of the unit circle, so
-all moduli and products are computed from `s`, never from the rounded disc
-representation.
+l_D(A, z) is the product, over the poles, of each pole's smallest lift
+modulus through the normalized cover pi_z with pi_z(0) = z.  The disc is the
+trivial cover: pi_z = Phi_z, and each point has the one lift Phi_z(a), so the
+covering formula is the Moebius product.  This is the only module that treats
+the disc apart; every caller evaluates all three domains through the same
+functions.  The cover of the punctured disc sends the disc through the Cayley
+map to the left half plane and exponentiates; the annulus cover goes through
+a rotated logarithmic strip.  Their lifts are enumerated by winding number
+and carried in strip coordinates `s`, where 1-|zeta|^2 has a closed form.
+That matters: high-winding lifts have disc coordinates within 1e-16 of the
+unit circle, so all moduli and products are computed from `s`, never from the
+rounded disc representation.
 
 Every winding enumeration goes through one geometric window search, capped at
 LIFTS_PER_SIDE_MAX windings per side.  The K smallest lifts are searched from
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma
 
-from .complex_kernel import moebius
+from .complex_kernel import moebius, moebius_error
 from .disc_domain import DiscExpr, EvalResult, PoleSet
 
 ANNULUS_R_MIN = 1e-6
@@ -98,7 +103,10 @@ class LiftSet:
     eta: lift positions in the disc of the normalized cover (floats round
     toward the unit circle for large windings).  delta = 1 - |eta| and
     log_modulus = log|eta| are computed stably from strip coordinates and
-    stay meaningful down to 1e-300.
+    stay meaningful down to 1e-300.  moduli is |eta| to a few ulps where
+    |eta| < 2^-1/2, and 1 - delta nearer the circle.  err bounds the rounding
+    of each float eta: `moebius_error` on the disc, 0.0 on plane domains,
+    whose bound is not computed yet.
     """
 
     windings: np.ndarray
@@ -106,15 +114,8 @@ class LiftSet:
     eta: np.ndarray
     delta: np.ndarray
     log_modulus: np.ndarray
-
-    def sorted_by_modulus(self) -> "LiftSet":
-        order = np.argsort(-self.delta, kind="stable")
-        return LiftSet(self.windings[order], self.s[order], self.eta[order],
-                       self.delta[order], self.log_modulus[order])
-
-    @property
-    def moduli(self) -> np.ndarray:
-        return 1.0 - self.delta
+    moduli: np.ndarray
+    err: np.ndarray
 
 
 def _punct_strip(a: complex, ks: np.ndarray) -> np.ndarray:
@@ -199,9 +200,9 @@ class CoverMap:
 
     # -- raw cover -----------------------------------------------------
     def eval_raw(self, zeta):
-        zeta = np.asarray(zeta, dtype=complex)
         if self.domain.kind == "disc":
             return zeta
+        zeta = np.asarray(zeta, dtype=complex)
         rot = np.exp(1j * self.rotation)
         if self.domain.kind == "punctured":
             return rot * np.exp((zeta + 1.0) / (zeta - 1.0))
@@ -238,11 +239,13 @@ class CoverMap:
         by modulus."""
         a = self.domain.require_interior(a, "a")
         if self.domain.kind == "disc":
-            eta = np.array([moebius(self.base_lift, complex(a))])
-            am = abs(eta[0])
-            delta = np.array([1.0 - am])
+            # the identity cover: the one lift Phi_z(a)
+            eta = moebius(self.base_lift, a)
+            am = abs(eta)
             logm = math.log(am) if am > 0 else -math.inf
-            return LiftSet(np.array([0]), np.array([0j]), eta, delta, np.array([logm]))
+            return LiftSet(np.array([0]), np.array([0j]), np.array([eta]), np.array([1.0 - am]),
+                           np.array([logm]), np.array([am]),
+                           np.array([moebius_error(self.base_lift, a)]))
         zeta0, c0 = self.base_lift, self._c0
         ks = np.arange(-per_side, per_side + 1)
         s, zeta, om = self._raw_lift_data(a, ks)
@@ -260,7 +263,11 @@ class CoverMap:
             logm = np.where(near, np.log(np.maximum(rho, 1e-300)),
                             0.5 * np.log1p(-u))
             logm = np.where((rho == 0.0), -np.inf, logm)
-        return LiftSet(ks, s, eta, delta, logm).sorted_by_modulus()
+        # 1 - (1 - rho) would lose the leading digits of small moduli
+        moduli = np.where(near, rho, 1.0 - delta)
+        order = np.argsort(-delta, kind="stable")
+        return LiftSet(ks[order], s[order], eta[order], delta[order], logm[order], moduli[order],
+                       np.zeros(len(ks)))
 
     def min_lift_log_modulus(self, a: complex) -> float:
         """log of the smallest lift modulus, i.e. log l_D(a, z)."""
@@ -310,8 +317,12 @@ def _smallest_lifts(cover: CoverMap, a: complex, K: int) -> LiftSet:
 
     Deficits fall with the winding, so the window holds them once the K-th
     deficit exceeds both edge deficits, or has underflowed to 0.0: every lift
-    outside then has deficit 0.0 and log-modulus 0 too.
+    outside then has deficit 0.0 and log-modulus 0 too.  The disc has its one
+    lift.
     """
+    if cover.domain.kind == "disc":
+        return cover.lifts(a, 0)
+
     def holds_K(per_side):
         ls = cover.lifts(a, per_side)
         d = ls.delta
@@ -322,8 +333,6 @@ def _smallest_lifts(cover: CoverMap, a: complex, K: int) -> LiftSet:
 
 def preimage_moduli(cover: CoverMap, a: complex, K: int) -> np.ndarray:
     """The K smallest moduli of the lifts of a through pi_z, ascending."""
-    if cover.domain.kind == "disc":
-        return cover.lifts(a, 1).moduli[:K]
     return _smallest_lifts(cover, a, K).moduli[:K]
 
 
@@ -341,10 +350,6 @@ def lempert_N_plane(domain: PlaneDomain, a: complex, z: complex, N: int) -> Eval
     if abs(a - z) < 1e-12:
         return EvalResult(value=0.0, certificate=CoverExpr(cover), nodes=(0.0 + 0.0j,),
                           meta={"N": N, "degenerate": True})
-    if domain.kind == "disc":
-        ls = cover.lifts(a, 1)
-        return EvalResult(value=float(ls.moduli[0]), certificate=CoverExpr(cover),
-                          nodes=tuple(ls.eta[:1]), meta={"N": N})
     ls = _smallest_lifts(cover, a, N)
     log_value = float(np.sum(ls.log_modulus[:N]))
     # lifts that round onto the circle are pulled radially to modulus
@@ -352,7 +357,9 @@ def lempert_N_plane(domain: PlaneDomain, a: complex, z: complex, N: int) -> Eval
     # deficits are in meta
     eta, am, cap = ls.eta[:N], np.abs(ls.eta[:N]), 1.0 - 2.0 ** -50
     nodes = np.where(am > cap, eta * (cap / am), eta)
-    return EvalResult(value=math.exp(log_value), certificate=CoverExpr(cover),
+    # the disc's one lift is its value, without the round trip through log
+    value = float(ls.moduli[0]) if domain.kind == "disc" else math.exp(log_value)
+    return EvalResult(value=value, certificate=CoverExpr(cover),
                       nodes=tuple(nodes),
                       meta={"N": N, "log_value": log_value,
                             "moduli": ls.moduli[:N].tolist(),
@@ -499,7 +506,7 @@ def green_plane(domain: PlaneDomain, a: complex, z: complex,
     product of all preimage moduli.
 
     The true value lies in [value*(1-tail_bound), value*(1+tail_bound)].
-    Punctured disc: winding tails are bracketed exactly through digamma sums.
+    Disc: the one lift, |Phi_a(z)|, with no tail.  Punctured disc: winding tails are bracketed exactly through digamma sums.
     Annulus: lift moduli approach 1 at the geometric rate exp(-2 pi^2/L), so
     an explicit geometric majorant certifies the truncation.
     """

@@ -1,8 +1,8 @@
-"""Closed-form Lempert/Green evaluators on the unit disc and the analytic-disc
-expression tree used for certificates.
+"""The analytic-disc expression tree used for certificates, and the pole-set
+and result containers shared by the evaluators.
 
-On the disc the Schwarz-Pick lemma gives the product-of-Moebius-moduli
-formula, and extremal discs are automorphisms sending 0 to the base point.
+The evaluators themselves live in `covering_domains`, where the disc is the
+trivial cover of the covering formula.
 """
 
 from __future__ import annotations
@@ -160,45 +160,3 @@ class EvalResult:
     certificate: DiscExpr | None = None
     nodes: tuple = field(default_factory=tuple)
     meta: dict = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# Disc evaluators
-# ---------------------------------------------------------------------------
-
-
-def lempert_disc(A: PoleSet, z: complex) -> EvalResult:
-    """Lempert function of the disc with pole set A at z.
-
-    Value prod_{a in A} |Phi_a(z)|; the certificate is the automorphism
-    r = Phi_z with r(0) = z, whose nodes r^{-1}(a) = Phi_z(a) have moduli
-    multiplying to the value.  Poles within 1e-12 of z count as exact hits.
-    """
-    z = require_disc_point(z, "z")
-    nodes = tuple(complex(moebius(z, a)) for a in A)
-    nodes = tuple(0.0 + 0.0j if abs(n) < POLE_HIT_TOL else n for n in nodes)
-    value = float(np.prod([abs(n) for n in nodes]))
-    return EvalResult(value=value, certificate=MoebiusExpr(z), nodes=nodes)
-
-
-def lempert_disc_N(a: complex, z: complex, N: int) -> EvalResult:
-    """N-visit Lempert function of the disc: |Phi_a(z)| for every N.
-
-    The extremal disc is a Blaschke product of degree <= N sending 0 to z;
-    one visit already attains the value, so the degree-1 automorphism Phi_z
-    certifies it.
-    """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    a = require_disc_point(a, "a")
-    z = require_disc_point(z, "z")
-    node = complex(moebius(z, a))
-    if abs(node) < POLE_HIT_TOL:
-        node = 0.0 + 0.0j
-    return EvalResult(value=abs(node), certificate=MoebiusExpr(z), nodes=(node,),
-                      meta={"N": N})
-
-
-def green_disc(A: PoleSet, z: complex) -> float:
-    """Pluricomplex Green function of the disc; coincides with lempert_disc."""
-    return lempert_disc(A, z).value

@@ -2,11 +2,12 @@
 
 A configuration assigns one disc node per selected pole pair; it certifies an
 upper bound when, for each coordinate, the interpolation problem
-(0 -> base, node -> pole data) admits an analytic self-map of the disc.  Disc
-coordinates use the Pick criterion directly; plane-domain coordinates ask the
-node to be sent to some lift of the pole through the normalized cover, which
-again is a Pick problem once the lift assignment is chosen (a sufficient
-family of maps cover o h with h(0) = 0).
+(0 -> base, node -> pole data) admits an analytic self-map of the disc.  Each
+coordinate asks the node to be sent to some lift of the pole through the
+normalized cover, which is a Pick problem once the lift assignment is chosen
+(a sufficient family of maps cover o h with h(0) = 0).  On the disc the
+cover is Phi_base and each pole has the one lift Phi_base(p), so its targets
+are fixed and its Pick numerators are formed once per subset.
 
 The search over node space runs random-direction compass descent with an
 eigenvalue penalty max(0, -lambda_min) from many seeded restarts.  Its
@@ -46,8 +47,8 @@ value has the same bits as with eigvalsh of every matrix.
 
 Subsets.  One search, `mixed_product_upper`, serves every pair of factor
 domains; `bidisc_lempert` is that search on disc x disc.  Each factor's poles
-are moved to base point 0 once, and each pole projected into the disc (its
-disc target, or its smallest lift).  A single pair has the exact value
+are moved to base point 0 once, and each pole projected into the disc by its
+smallest lift.  A single pair has the exact value
 max(|t_A|, |t_B|) of its projected poles by the Schwarz lemma, which is also
 its closed-form lower bound, so no single pair enters the compass.  The
 subsets of 2 to MAX_SUBSET_SIZE pairs are searched size by size, and a subset
@@ -82,8 +83,6 @@ from scipy.optimize import minimize
 
 from .complex_kernel import (
     cholesky_succeeds,
-    moebius,
-    moebius_error,
     pick_margin,
     solve_node_quadratic,
 )
@@ -172,47 +171,50 @@ def _one_minus_outer(X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Coord:
-    """One coordinate of the product: fixed disc targets or lift candidates,
-    with each pole projected into the disc (its target, or its smallest lift)."""
+    """One coordinate of the product: per pole its candidate targets, the
+    smallest lifts through the normalized cover in ascending modulus (one on
+    the disc), with a rounding bound per candidate.  Each pole is projected
+    into the disc by its smallest lift."""
 
-    kind: str                      # "disc" | "plane"
-    targets: np.ndarray | None     # (m,) for disc coordinates
-    lift_candidates: list | None   # per node: (n_lifts,) complex arrays, ascending modulus
-    target_err: np.ndarray | float = 0.0  # Moebius rounding; lifts are exact data
+    lifts: np.ndarray     # (m, n) candidate targets per pole
+    lift_err: np.ndarray  # (m, n) bounds on their rounding
 
     def __post_init__(self):
-        if self.kind == "disc":
-            self.proj = self.targets
-            # fixed targets give node-independent Pick numerators
-            self._num = _one_minus_outer(self.targets[None, :])
-        else:
-            self.proj = np.array([c[0] for c in self.lift_candidates])
+        self.proj = self.lifts[:, 0]
+        # poles with one candidate each give node-independent Pick numerators
+        self._num = _one_minus_outer(self.proj[None, :]) if self.lifts.shape[1] == 1 else None
 
     def take(self, idx: list) -> "_Coord":
         """The coordinate of the poles idx."""
-        if self.kind == "disc":
-            return _Coord("disc", self.targets[idx], None, self.target_err[idx])
-        return _Coord("plane", None, [self.lift_candidates[i] for i in idx])
+        return _Coord(self.lifts[idx], self.lift_err[idx])
+
+    def _choice(self, lam: np.ndarray):
+        """Index into lifts of the target of each node of lam (B, m): the
+        nearest candidate of its pole not larger than the node (greedy)."""
+        B, m = lam.shape
+        idx = np.zeros((B, m), dtype=np.intp)
+        if self._num is None:
+            for j in range(m):
+                nu = self.lifts[j]
+                d = np.abs((lam[:, j, None] - nu[None, :])
+                           / (1.0 - np.conj(lam[:, j, None]) * nu[None, :]))
+                # lifts larger than the node cannot be hit by a map fixing 0
+                bad = np.abs(nu)[None, :] > np.abs(lam[:, j, None]) + 1e-12
+                d = np.where(bad, d + 10.0, d)
+                idx[:, j] = np.argmin(d, axis=1)
+        return np.arange(m), idx
 
     def batch_targets(self, lam: np.ndarray) -> np.ndarray:
-        """Targets per configuration; greedy nearest-lift for plane kind."""
-        B, m = lam.shape
-        if self.kind == "disc":
-            return np.broadcast_to(self.targets, (B, m))
-        out = np.empty((B, m), dtype=complex)
-        for j in range(m):
-            nu = self.lift_candidates[j]
-            d = np.abs((lam[:, j, None] - nu[None, :])
-                       / (1.0 - np.conj(lam[:, j, None]) * nu[None, :]))
-            # lifts larger than the node cannot be hit by a map fixing 0
-            bad = np.abs(nu)[None, :] > np.abs(lam[:, j, None]) + 1e-12
-            d = np.where(bad, d + 10.0, d)
-            out[:, j] = nu[np.argmin(d, axis=1)]
-        return out
+        """Targets per configuration of lam (B, m)."""
+        return self.lifts[self._choice(lam)]
+
+    def target_err(self, lam: np.ndarray) -> np.ndarray:
+        """Rounding bounds of batch_targets(lam)."""
+        return self.lift_err[self._choice(lam)]
 
     def pick_num(self, lam: np.ndarray) -> np.ndarray:
-        """Pick numerators, (1, m+1, m+1) for disc kind, else one per row."""
-        if self.kind == "disc":
+        """Pick numerators, (1, m+1, m+1) for fixed targets, else one per row."""
+        if self._num is not None:
             return self._num
         return _one_minus_outer(self.batch_targets(lam))
 
@@ -357,7 +359,7 @@ def _margins(nodes: np.ndarray, coords: list) -> np.ndarray:
     base pair 0 -> 0 prepended to the nodes and targets."""
     lam = np.concatenate([[0j], nodes])
     targets = [np.concatenate([[0j], c.batch_targets(nodes[None, :])[0]]) for c in coords]
-    errors = [np.concatenate([[0.0], np.broadcast_to(c.target_err, nodes.shape)]) for c in coords]
+    errors = [np.concatenate([[0.0], c.target_err(nodes[None, :])[0]]) for c in coords]
     return pick_margin(np.broadcast_to(lam, (len(coords), len(lam))), np.array(targets),
                        np.array(errors))
 
@@ -675,14 +677,11 @@ def _subset_lower_bound(reduced_targets) -> float:
 
 def _factor_coord(domain: PlaneDomain, poles: PoleSet, base: complex) -> _Coord:
     """The coordinate of all poles of one factor, moved to base point 0: the
-    disc targets Phi_base(p) with their rounding bounds, or the 6 smallest
-    lifts of each pole through the normalized cover."""
-    if domain.kind == "disc":
-        return _Coord("disc", np.array([complex(moebius(base, p)) for p in poles]), None,
-                      moebius_error(base, list(poles)))
+    6 smallest lifts of each pole through the normalized cover, with their
+    rounding bounds (the disc has one lift, Phi_base(p))."""
     cover = build_cover(domain, base)
-    return _Coord("plane", None, [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex)
-                                  for p in poles])
+    lifts = [cover.lifts(p, 6) for p in poles]
+    return _Coord(np.array([ls.eta[:6] for ls in lifts]), np.array([ls.err[:6] for ls in lifts]))
 
 
 def _pair_level(ca: _Coord, cb: _Coord, size: int) -> list:
@@ -703,10 +702,10 @@ def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
     cover-composed disc maps, minimized over nonempty subsets of pole pairs;
     returns (config, value).
 
-    Each factor is moved to base point 0: disc coordinates by Phi_z (Phi_w),
-    plane-domain coordinates through the normalized cover, where a node may
-    go to any of the 6 smallest lifts of its pole (greedy nearest-lift
-    assignment inside the search).  A single pair has the exact value
+    Each factor is moved to base point 0 through its normalized cover, where
+    a node may go to any of the 6 smallest lifts of its pole (greedy
+    nearest-lift assignment inside the search; the disc has one lift,
+    Phi_z(a) or Phi_w(b)).  A single pair has the exact value
     max(|t_A|, |t_B|) of its projected poles t, by the Schwarz lemma; subsets
     of 2 to MAX_SUBSET_SIZE pairs run the compass/polish/repair search, and
     those whose closed-form lower bound cannot beat the best value so far are

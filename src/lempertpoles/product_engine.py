@@ -22,11 +22,9 @@ from .covering_domains import (
 )
 from .disc_domain import (
     DiscExpr,
-    EvalResult,
     PairExpr,
     PoleSet,
     RotationExpr,
-    lempert_disc,
 )
 from .interpolation import theorem5_certificates
 
@@ -61,13 +59,6 @@ class BoundsReport:
             raise RuntimeError("lower bound exceeds upper bound")
 
 
-def lempert_value(domain: PlaneDomain, A: PoleSet, z: complex) -> EvalResult:
-    """Dispatch the pole-set Lempert evaluation by domain kind."""
-    if domain.kind == "disc":
-        return lempert_disc(A, z)
-    return lempert_poleset_plane(domain, A, z)
-
-
 def theorem5_bounds(D: PlaneDomain, G: PlaneDomain, A: PoleSet, b: complex,
                     z: complex, w: complex) -> BoundsReport:
     """Two-sided estimate of l_{DxG}(A x {b}, (z, w)).
@@ -82,18 +73,14 @@ def theorem5_bounds(D: PlaneDomain, G: PlaneDomain, A: PoleSet, b: complex,
     """
     N = len(A)
     # the extremal disc of l_D(A, z) with its nodes
-    resD = lempert_value(D, A, z)
+    resD = lempert_poleset_plane(D, A, z)
     phi, lam, lD = resD.certificate, resD.nodes, resD.value
-    if G.kind == "disc":
-        lG1 = lGN = abs(moebius(b, w))
-    else:
-        lG1 = lempert_N_plane(G, b, w, 1).value
-        lGN = lempert_N_plane(G, b, w, N).value
+    # the extremal disc of l_G(b, w) with its node
+    resG = lempert_poleset_plane(G, PoleSet(points=(b,), domain=G), w)
+    psi, zeta, lG1 = resG.certificate, complex(resG.nodes[0]), resG.value
+    lGN = lempert_N_plane(G, b, w, N).value
     lower = max(lD, lGN)
     upper0 = max(lD, lG1)
-
-    resG = lempert_value(G, PoleSet(points=(b,), domain=G), w)
-    psi, zeta = resG.certificate, complex(resG.nodes[0])
 
     ladder = []
     s = SLACK
@@ -214,7 +201,7 @@ def corollary8_sample(A: PoleSet, B: PoleSet, z: complex, count: int,
     """
     if len(A) != 2 or len(B) != 2:
         raise ValueError("two-point pole sets required")
-    t = lempert_disc(A, z).value
+    t = lempert_poleset_plane(PlaneDomain("disc"), A, z).value
     if not 0.0 < t < 1.0:
         raise ValueError("z must not lie in A and must give a nontrivial level")
     b0 = B.points[0]
@@ -294,13 +281,13 @@ def prop9_extend(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
             raise ValueError("B1 overlaps B")
     gD = float(np.prod([_green_value(D, a, z) for a in A1]))
     gG = float(np.prod([_green_value(G, bp, w) for bp in B1]))
-    lA = lempert_value(D, A, z).value
-    lB = lempert_value(G, B, w).value
+    lA = lempert_poleset_plane(D, A, z).value
+    lB = lempert_poleset_plane(G, B, w).value
     max_small = max(lA, lB)
     union_A = PoleSet(points=tuple(A) + tuple(A1), domain=D)
     union_B = PoleSet(points=tuple(B) + tuple(B1), domain=G)
-    max_enlarged = max(lempert_value(D, union_A, z).value,
-                       lempert_value(G, union_B, w).value)
+    max_enlarged = max(lempert_poleset_plane(D, union_A, z).value,
+                       lempert_poleset_plane(G, union_B, w).value)
     condition3 = gD * gG > q
     implied = (max_small / q) * gD * gG if condition3 else None
     return {
@@ -401,7 +388,7 @@ def prop10_construct(D: PlaneDomain, G: PlaneDomain, z: complex, w: complex,
     equal_errors = []
     for k in range(1, N + 1):
         Ak = PoleSet(points=tuple(a_points[:k]), domain=D)
-        lDk = lempert_value(D, Ak, z).value
+        lDk = lempert_poleset_plane(D, Ak, z).value
         lGk = lempert_N_plane(G, b, w, k).value
         equal_errors.append(abs(lDk - lGk))
     bounds = theorem5_bounds(D, G, A_N, b, z, w)
@@ -429,11 +416,11 @@ def prop11_construct(D: PlaneDomain, G: PlaneDomain, z: complex, w: complex,
     """
     A2, rep10 = prop10_construct(D, G, z, w, b, N=2, seed=seed)
     q = rep10["q"]
-    l_extra = lempert_value(D, extra, z).value
+    l_extra = lempert_poleset_plane(D, extra, z).value
     if l_extra <= q:
         raise ValueError(f"l_D(extra, z) = {l_extra} <= q = {q}")
     union = PoleSet(points=tuple(A2) + tuple(extra), domain=D)
-    l_union = lempert_value(D, union, z).value
+    l_union = lempert_poleset_plane(D, union, z).value
     gG = _green_value(G, b, w)
     lG2 = rep10["l_G_N"]
     chain_floor = lG2 * l_extra  # >= l_prod(A2 x b) * l_D(extra, z) via the lower bound

@@ -141,6 +141,38 @@ def test_validation_errors_exit_2():
     assert code == 2  # q below p
 
 
+@pytest.mark.parametrize("domain", ["punctured", "disc"])
+def test_green_pole_set_hit_is_zero_in_either_order(domain):
+    # a pole at the base point makes the Green product 0, wherever it stands
+    for poles in ("0.5+0i,0.3+0i", "0.3+0i,0.5+0i"):
+        code, out = run_cli(["eval", "--domain", domain, "--poles", poles,
+                             "--at", "0.5+0i", "--green"])
+        assert code == 0
+        assert json.loads(out)["value"] == 0.0, poles
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["--kind", "cor8", "--A", "0.5+0i,0+0.5i"], "--B"),
+    (["--kind", "prop9", "--A", "0.3+0i", "--B", "0.4+0i", "--A1", "0.9+0i",
+      "--B1", "0.5+0i"], "--q"),
+    (["--kind", "prop10", "--G", "annulus:0.3"], "--b"),
+    (["--kind", "prop11", "--G", "annulus:0.3", "--b", "0.5+0i"], "--extra"),
+])
+def test_counterexample_missing_flag_exits_2(argv, missing):
+    code, out = run_cli(["counterexample", *argv])
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["kind"] == "validation"
+    assert missing in doc["error"]
+
+
+def test_counterexample_prop9_needs_no_b():
+    code, out = run_cli(["counterexample", "--kind", "prop9", "--A", "0.3+0i", "--B", "0.4+0i",
+                         "--A1", "0.9+0i", "--B1", "0.5+0i", "--q", "0.5"])
+    assert code == 0
+    assert json.loads(out)["report"]["q"] == 0.5
+
+
 def test_unknown_flag_rejected():
     for argv in (["eval", "--domain", "disc", "--poles", "0.5+0i", "--at", "0+0i",
                   "--bogus", "1"],

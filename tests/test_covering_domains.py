@@ -194,6 +194,26 @@ def test_lempert_N_nodes_lie_in_the_open_disc(R, a, z, N):
         assert abs(abs(node) - (1.0 - delta)) <= 1e-15
 
 
+@pytest.mark.parametrize("dom, z", [
+    (PlaneDomain("disc"), 0.3 - 0.2j),
+    (PlaneDomain("punctured"), 0.5),
+    (PlaneDomain("annulus", R=0.3), 0.6 * np.exp(0.7j)),
+])
+def test_near_lift_moduli_equal_eta_modulus(dom, z):
+    # moduli below 2^-1/2 are |eta| itself, not 1 - (1 - |eta|), which
+    # loses the leading digits of a small modulus
+    cover = build_cover(dom, z)
+    for r in np.logspace(-12, math.log10(0.7), 40):
+        a = complex(cover.eval(r * np.exp(2.1j)))
+        ls = cover.lifts(a, 6)
+        eta = abs(ls.eta[0])
+        assert abs(ls.moduli[0] - eta) <= 4 * np.spacing(eta), r
+        assert abs(preimage_moduli(cover, a, 2)[0] - eta) <= 4 * np.spacing(eta), r
+        if abs(a - z) >= 1e-12:  # nearer, a is a pole hit
+            res = lempert_N_plane(dom, a, z, 2)
+            assert abs(res.meta["moduli"][0] - eta) <= 4 * np.spacing(eta), r
+
+
 def test_lempert_N_degenerate_at_pole():
     res = lempert_N_plane(PlaneDomain("annulus", R=0.2), 0.5, 0.5, 3)
     assert res.value == 0.0 and res.nodes == (0j,)

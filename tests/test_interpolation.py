@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lempertpoles.complex_kernel import solve_node_quadratic
-from lempertpoles.disc_domain import MoebiusExpr, PoleSet, lempert_disc
+from lempertpoles.covering_domains import PlaneDomain, lempert_poleset_plane
+from lempertpoles.disc_domain import MoebiusExpr, PoleSet
 from lempertpoles.interpolation import (
     RESIDUAL_TOL,
     Lemma4Problem,
@@ -279,7 +280,7 @@ def test_invariant_roundtrip_random():
 def test_theorem5_certificate_bidisc():
     z, w, b = 0.1 + 0.05j, -0.2 + 0.1j, 0.3 - 0.2j
     A = PoleSet(points=(0.5, 0.5j))
-    lA = lempert_disc(A, z)
+    lA = lempert_poleset_plane(PlaneDomain("disc"), A, z)
     from lempertpoles.complex_kernel import moebius
     zeta = complex(moebius(w, b))
     alpha = max(lA.value, abs(zeta)) + 1e-6
@@ -298,7 +299,7 @@ def test_theorem5_certificate_bidisc():
 def test_certificate_tightens_with_alpha():
     z, w, b = 0.0, 0.0, 0.4
     A = PoleSet(points=(0.5, 0.5j))
-    lA = lempert_disc(A, z)
+    lA = lempert_poleset_plane(PlaneDomain("disc"), A, z)
     zeta = 0.4
     prev = None
     for slack in (1e-2, 1e-4, 1e-6):
@@ -312,6 +313,6 @@ def test_certificate_tightens_with_alpha():
 
 def test_certificate_alpha_validation():
     A = PoleSet(points=(0.5,))
-    lA = lempert_disc(A, 0.0)
+    lA = lempert_poleset_plane(PlaneDomain("disc"), A, 0.0)
     with pytest.raises(ValueError):
         theorem5_certificate(MoebiusExpr(0), lA.nodes, MoebiusExpr(0), 0.3, 0.2)

@@ -5,8 +5,8 @@ import pytest
 
 from lempertpoles.acceptance import GRID_ORACLE_DELTA, c8_theorem7_failure
 from lempertpoles.complex_kernel import moebius, moebius_error
-from lempertpoles.covering_domains import PlaneDomain, build_cover
-from lempertpoles.disc_domain import PoleSet, lempert_disc
+from lempertpoles.covering_domains import PlaneDomain, build_cover, lempert_poleset_plane
+from lempertpoles.disc_domain import PoleSet
 from lempertpoles import node_optimizer
 from lempertpoles.node_optimizer import (
     DIRECTION_BLOCK,
@@ -110,7 +110,7 @@ def test_restart_starts_are_prefix_stable():
     # the starts of R restarts are the first R starts of any larger run
     ta = np.array([0.5, 0.5, 0.5j, 0.5j])
     tb = np.array([0.5, -0.5, 0.5, -0.5])
-    coords = [_Coord("disc", ta, None), _Coord("disc", tb, None)]
+    coords = [_fixed(ta), _fixed(tb)]
     subset = ((0, 0), (0, 1), (1, 0), (1, 1))
     key = (0, 1, 64, 65)
     _, small = _restart_starts(subset, coords, OptimizerSettings(restarts=20, seed=3), key)
@@ -129,7 +129,9 @@ def test_inequality_two_floor():
         z = 0.2 * rng.random()
         w = 0.2 * rng.random()
         _, v = bidisc_lempert(A, B, z, w, FAST)
-        floor = max(lempert_disc(A, z).value, lempert_disc(B, w).value)
+        disc = PlaneDomain("disc")
+        floor = max(lempert_poleset_plane(disc, A, z).value,
+                    lempert_poleset_plane(disc, B, w).value)
         assert v >= floor - 1e-12
 
 
@@ -150,8 +152,20 @@ def test_upper_bound_soundness_reverified(pick_oracle):
     assert v == pytest.approx(float(np.prod([abs(n) for n in cfg.nodes])), abs=1e-14)
 
 
+def _fixed(targets, err=0.0):
+    """A coordinate whose poles have one target each, as on the disc."""
+    t = np.asarray(targets, dtype=complex)
+    return _Coord(t[:, None], np.broadcast_to(err, t.shape)[:, None])
+
+
+def _lifted(lifts):
+    """A coordinate whose poles have several lift candidates, exact data."""
+    lifts = np.array(lifts, dtype=complex)
+    return _Coord(lifts, np.zeros(lifts.shape))
+
+
 def _disc_coords(ta, tb, err_a=0.0, err_b=0.0):
-    return [_Coord("disc", np.asarray(ta), None, err_a), _Coord("disc", np.asarray(tb), None, err_b)]
+    return [_fixed(ta, err_a), _fixed(tb, err_b)]
 
 
 def test_eight_pair_configuration_certifies_outward_only():
@@ -323,7 +337,7 @@ def _gradient_configs():
             disc = 0.6 * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
             poles = (0.2 + 0.7 * rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
             lifts = [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in poles]
-            plane = _Coord("plane", None, lifts).batch_targets(lam[None, :])[0]
+            plane = _lifted(lifts).batch_targets(lam[None, :])[0]
             yield lam, np.array([disc, plane])
 
 
@@ -382,7 +396,7 @@ def _kernel_coords(rng, m):
     disc = 0.6 * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
     poles = (0.2 + 0.7 * rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
     lifts = [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in poles]
-    return [_Coord("disc", disc, None), _Coord("plane", None, lifts)]
+    return [_fixed(disc), _lifted(lifts)]
 
 
 def test_pick_violation_equals_eigvalsh_on_random_configurations():
@@ -483,9 +497,8 @@ def _level_items(kind):
     tb = 0.6 * np.sqrt(rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
     cover = build_cover(PlaneDomain("annulus", R=0.1), 0.45)
     lifts = [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in (0.4j, -0.3 + 0.2j)]
-    cb = (_Coord("disc", tb, None, np.zeros(2)) if kind == "disc"
-          else _Coord("plane", None, lifts))
-    return _pair_level(_Coord("disc", ta, None, np.zeros(2)), cb, 2)
+    cb = _fixed(tb) if kind == "disc" else _lifted(lifts)
+    return _pair_level(_fixed(ta), cb, 2)
 
 
 @pytest.mark.parametrize("kind", ["disc", "annulus"])

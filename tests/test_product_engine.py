@@ -4,8 +4,12 @@ import pytest
 import lempertpoles.interpolation as itp
 import lempertpoles.product_engine as pe
 from lempertpoles.complex_kernel import moebius
-from lempertpoles.covering_domains import PlaneDomain, find_pole_with_value, lempert_N_plane
-from lempertpoles.disc_domain import PoleSet, lempert_disc
+from lempertpoles.covering_domains import (
+    PlaneDomain,
+    find_pole_with_value,
+    lempert_poleset_plane,
+)
+from lempertpoles.disc_domain import PoleSet
 from lempertpoles.interpolation import theorem5_certificate
 from lempertpoles.product_engine import (
     BoundsReport,
@@ -68,12 +72,11 @@ def _sequential_ladder(D, G, A, b, z, w):
     that theorem5_bounds's one batch must reproduce.  Returns the repr of the
     upper bound, the nodes, the certificate at 0 and at every node, and the
     certificate residual."""
-    resD = pe.lempert_value(D, A, z)
+    resD = lempert_poleset_plane(D, A, z)
     phi, lam, lD = resD.certificate, resD.nodes, resD.value
-    lG1 = abs(moebius(b, w)) if G.kind == "disc" else lempert_N_plane(G, b, w, 1).value
+    resG = lempert_poleset_plane(G, PoleSet(points=(b,), domain=G), w)
+    psi, zeta, lG1 = resG.certificate, complex(resG.nodes[0]), resG.value
     upper0 = max(lD, lG1)
-    resG = pe.lempert_value(G, PoleSet(points=(b,), domain=G), w)
-    psi, zeta = resG.certificate, complex(resG.nodes[0])
     xi = eta = alpha = None
     s = pe.SLACK
     while s >= pe.SLACK_FLOOR:
@@ -216,7 +219,7 @@ def test_corollary8_incongruent_pairs_give_no_flags():
     B = PoleSet(points=(0.4, -0.3j))
     samples = corollary8_sample(A, B, 0.2, count=6, seed=1)
     assert all(not s.automorphism for s in samples)
-    t = lempert_disc(A, 0.2).value
+    t = lempert_poleset_plane(DISC, A, 0.2).value
     for s in samples:
         lv = abs(moebius(B.points[0], s.w)) * abs(moebius(B.points[1], s.w))
         assert abs(lv - t) <= 1e-10
@@ -231,10 +234,8 @@ def test_prop9_disc_case():
     assert rep["condition3"]
     assert rep["g_product"] > q
     assert rep["strict_gap"] > 0
-    # the disc green used inside matches the closed form
-    from lempertpoles.disc_domain import green_disc
-    g_direct = green_disc(PoleSet(points=(0.97,)), 0.0)
-    assert rep["g_D_A1"] == pytest.approx(g_direct, abs=1e-12)
+    # the disc green used inside matches the closed form |Phi_0(0.97)|
+    assert rep["g_D_A1"] == pytest.approx(0.97, abs=1e-12)
 
 
 def test_prop9_near_boundary_poles_beat_q():
