@@ -20,7 +20,8 @@ from .complex_kernel import moebius
 from .covering_domains import PlaneDomain, green_plane, lempert_N_plane
 from .disc_domain import PoleSet
 from .interpolation import Lemma4Problem, _roots_grid, lemma4_solve
-from .node_optimizer import OptimizerSettings, _compass, _factor_coord, _pair_level, bidisc_lempert
+from .node_optimizer import (OptimizerSettings, _compass, _compass_item, _factor_coord,
+                             _pair_level, bidisc_lempert)
 from .product_engine import MARGIN_TOL, prop10_construct, theorem5_bounds, theorem7_decide
 
 # margin of the bidisc failure case over the inequality-(2) floor, frozen from
@@ -355,8 +356,9 @@ def c10_determinism(restarts: int = 500, seed: int = 0) -> CriterionResult:
     lockstep batch and each subset alone, gives bit-identical nodes."""
     t0 = time.perf_counter()
     disc = PlaneDomain("disc")
-    level = _pair_level(_factor_coord(disc, PoleSet(points=_CASE8["A"]), 0.0),
-                        _factor_coord(disc, PoleSet(points=_CASE8["B"]), 0.0), 2)
+    ca = _factor_coord(disc, PoleSet(points=_CASE8["A"]), 0.0)
+    cb = _factor_coord(disc, PoleSet(points=_CASE8["B"]), 0.0)
+    level = [_compass_item(ca, cb, subset) for subset, _ in _pair_level(ca, cb, 2)]
     settings = OptimizerSettings(restarts=restarts, seed=seed)
     subsets = [list(item[0]) for item in level]
     differing = [subset for subset, item, nodes in zip(subsets, level, _compass(level, settings))

@@ -7,7 +7,9 @@ coordinate asks the node to be sent to some lift of the pole through the
 normalized cover, which is a Pick problem once the lift assignment is chosen
 (a sufficient family of maps cover o h with h(0) = 0).  On the disc the
 cover is Phi_base and each pole has the one lift Phi_base(p), so its targets
-are fixed and its Pick numerators are formed once per subset.
+are fixed and its Pick numerators are formed once per subset that enters the
+compass; a pruned subset costs only its lower bound, read from the projected
+poles.
 
 The search over node space runs random-direction compass descent with an
 eigenvalue penalty max(0, -lambda_min) from many seeded restarts.  Its
@@ -108,13 +110,16 @@ PENALTY_ROWS = 4096
 # compass: initial penalty weight, multiplied by PENALTY_RAMP_FACTOR every
 # PENALTY_RAMP_EVERY iterations; initial step, multiplied by STEP_DECAY after
 # an iteration without an accepted probe; a restart stops once its step is
-# below TOLERANCE
+# below TOLERANCE.  The compass only has to bring a restart near enough for
+# the SLSQP polish, which replaces the nodes of the candidates it keeps: at
+# 1e-5 rather than 1e-9 a search makes about half the penalty calls, and the
+# polished values stay within a few 1e-9 of those of the finer compass
 PENALTY_WEIGHT = 1e4
 PENALTY_RAMP_EVERY = 500
 PENALTY_RAMP_FACTOR = 10.0
 STEP_INIT = 0.12
 STEP_DECAY = 0.6
-TOLERANCE = 1e-9
+TOLERANCE = 1e-5
 # candidates per subset given to the SLSQP polish, and its rounds
 POLISH_TOP = 2
 POLISH_ROUNDS = 2
@@ -499,18 +504,19 @@ def _product_grad(lam: np.ndarray):
     return float(np.prod(am)), np.concatenate([g.real, g.imag])
 
 
-def _pick_min_eig_grad(lam: np.ndarray, targets: np.ndarray):
+def _pick_min_eig_grad(lam: np.ndarray, num: np.ndarray):
     """Min Pick eigenvalue per coordinate and its gradient in (Re lam, Im lam).
 
-    targets: (c, m), one frozen target row per coordinate.  All c Pick
-    matrices go through one batched eigh.  For the smallest eigenpair (mu, v)
-    of H, dmu = v^H (dH) v (Magnus 1985); H_kj depends on L_k through its row
-    and on conj(L_k) through its column, which gives dmu = 2 Re(a_k dL_k) with
+    num: (c, m+1, m+1), the Pick numerators of one frozen target row per
+    coordinate (`_one_minus_outer`).  All c Pick matrices go through one
+    batched eigh.  For the smallest eigenpair (mu, v) of H, dmu = v^H (dH) v
+    (Magnus 1985); H_kj depends on L_k through its row and on conj(L_k)
+    through its column, which gives dmu = 2 Re(a_k dL_k) with
     a_k = sum_j conj(v_k) v_j H_kj conj(L_j) / (1 - L_k conj(L_j)).
     """
     L = np.concatenate([[0j], lam])
     den = _one_minus_outer(lam[None, :])[0]
-    H = _one_minus_outer(targets) / den
+    H = num / den
     mu, vecs = np.linalg.eigh(H)
     v = vecs[:, :, 0]
     a = np.einsum("ck,cj,ckj->ck", np.conj(v), v, H * (np.conj(L)[None, :] / den))
@@ -527,7 +533,7 @@ def _polish(nodes: np.ndarray, coords: list) -> np.ndarray:
     """
     m = len(nodes)
     to_lam = lambda x: x[:m] + 1j * x[m:]
-    frozen = np.array([c.batch_targets(nodes[None, :])[0] for c in coords])
+    frozen = _one_minus_outer(np.array([c.batch_targets(nodes[None, :])[0] for c in coords]))
     cache = {}
 
     def pick(x):
@@ -587,10 +593,10 @@ def _restart_starts(subset, coords, settings: OptimizerSettings, subset_key):
 
 def _compass(items, settings: OptimizerSettings) -> list:
     """Lockstep compass descent over the restarts of several subsets of one
-    size, items being (subset, coords, key, ...).  Returns the final nodes of
+    size, items being (subset, coords, key).  Returns the final nodes of
     each subset, (restarts, m), which have the bits of a run of that subset
     alone: every decision of the descent reads only the restart's own probes."""
-    starts = [_restart_starts(subset, coords, settings, key) for subset, coords, key, *_ in items]
+    starts = [_restart_starts(subset, coords, settings, key) for subset, coords, key in items]
     gens = [gen for subset_gens, _ in starts for gen in subset_gens]
     lam0 = np.concatenate([lam for _, lam in starts])
     total, m = lam0.shape
@@ -631,27 +637,29 @@ def _finish(subset, coords, lam: np.ndarray):
                       margins=tuple(float(c) for c in margins))
 
 
-def _search_levels(levels, best_val: float, best_cfg, settings: OptimizerSettings):
-    """Search the subsets of each size level and return the best (value,
-    config).  A level lists (subset, coords, key, lower bound) in subset
-    order; a subset is skipped when its lower bound sits within
-    LB_SKIP_MARGIN of the best value found before it.  The first subset of a
-    level that is not skipped runs alone; the others still not skipped then
-    run their compass in one lockstep batch and are finished in subset
-    order, the skip rule checked again before each, so the result is that of
-    searching them one by one."""
+def _search_levels(ca: _Coord, cb: _Coord, best_val: float, best_cfg,
+                   settings: OptimizerSettings):
+    """Search the pole-pair subsets of ca, cb of each size from 2 to
+    MAX_SUBSET_SIZE and return the best (value, config).  A subset is skipped
+    when its lower bound sits within LB_SKIP_MARGIN of the best value found
+    before it.  The first subset of a level that is not skipped runs alone;
+    the others still not skipped then run their compass in one lockstep
+    batch and are finished in subset order, the skip rule checked again
+    before each, so the result is that of searching them one by one.  Only
+    subsets that enter the compass have their coordinates built."""
 
-    def unpruned(item):
-        return item[3] < best_val - LB_SKIP_MARGIN
+    def unpruned(entry):
+        return entry[1] < best_val - LB_SKIP_MARGIN
 
-    for level in levels:
-        todo = [item for item in level if unpruned(item)]
+    for size in range(2, min(len(ca.proj) * len(cb.proj), MAX_SUBSET_SIZE) + 1):
+        todo = [entry for entry in _pair_level(ca, cb, size) if unpruned(entry)]
         for batch in (todo[:1], todo[1:]):
-            batch = [item for item in batch if unpruned(item)]
+            batch = [entry for entry in batch if unpruned(entry)]
             if not batch:
                 continue
-            for item, lam in zip(batch, _compass(batch, settings)):
-                if not unpruned(item):
+            items = [_compass_item(ca, cb, subset) for subset, _ in batch]
+            for entry, item, lam in zip(batch, items, _compass(items, settings)):
+                if not unpruned(entry):
                     continue
                 cfg = _finish(item[0], item[1], lam)
                 if cfg is None:
@@ -684,16 +692,20 @@ def _factor_coord(domain: PlaneDomain, poles: PoleSet, base: complex) -> _Coord:
     return _Coord(np.array([ls.eta[:6] for ls in lifts]), np.array([ls.err[:6] for ls in lifts]))
 
 
-def _pair_level(ca: _Coord, cb: _Coord, size: int) -> list:
+def _pair_level(ca: _Coord, cb: _Coord, size: int):
     """The pole-pair subsets of one size of the factor coordinates ca, cb, in
-    subset order, as (subset, coords, key, lower bound)."""
-    pairs = itertools.product(range(len(ca.proj)), range(len(cb.proj)))
-    level = []
-    for subset in itertools.combinations(pairs, size):
-        coords = [ca.take([k for k, l in subset]), cb.take([l for k, l in subset])]
-        level.append((subset, coords, tuple(k * 64 + l for k, l in subset),
-                      _subset_lower_bound(c.proj for c in coords)))
-    return level
+    subset order, as (subset, lower bound); the bound reads only the
+    projected poles, so no coordinate is built."""
+    pa, pb = ca.proj.tolist(), cb.proj.tolist()
+    for subset in itertools.combinations(itertools.product(range(len(pa)), range(len(pb))), size):
+        yield subset, _subset_lower_bound(([pa[k] for k, _ in subset], [pb[l] for _, l in subset]))
+
+
+def _compass_item(ca: _Coord, cb: _Coord, subset) -> tuple:
+    """The compass item (subset, coords, key) of a pole-pair subset, the key
+    naming its RNG streams."""
+    ks, ls = [k for k, l in subset], [l for k, l in subset]
+    return subset, [ca.take(ks), cb.take(ls)], tuple(k * 64 + l for k, l in subset)
 
 
 def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
@@ -732,9 +744,7 @@ def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
             best_cfg = NodeConfig(subset=((k, l),), nodes=(node,), value=val,
                                   coord_targets=((ta,), (tb,)))
 
-    levels = (_pair_level(ca, cb, size)
-              for size in range(2, min(len(A) * len(B), MAX_SUBSET_SIZE) + 1))
-    best_val, best_cfg = _search_levels(levels, best_val, best_cfg, settings)
+    best_val, best_cfg = _search_levels(ca, cb, best_val, best_cfg, settings)
     return best_cfg, best_val
 
 

@@ -14,6 +14,7 @@ from lempertpoles.node_optimizer import (
     OptimizerSettings,
     _compass,
     _compass_chunk,
+    _compass_item,
     _Coord,
     _margins,
     _one_minus_outer,
@@ -343,8 +344,9 @@ def _gradient_configs():
 
 def test_pick_eigenvalue_gradient_matches_central_differences():
     for lam, targets in _gradient_configs():
-        _, grad = _pick_min_eig_grad(lam, targets)
-        numeric = _central_differences(lambda l: _pick_min_eig_grad(l, targets)[0], lam)
+        num = _one_minus_outer(targets)
+        _, grad = _pick_min_eig_grad(lam, num)
+        numeric = _central_differences(lambda l: _pick_min_eig_grad(l, num)[0], lam)
         assert grad.shape == (2, 2 * len(lam))
         assert np.max(np.abs(grad - numeric)) <= 1e-6
 
@@ -381,6 +383,56 @@ def test_rotation_congruent_moved_instance_prunes_after_first_subset(monkeypatch
     assert abs(v - exact) <= LB_SKIP_MARGIN
     assert v >= exact - 1e-12
     assert len(compassed) == 1
+
+
+def test_compass_hands_off_to_the_polish(monkeypatch):
+    # the compass stops at a coarse step and leaves the last digits to the
+    # polish: the result matches a compass refined to 1e-9 at a fraction of
+    # its penalty calls
+    calls = []
+    penalized = node_optimizer._penalized
+
+    def counting_penalized(*args, **kwargs):
+        calls.append(1)
+        return penalized(*args, **kwargs)
+
+    monkeypatch.setattr(node_optimizer, "_penalized", counting_penalized)
+    settings = OptimizerSettings(restarts=48, seed=0)
+    cfg, v = bidisc_lempert(FAILURE_A, FAILURE_B, 0, 0, settings)
+    shipped = len(calls)
+    monkeypatch.setattr(node_optimizer, "TOLERANCE", 1e-9)
+    ref_cfg, ref_v = bidisc_lempert(FAILURE_A, FAILURE_B, 0, 0, settings)
+    reference = len(calls) - shipped
+    assert cfg.subset == ref_cfg.subset and len(cfg.subset) == 4
+    assert v == pytest.approx(ref_v, rel=1e-9, abs=0.0)
+    assert len(cfg.margins) == len(ref_cfg.margins) == 2
+    assert min(cfg.margins) > 0.0 and min(ref_cfg.margins) > 0.0
+    assert shipped <= 0.6 * reference
+
+
+def test_pruned_subsets_build_no_coordinates(monkeypatch):
+    # on criterion 8's instance the singletons give 0.5, which prunes the
+    # four pair subsets of size 2 that repeat a pole in one coordinate; only
+    # the subsets that enter the compass get their two coordinates built
+    built, compassed = [], []
+    post_init, compass = _Coord.__post_init__, node_optimizer._compass
+
+    def counting_post_init(self):
+        built.append(self.lifts.shape[0])
+        post_init(self)
+
+    def counting_compass(items, settings):
+        compassed.extend(item[0] for item in items)
+        return compass(items, settings)
+
+    monkeypatch.setattr(_Coord, "__post_init__", counting_post_init)
+    monkeypatch.setattr(node_optimizer, "_compass", counting_compass)
+    bidisc_lempert(FAILURE_A, FAILURE_B, 0, 0,
+                   OptimizerSettings(restarts=4, seed=0, max_iterations=200))
+    pruned = {((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1))}
+    assert len(compassed) == 7 and not pruned & set(compassed)
+    # the two factor coordinates, then two per compassed subset
+    assert built == [2, 2] + [len(subset) for subset in compassed for _ in range(2)]
 
 
 def _assert_bit_identical(num, den):
@@ -498,7 +550,8 @@ def _level_items(kind):
     cover = build_cover(PlaneDomain("annulus", R=0.1), 0.45)
     lifts = [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in (0.4j, -0.3 + 0.2j)]
     cb = _fixed(tb) if kind == "disc" else _lifted(lifts)
-    return _pair_level(_fixed(ta), cb, 2)
+    ca = _fixed(ta)
+    return [_compass_item(ca, cb, subset) for subset, _ in _pair_level(ca, cb, 2)]
 
 
 @pytest.mark.parametrize("kind", ["disc", "annulus"])
