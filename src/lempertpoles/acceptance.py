@@ -116,12 +116,12 @@ def c2_lemma4_anchors(anchor_tol: float = 1e-12, endpoint_tol: float = 1e-3,
                         for _ in range(N)])
         p = float(np.prod(np.abs(mus)))
         a_grid = np.linspace(0.0, 1.0 - 1.0 / grid, grid)
-        small, large = _roots_grid(mus, a_grid)
+        small, large = (np.abs(r) for r in _roots_grid(mus, a_grid))
         g = small.prod(axis=1)
         h = large.prod(axis=1)
         worst_anchor = max(worst_anchor, abs(g[0] - math.sqrt(p)), abs(h[0] - math.sqrt(p)))
         worst_vieta = max(worst_vieta, float(np.max(np.abs(g * h - p))))
-        s_end, l_end = _roots_grid(mus, np.asarray([1.0 - 1e-6]))
+        s_end, l_end = (np.abs(r) for r in _roots_grid(mus, np.asarray([1.0 - 1e-6])))
         worst_g_end = max(worst_g_end, abs(float(s_end.prod()) - p))
         worst_h_end = max(worst_h_end, abs(float(l_end.prod()) - 1.0))
     dt = time.perf_counter() - t0

@@ -3,7 +3,10 @@
 Every invocation writes a single JSON document to stdout (the `--csv` sweep
 flag of `eval` is the one documented exception); human-oriented progress for
 `verify` goes to stderr.  Exit codes: 0 success, 1 internal numeric failure,
-2 input validation error.
+2 input validation error.  Validation errors are the ones raised at the input
+boundary: parsing the flags and building points, pole sets, domains, Lemma-4
+problems and optimizer settings from them.  Any other exception, a
+ValueError raised inside a computation included, is an internal failure.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import re as _re
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,6 +44,26 @@ from .product_engine import (
 
 class CliError(ValueError):
     pass
+
+
+@contextmanager
+def _input_boundary():
+    """Turn a ValueError raised while building inputs from flags into a
+    CliError, so that it exits 2 and not 1."""
+    try:
+        yield
+    except ValueError as e:
+        raise CliError(str(e)) from e
+
+
+def _point(domain: PlaneDomain, text: str, flag: str) -> complex:
+    """The flag's complex literal, required inside the domain."""
+    return domain.require_interior(parse_complex(text), flag)
+
+
+def _poles(text: str, domain: PlaneDomain | None = None) -> PoleSet:
+    """The flag's pole list, inside the domain (the disc when None)."""
+    return PoleSet(points=tuple(parse_complex_list(text)), domain=domain)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,8 +150,17 @@ def _jsonify(obj):
 
 def _cmd_eval(args) -> tuple:
     t0 = time.perf_counter()
-    domain = parse_domain(args.domain)
-    ats = parse_complex_list(args.at)
+    with _input_boundary():
+        domain = parse_domain(args.domain)
+        ats = [domain.require_interior(z, "--at") for z in parse_complex_list(args.at)]
+        if args.find_pole is not None:
+            direction = parse_complex(args.direction or "1+0i")
+        elif args.poles:
+            A = _poles(args.poles, domain)
+        elif args.pole:
+            pole = _point(domain, args.pole, "--pole")
+        else:
+            raise CliError("eval needs --poles or --pole or --find-pole")
     inputs = {"domain": args.domain, "at": args.at,
               "poles": args.poles, "pole": args.pole, "N": args.N,
               "green": args.green, "find_pole": args.find_pole,
@@ -136,14 +169,11 @@ def _cmd_eval(args) -> tuple:
     certificate = None
     for z in ats:
         if args.find_pole is not None:
-            d = parse_complex(args.direction or "1+0i")
-            a = find_pole_with_value(domain, z, args.find_pole, d)
+            a = find_pole_with_value(domain, z, args.find_pole, direction)
             rows.append({"at": format_complex(z), "pole": format_complex(a),
                          "value": args.find_pole})
             continue
         if args.poles:
-            pts = tuple(parse_complex_list(args.poles))
-            A = PoleSet(points=pts, domain=domain)
             if args.green:
                 value, tail = 1.0, 0.0
                 for a in A:
@@ -155,17 +185,13 @@ def _cmd_eval(args) -> tuple:
                 res = lempert_poleset_plane(domain, A, z)
                 rows.append({"at": format_complex(z), "value": res.value})
                 certificate = res
-        elif args.pole:
-            a = parse_complex(args.pole)
-            if args.green:
-                value, tail = green_plane(domain, a, z)
-                rows.append({"at": format_complex(z), "value": value, "tail_bound": tail})
-            else:
-                res = lempert_N_plane(domain, a, z, args.N or 1)
-                rows.append({"at": format_complex(z), "value": res.value})
-                certificate = res
+        elif args.green:
+            value, tail = green_plane(domain, pole, z)
+            rows.append({"at": format_complex(z), "value": value, "tail_bound": tail})
         else:
-            raise CliError("eval needs --poles or --pole or --find-pole")
+            res = lempert_N_plane(domain, pole, z, args.N or 1)
+            rows.append({"at": format_complex(z), "value": res.value})
+            certificate = res
     if args.csv:
         lines = ["at,value"] + [f"{r['at']},{r.get('value', '')}" for r in rows]
         return "\n".join(lines), 0, True
@@ -180,8 +206,9 @@ def _cmd_eval(args) -> tuple:
 
 def _cmd_lemma4(args) -> tuple:
     t0 = time.perf_counter()
-    mu = tuple(parse_complex_list(args.mu))
-    sol = lemma4_solve(Lemma4Problem(mu=mu, q=args.q))
+    with _input_boundary():
+        problem = Lemma4Problem(mu=tuple(parse_complex_list(args.mu)), q=args.q)
+    sol = lemma4_solve(problem)
     product = float(np.prod([abs(e) for e in sol.eta]))
     rep = _report("lemma4", {"mu": args.mu, "q": args.q}, t0, seed=args.seed,
                   value=product,
@@ -196,11 +223,11 @@ def _cmd_lemma4(args) -> tuple:
 
 def _cmd_bidisc(args) -> tuple:
     t0 = time.perf_counter()
-    A = PoleSet(points=tuple(parse_complex_list(args.A)))
-    B = PoleSet(points=tuple(parse_complex_list(args.B)))
-    z = parse_complex(args.z)
-    w = parse_complex(args.w)
-    settings = OptimizerSettings(restarts=args.restarts, seed=args.seed)
+    disc = PlaneDomain("disc")
+    with _input_boundary():
+        A, B = _poles(args.A), _poles(args.B)
+        z, w = _point(disc, args.z, "--z"), _point(disc, args.w, "--w")
+        settings = OptimizerSettings(restarts=args.restarts, seed=args.seed)
     cfg, value = bidisc_lempert(A, B, z, w, settings)
     rotation = None
     if len(A) == 2 and len(B) == 2 and abs(z) < 1e-14 and abs(w) < 1e-14:
@@ -209,7 +236,6 @@ def _cmd_bidisc(args) -> tuple:
             rotation = t7.rotation
         except ValueError:
             rotation = None
-    disc = PlaneDomain("disc")
     floor = max(lempert_poleset_plane(disc, A, z).value, lempert_poleset_plane(disc, B, w).value)
     rep = _report("bidisc", {"A": args.A, "B": args.B, "z": args.z, "w": args.w,
                              "restarts": args.restarts},
@@ -226,12 +252,10 @@ def _cmd_bidisc(args) -> tuple:
 
 def _cmd_bounds(args) -> tuple:
     t0 = time.perf_counter()
-    D = parse_domain(args.D)
-    G = parse_domain(args.G)
-    A = PoleSet(points=tuple(parse_complex_list(args.A)), domain=D)
-    b = parse_complex(args.b)
-    z = parse_complex(args.z)
-    w = parse_complex(args.w)
+    with _input_boundary():
+        D, G = parse_domain(args.D), parse_domain(args.G)
+        A = _poles(args.A, D)
+        b, z, w = _point(G, args.b, "--b"), _point(D, args.z, "--z"), _point(G, args.w, "--w")
     rep = theorem5_bounds(D, G, A, b, z, w)
     out = _report("bounds", {"D": args.D, "G": args.G, "A": args.A, "b": args.b,
                              "z": args.z, "w": args.w}, t0, seed=args.seed,
@@ -258,10 +282,20 @@ def _cmd_counterexample(args) -> tuple:
                if getattr(args, f) is None]
     if missing:
         raise CliError(f"counterexample --kind {args.kind} needs {', '.join(missing)}")
+    with _input_boundary():
+        if args.kind == "cor8":
+            A, B, z = _poles(args.A), _poles(args.B), _point(PlaneDomain("disc"), args.z, "--z")
+        else:
+            D, G = parse_domain(args.D), parse_domain(args.G)
+            z, w = _point(D, args.z, "--z"), _point(G, args.w, "--w")
+        if args.kind in ("prop10", "prop11"):
+            b = _point(G, args.b, "--b")
+        if args.kind == "prop11":
+            extra = _poles(args.extra, D)
+        if args.kind == "prop9":
+            A, B = _poles(args.A, D), _poles(args.B, G)
+            A1, B1 = _poles(args.A1, D), _poles(args.B1, G)
     if args.kind == "cor8":
-        A = PoleSet(points=tuple(parse_complex_list(args.A)))
-        B = PoleSet(points=tuple(parse_complex_list(args.B)))
-        z = parse_complex(args.z)
         samples = corollary8_sample(A, B, z, count=args.count, seed=args.seed)
         rep = _report("counterexample", {"kind": "cor8", "A": args.A, "B": args.B,
                                          "z": args.z, "count": args.count},
@@ -271,12 +305,7 @@ def _cmd_counterexample(args) -> tuple:
                                 "level_residual": s.level_residual,
                                 "automorphism": s.automorphism} for s in samples])
         return rep, 0, False
-    D = parse_domain(args.D)
-    G = parse_domain(args.G)
-    z = parse_complex(args.z)
-    w = parse_complex(args.w)
     if args.kind == "prop10":
-        b = parse_complex(args.b)
         A_N, rep10 = prop10_construct(D, G, z, w, b, N=args.N, seed=args.seed)
         rep = _report("counterexample", {"kind": "prop10", "D": args.D, "G": args.G,
                                          "z": args.z, "w": args.w, "b": args.b,
@@ -285,8 +314,6 @@ def _cmd_counterexample(args) -> tuple:
                       poles=[format_complex(a) for a in A_N], report=rep10)
         return rep, 0, False
     if args.kind == "prop11":
-        b = parse_complex(args.b)
-        extra = PoleSet(points=tuple(parse_complex_list(args.extra)), domain=D)
         rep11 = prop11_construct(D, G, z, w, b, extra, seed=args.seed)
         rep11 = {k: ([format_complex(v) for v in val] if k == "A2" else val)
                  for k, val in rep11.items()}
@@ -296,10 +323,6 @@ def _cmd_counterexample(args) -> tuple:
                       value=rep11["chain_floor"], report=rep11)
         return rep, 0, False
     if args.kind == "prop9":
-        A = PoleSet(points=tuple(parse_complex_list(args.A)), domain=D)
-        B = PoleSet(points=tuple(parse_complex_list(args.B)), domain=G)
-        A1 = PoleSet(points=tuple(parse_complex_list(args.A1)), domain=D)
-        B1 = PoleSet(points=tuple(parse_complex_list(args.B1)), domain=G)
         rep9 = prop9_extend(D, G, A, B, z, w, args.q, A1, B1)
         rep = _report("counterexample", {"kind": "prop9", "D": args.D, "G": args.G,
                                          "q": args.q}, t0, seed=args.seed,
@@ -403,10 +426,10 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         out, code, raw = args.fn(args)
-    except ValueError as e:  # CliError included
+    except CliError as e:
         print(json.dumps({"error": str(e), "kind": "validation"}))
         return 2
-    except Exception as e:  # numeric / internal failure
+    except Exception as e:  # numeric / internal failure, ValueError included
         print(json.dumps({"error": str(e), "kind": "internal"}))
         return 1
     if raw:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import digamma
@@ -105,8 +106,9 @@ class LiftSet:
     log_modulus = log|eta| are computed stably from strip coordinates and
     stay meaningful down to 1e-300.  moduli is |eta| to a few ulps where
     |eta| < 2^-1/2, and 1 - delta nearer the circle.  err bounds the rounding
-    of each float eta: `moebius_error` on the disc, 0.0 on plane domains,
-    whose bound is not computed yet.
+    of each float eta: `moebius_error` of the disc's one lift Phi_alpha(a),
+    whose (alpha, a) is `moebius_args`, computed when first read; 0.0 on
+    plane domains, whose bound is not computed yet.
     """
 
     windings: np.ndarray
@@ -115,7 +117,13 @@ class LiftSet:
     delta: np.ndarray
     log_modulus: np.ndarray
     moduli: np.ndarray
-    err: np.ndarray
+    moebius_args: tuple | None = None
+
+    @cached_property
+    def err(self) -> np.ndarray:
+        if self.moebius_args is None:
+            return np.zeros(len(self.eta))
+        return np.array([moebius_error(*self.moebius_args)])
 
 
 def _punct_strip(a: complex, ks: np.ndarray) -> np.ndarray:
@@ -244,8 +252,7 @@ class CoverMap:
             am = abs(eta)
             logm = math.log(am) if am > 0 else -math.inf
             return LiftSet(np.array([0]), np.array([0j]), np.array([eta]), np.array([1.0 - am]),
-                           np.array([logm]), np.array([am]),
-                           np.array([moebius_error(self.base_lift, a)]))
+                           np.array([logm]), np.array([am]), (self.base_lift, a))
         zeta0, c0 = self.base_lift, self._c0
         ks = np.arange(-per_side, per_side + 1)
         s, zeta, om = self._raw_lift_data(a, ks)
@@ -266,8 +273,7 @@ class CoverMap:
         # 1 - (1 - rho) would lose the leading digits of small moduli
         moduli = np.where(near, rho, 1.0 - delta)
         order = np.argsort(-delta, kind="stable")
-        return LiftSet(ks[order], s[order], eta[order], delta[order], logm[order], moduli[order],
-                       np.zeros(len(ks)))
+        return LiftSet(ks[order], s[order], eta[order], delta[order], logm[order], moduli[order])
 
     def min_lift_log_modulus(self, a: complex) -> float:
         """log of the smallest lift modulus, i.e. log l_D(a, z)."""

@@ -6,26 +6,33 @@ The solver works inside the family f_a(z) = z*Phi_a(z), a in [0,1).  Each
 target mu_j has two preimages z_j(a), w_j(a) with |z_j| <= sqrt|mu_j| <= |w_j|;
 the curves g(a) = prod|z_j(a)| and h(a) = prod|w_j(a)| run continuously from
 the common value sqrt(p) at a=0 to p and 1 respectively, so one of them
-crosses q and the crossing parameter is found by a grid scan plus bisection.
-Zero targets are removed first by pulling every target back through one more
-map z*Phi_alpha(z) (the nonzero preimage of 0 is alpha itself), solving the
-reduced problem and composing.
+crosses q.  The crossing is found on the log product F(a) = sum_j
+log|rho_j(a)| - log q of the curve's roots rho_j: a grid scan brackets the
+first sign change of F, and Newton steps, with F' from implicit
+differentiation of the quadratic, run inside the bracket, which the sign of
+F shrinks at every step; a step that is not finite or leaves the bracket is
+replaced by the bracket midpoint (Brent, Algorithms for Minimization without
+Derivatives, 1973).  Log products do not underflow, so every q > 0 that
+normal floats resolve is met.  Zero targets are removed first by pulling
+every target back through one more map z*Phi_alpha(z) (the nonzero preimage
+of 0 is alpha itself), solving the reduced problem and composing.
 
 `lemma4_solve_batch` solves several problems in one pass, and
 `lemma4_solve` is a batch of one.  Theorem 5's certificate is built at a
 ladder of values q that share one target list (`theorem5_certificates`),
 so the batch scans the curve g or h once per distinct target list and
 branch, since the curves do not depend on q, and every problem reuses that
-scan.  The bisections then run in lockstep: each step is one root-kernel
-call over the rows still live, and a row leaves as soon as |f - q| <=
-min(1e-11, 1e-9 q), so that a small q is met to a relative 1e-9 too.
+scan.  The Newton iterations then run in lockstep: each step is one
+root-kernel call over the rows still live, and a row leaves as soon as
+|prod|rho_j| - q| <= min(1e-11, 1e-9 q), so that a small q is met to a
+relative 1e-9 too.  From the scan's bracket this usually takes two steps.
 Every row gets the bits of its solo run: the scan is the same computation,
 each row of a step applies the same elementwise operations to its own
-targets and midpoint, and a row's product runs over its own targets in
-order (numpy's product reduction is sequential; shorter target lists are
-padded with exact 1.0 after their last target).  Zero-target problems find
-their reduction alpha one by one, and their reduced problems are solved as
-one inner batch.
+targets and iterate, and a row's log terms are added one target at a time
+in target order (numpy's add-reduction is pairwise from 8 entries on);
+shorter target lists are padded with terms that add exactly 0.0.
+Zero-target problems find their reduction alpha one by one, and their
+reduced problems are solved as one inner batch.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from .disc_domain import (
 )
 
 MAX_TARGETS = 64
+# stop of the crossing iteration, and its cap on steps
 BISECT_TOL = 1e-11
 # the stop is relative below q = BISECT_TOL / BISECT_RTOL = 0.01
 BISECT_RTOL = 1e-9
@@ -95,7 +103,8 @@ class Lemma4Solution:
 
 
 def _roots_grid(mus: np.ndarray, a: np.ndarray):
-    """Moduli of both roots of z^2 - a(1+mu)z + mu = 0, one row per entry of a.
+    """Both roots (small, large) of z^2 - a(1+mu)z + mu = 0, one row per entry
+    of a, ordered by modulus.
 
     mus is one target list shared by every row, shape (N,), or one list per
     row, shape (len(a), N).  Vectorized version of solve_node_quadratic (all
@@ -106,12 +115,12 @@ def _roots_grid(mus: np.ndarray, a: np.ndarray):
     flip = (np.conj(b) * sq).real < 0.0
     sq = np.where(flip, -sq, sq)
     w = (b + sq) / 2.0
-    w = np.where(w == 0, 1j * np.sqrt(mus * np.ones_like(a)), w)
+    hit = w == 0  # a == 0 and the sqrt branch hit zero; roots are +-i sqrt(mu)
+    if hit.any():
+        w = np.where(hit, 1j * np.sqrt(mus * np.ones_like(a)), w)
     zs = mus / w
-    az, aw = np.abs(zs), np.abs(w)
-    small = np.minimum(az, aw)
-    large = np.maximum(az, aw)
-    return small, large
+    swap = np.abs(zs) > np.abs(w)
+    return np.where(swap, w, zs), np.where(swap, zs, w)
 
 
 def curves_gh(mu, a: float) -> tuple:
@@ -120,81 +129,121 @@ def curves_gh(mu, a: float) -> tuple:
     if np.any(mus == 0):
         raise ValueError("zero entries are handled upstream by the reduction")
     small, large = _roots_grid(mus, np.asarray([float(a)]))
-    return float(np.prod(small[0])), float(np.prod(large[0]))
+    return float(np.prod(np.abs(small[0]))), float(np.prod(np.abs(large[0])))
 
 
-def _bisect_lockstep(mus: np.ndarray, pad: np.ndarray, large: np.ndarray,
-                     q: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                     flo: np.ndarray) -> np.ndarray:
-    """Bisect every row's bracket [lo, hi] of its curve minus q together.
+def _log_curve(mus: np.ndarray, a: np.ndarray, large, pad=False) -> tuple:
+    """S(a) = sum_j log|rho_j(a)| and S'(a), one row per entry of a.
 
-    Row r bisects g (large[r] false) or h of the targets mus[r], whose
-    padding entries pad[r] count as exact 1.0 factors; flo is the curve
-    minus q at lo; lo, hi and flo are updated in place.  A row stops once
-    |f - q| <= min(BISECT_TOL, BISECT_RTOL q).  Returns each row's crossing
-    parameter, with the steps and the exit rule of the scalar loop, so each
-    row's bits are its solo run's.
-    """
-    a_star = np.empty(len(q))
-    live = np.arange(len(q))
-    tol = np.minimum(BISECT_TOL, BISECT_RTOL * q)
+    rho_j is the large root where `large` holds, else the small one (large
+    broadcasts against the rows: one bool, or one per row as shape (rows, 1)).
+    Implicit differentiation of rho^2 - a(1+mu)rho + mu = 0 gives
+    d log|rho| / da = Re((1+mu) / (2 rho - a(1+mu))).  Entries where pad
+    holds add exactly 0.0, and the terms are added column by column in
+    target order, so a padded row gets the bits of its unpadded run.  Where
+    the two roots meet, the derivative is infinite or nan."""
+    small, big = _roots_grid(mus, a)
+    rho = np.where(large, big, small)
+    one_mu = 1.0 + mus
+    logs = np.where(pad, 0.0, np.log(np.abs(rho)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ders = np.where(pad, 0.0, (one_mu / (2.0 * rho - a[:, None] * one_mu)).real)
+    S, dS = np.zeros(len(a)), np.zeros(len(a))
+    for j in range(logs.shape[1]):
+        S += logs[:, j]
+        dS += ders[:, j]
+    return S, dS
+
+
+def _newton_step(x, F, dF, lo, hi):
+    """x - F/F', or the midpoint of [lo, hi] where that step is not finite or
+    leaves the open bracket."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xn = x - F / dF
+    return np.where((lo < xn) & (xn < hi), xn, 0.5 * (lo + hi))
+
+
+def _crossing_lockstep(mus: np.ndarray, pad: np.ndarray, large: np.ndarray,
+                       log_q: np.ndarray, rtol: np.ndarray, lo: np.ndarray,
+                       hi: np.ndarray, sign_lo: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Solve F(a) = S(a) - log q = 0 for every row together, by Newton steps
+    safeguarded by each row's bracket [lo, hi].
+
+    Row r follows the small or large root (large[r]) of the targets mus[r],
+    whose padding entries pad[r] add nothing; sign_lo is the sign of F at lo
+    and x the first iterate.  A row stops once |expm1(F)| <= rtol, that is
+    |prod|rho_j| - q| <= rtol q; a row that has not stopped after
+    BISECT_STEPS steps gets nan.  lo, hi and x are updated in place.  Each
+    step is one root-kernel call over the rows still live, and applies the
+    same elementwise operations to every row, so each row's bits are its
+    solo run's."""
+    a_star = np.empty(len(x))
+    live = np.arange(len(x))
     for _ in range(BISECT_STEPS):
         if not live.size:
             return a_star
-        mid = 0.5 * (lo[live] + hi[live])
-        small, big = _roots_grid(mus[live], mid)
-        vals = np.where(pad[live], 1.0, np.where(large[live, None], big, small))
-        fm = vals.prod(axis=1) - q[live]
-        done = np.abs(fm) <= tol[live]
-        a_star[live[done]] = mid[done]
-        left = flo[live] * fm <= 0.0
-        to_hi, to_lo = ~done & left, ~done & ~left
-        hi[live[to_hi]] = mid[to_hi]
-        lo[live[to_lo]] = mid[to_lo]
-        flo[live[to_lo]] = fm[to_lo]
+        xl = x[live]
+        F, dF = _log_curve(mus[live], xl, large[live, None], pad[live])
+        F -= log_q[live]
+        done = np.abs(np.expm1(F)) <= rtol[live]
+        a_star[live[done]] = xl[done]
+        below = np.sign(F) * sign_lo[live] <= 0.0  # the crossing lies in [lo, x]
+        hi[live[below]] = xl[below]
+        lo[live[~below]] = xl[~below]
+        step = _newton_step(xl, F, dF, lo[live], hi[live])
         live = live[~done]
-    a_star[live] = 0.5 * (lo[live] + hi[live])
+        x[live] = step[~done]
+    a_star[live] = np.nan
     return a_star
 
 
 def _solve_nonzero(problems: list) -> list:
     """Crossing parameter and branch, (a_star, branch), of each problem with
-    nonzero targets, or the RuntimeError raised when no bracket exists."""
+    nonzero targets, or the RuntimeError raised when no bracket exists or the
+    iteration does not meet q."""
     out = [None] * len(problems)
     scans = {}
-    rows = []  # (problem index, targets, large branch, q, grid index of lo, f(lo))
+    # (problem index, targets, large branch, log q, rtol, grid index of lo,
+    #  first iterate, sign of F at lo)
+    rows = []
     for k, pr in enumerate(problems):
         mus = np.asarray(pr.mu)
         p = float(np.prod(np.abs(mus)))
-        branch = "small" if pr.q <= math.sqrt(p) else "large"
-        idx = 0 if branch == "small" else 1
-        key = (mus.tobytes(), idx)
+        large = pr.q > math.sqrt(p)
+        key = (mus.tobytes(), large)
         if key not in scans:
-            scans[key] = _roots_grid(mus, BRACKET_GRID)[idx].prod(axis=1)
-        vals = scans[key]
-        diff = vals - pr.q
-        sign_change = np.nonzero(diff[:-1] * diff[1:] <= 0.0)[0]
-        if len(sign_change):
-            j = int(sign_change[0])
-            rows.append((k, mus, idx == 1, pr.q, j, float(vals[j] - pr.q)))
+            scans[key] = _log_curve(mus, BRACKET_GRID, large)
+        S, dS = scans[key]
+        log_q = math.log(pr.q)
+        F = S - log_q
+        rtol = min(BISECT_TOL / pr.q, BISECT_RTOL)
+        # signs, not the product F[:-1] * F[1:], which underflows to 0.0
+        cross = np.nonzero(np.sign(F[:-1]) * np.sign(F[1:]) <= 0.0)[0]
+        if len(cross):
+            j = int(cross[0])
+            e = j if abs(F[j]) <= abs(F[j + 1]) else j + 1  # Newton from the nearer end
+            x0 = _newton_step(BRACKET_GRID[e], F[e], dS[e], BRACKET_GRID[j], BRACKET_GRID[j + 1])
+            rows.append((k, mus, large, log_q, rtol, j, float(x0), float(np.sign(F[j]))))
             continue
-        j = int(np.argmin(np.abs(diff)))
-        if abs(diff[j]) <= BISECT_TOL:
-            out[k] = (float(BRACKET_GRID[j]), branch)
+        j = int(np.argmin(np.abs(F)))
+        if abs(math.expm1(F[j])) <= rtol:
+            out[k] = (float(BRACKET_GRID[j]), "large" if large else "small")
         else:
             out[k] = RuntimeError("no bracket found for the Lemma 4 curve; should not occur")
     if rows:
-        ks, targets, large, qs, j, flo = zip(*rows)
+        ks, targets, large, log_q, rtol, j, x0, sign_lo = zip(*rows)
         mus = np.full((len(rows), max(map(len, targets))), 0.5 + 0j)  # harmless padding
         pad = np.ones(mus.shape, dtype=bool)
         for r, t in enumerate(targets):
             mus[r, :len(t)] = t
             pad[r, :len(t)] = False
         j = np.asarray(j)
-        a_star = _bisect_lockstep(mus, pad, np.asarray(large), np.asarray(qs),
-                                  BRACKET_GRID[j], BRACKET_GRID[j + 1], np.asarray(flo))
+        a_star = _crossing_lockstep(mus, pad, np.asarray(large), np.asarray(log_q),
+                                    np.asarray(rtol), BRACKET_GRID[j], BRACKET_GRID[j + 1],
+                                    np.asarray(sign_lo), np.asarray(x0))
         for k, a, big in zip(ks, a_star, large):
-            out[k] = (float(a), "large" if big else "small")
+            out[k] = (RuntimeError(f"the Lemma 4 iteration did not meet q in {BISECT_STEPS} steps")
+                      if np.isnan(a) else (float(a), "large" if big else "small"))
     return out
 
 

@@ -1,5 +1,6 @@
-"""Shared test fixtures: one session cache for the heavy optimizer runs, and a
-50-digit Pick oracle computed apart from the package."""
+"""Shared test fixtures: one session cache for the heavy optimizer runs, and
+50-digit oracles computed apart from the package: Pick matrices and Lemma-4
+node products."""
 
 import pytest
 
@@ -53,3 +54,25 @@ class PickOracle:
 @pytest.fixture(scope="session")
 def pick_oracle():
     return PickOracle(pytest.importorskip("mpmath"))
+
+
+def _node_product(mp, mu, a, branch):
+    """prod |rho_j(a)| at 50 digits, rho_j the small or large root of
+    rho^2 - a(1 + mu_j) rho + mu_j = 0; the floats mu_j and a are taken as exact."""
+    with mp.workdps(PickOracle.DPS):
+        a = mp.mpf(float(a))
+        out = mp.mpf(1)
+        for m in mu:
+            m = mp.mpc(complex(m).real, complex(m).imag)
+            b = a * (1 + m)
+            s = mp.sqrt(b * b - 4 * m)
+            moduli = sorted((abs((b + s) / 2), abs((b - s) / 2)))
+            out *= moduli[0] if branch == "small" else moduli[1]
+        return float(out)
+
+
+@pytest.fixture(scope="session")
+def node_product():
+    """node_product(mu, a, branch): the Lemma-4 node product at 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    return lambda mu, a, branch: _node_product(mp, mu, a, branch)

@@ -202,6 +202,39 @@ def test_numeric_failure_exits_1(monkeypatch):
     assert doc["error"] == "lower bound exceeds upper bound"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--D", "disc", "--G", "disc", "--A", "0.5+0i", "--b", "0.3+0i",
+     "--z", "1.5+0i", "--w", "0+0i"],
+    ["eval", "--domain", "punctured", "--pole", "0+0i", "--at", "0.5+0i"],
+    ["bidisc", "--A", "0.5+0i", "--B", "0.5j", "--restarts", "0"],
+    ["counterexample", "--kind", "prop10", "--G", "annulus:0.3", "--b", "0.1+0i"],
+])
+def test_inputs_built_from_flags_exit_2(argv):
+    # points outside their domain and settings the optimizer rejects are
+    # input errors, found before any computation starts
+    code, out = run_cli(argv)
+    assert code == 2
+    assert json.loads(out)["kind"] == "validation"
+
+
+def test_value_error_inside_a_computation_exits_1(monkeypatch):
+    from lempertpoles import cli
+
+    def failing(problem):
+        raise ValueError("no crossing")
+
+    monkeypatch.setattr(cli, "lemma4_solve", failing)
+    code, out = run_cli(["lemma4", "--mu", "0.3+0i,0+0.4i", "--q", "0.9"])
+    assert code == 1
+    assert json.loads(out) == {"error": "no crossing", "kind": "internal"}
+
+
+def test_lemma4_tiny_q():
+    code, out = run_cli(["lemma4", "--mu", "0+0i,0.5+0i", "--q", "1e-300"])
+    assert code == 0
+    assert abs(json.loads(out)["value"] - 1e-300) <= 1e-9 * 1e-300
+
+
 def test_csv_sweep():
     code, out = run_cli(["eval", "--domain", "disc", "--poles", "0.5+0i",
                          "--at", "0+0i,0.1+0i,0.2+0i", "--csv"])

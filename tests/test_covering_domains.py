@@ -6,7 +6,7 @@ import pytest
 
 import lempertpoles.covering_domains as cd
 from lempertpoles.acceptance import annulus_green_image_series
-from lempertpoles.complex_kernel import moebius
+from lempertpoles.complex_kernel import moebius, moebius_error
 from lempertpoles.covering_domains import (
     LIFTS_PER_SIDE_MAX,
     CoverMap,
@@ -212,6 +212,23 @@ def test_near_lift_moduli_equal_eta_modulus(dom, z):
         if abs(a - z) >= 1e-12:  # nearer, a is a pole hit
             res = lempert_N_plane(dom, a, z, 2)
             assert abs(res.meta["moduli"][0] - eta) <= 4 * np.spacing(eta), r
+
+
+@pytest.mark.parametrize("dom, z", [
+    (PlaneDomain("disc"), 0.3 - 0.2j),
+    (PlaneDomain("punctured"), 0.5),
+    (PlaneDomain("annulus", R=0.3), 0.6 * np.exp(0.7j)),
+])
+def test_lift_rounding_bound(dom, z):
+    # the disc's bound is computed when read, from the lift's own Moebius
+    # arguments; plane domains have none yet
+    cover = build_cover(dom, z)
+    for a in (0.4 + 0.1j, -0.7j, 0.95):
+        ls = cover.lifts(a, 6)
+        if dom.kind == "disc":
+            assert ls.err.tolist() == [moebius_error(cover.base_lift, a)]
+        else:
+            assert ls.err.tolist() == [0.0] * len(ls.eta)
 
 
 def test_lempert_N_degenerate_at_pole():

@@ -120,6 +120,25 @@ def test_small_q_product_is_met_relatively(q):
     assert abs(product - q) <= 1e-9 * q
 
 
+@pytest.mark.parametrize("mu,q", [((0j, 0.5), 1e-300), ((0j, 0j, 0.7), 1e-200)])
+def test_tiny_q_product_is_met_relatively(mu, q):
+    # the reduced products near q are far below the square of the smallest
+    # normal float, so the bracket test compares signs and the iteration
+    # works on log products
+    sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
+    product = float(np.prod(np.abs(np.asarray(sol.eta))))
+    assert abs(product - q) <= 1e-9 * q
+
+
+def test_unmet_crossing_raises():
+    # a target of 1e-300 puts h's crossing with q = 1e-150 near a = 1.4e-150,
+    # inside the first scan cell [0, 1/1024]; Newton steps leave that bracket,
+    # and BISECT_STEPS halvings reach only about 1e-63, so the solve raises
+    # instead of returning an a whose node product is 2e-64
+    with pytest.raises(RuntimeError, match="did not meet q"):
+        lemma4_solve(Lemma4Problem(mu=(1e-300, 0.5), q=1e-150))
+
+
 def test_all_zero_targets():
     sol = lemma4_solve(Lemma4Problem(mu=(0j, 0j, 0j), q=0.75))
     assert sol.residual < 1e-9 and sol.product_error < 1e-9
@@ -161,54 +180,94 @@ def test_batch_reproduces_each_solo_solve():
         assert type(got.a) is float
 
 
-@pytest.mark.parametrize("mu,q,a,branch,eta,alpha", [
-    ((0.3, 0.4j), 0.9, 0.9611294912683661, "large",
-     (0.9252217436457328 + 0j, 0.9723759119246284 - 0.026604045997456388j), None),
-    ((0.2 + 0.1j, -0.4j, 0.6), 0.2, 0.2705651483265683, "small",
-     (0.051528755984005935 + 0.444930579889106j, -0.3125112256867938 - 0.48439913482266866j,
-      0.21645211866125466 + 0.7437395245158442j), None),
-    ((0j, 0.5), 0.3, 0.8199544162052916, "small",
-     (0.4001013686618672 + 0j, 0.04980437432293249 + 0.7481540839118955j), 0.25),
-    ((0.7j, 0j, -0.5 + 0.1j, 0.25), 0.05, 0.8525046017020941, "small",
-     (-0.5785743296292094 + 0.6052043635218939j, 0.15556979380784866 + 0j,
-      -0.6997410514792689 + 0.07282051052065669j, 0.011241790986205997 + 0.5455200432646777j),
-     0.125),
+@pytest.mark.parametrize("mu,q,branch,alpha", [
+    ((0.3, 0.4j), 0.9, "large", None),
+    ((0.2 + 0.1j, -0.4j, 0.6), 0.2, "small", None),
+    ((0j, 0.5), 0.3, "small", 0.25),
+    ((0.7j, 0j, -0.5 + 0.1j, 0.25), 0.05, "small", 0.125),
 ])
-def test_solver_bits_pinned_to_scalar_bisection(mu, q, a, branch, eta, alpha):
-    # bits of the one-problem-at-a-time solver (a scan and a scalar
-    # bisection per problem); the lockstep batch must keep them
+def test_crossing_meets_q_at_50_digits(mu, q, branch, alpha, node_product):
+    # the node product of the returned a, computed apart from the package,
+    # meets q to the solver's stop; zero targets are checked on the reduced
+    # problem, whose crossing the returned a is
+    import lempertpoles.interpolation as itp
+
     sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
-    assert (sol.a, sol.branch, sol.eta, sol.reduction_alpha) == (a, branch, eta, alpha)
+    assert (sol.branch, sol.reduction_alpha) == (branch, alpha)
+    targets = mu if alpha is None else itp._reduction_alpha(mu, q)[1]
+    assert abs(node_product(targets, sol.a, branch) - q) <= min(1e-11, 1e-9 * q)
 
 
 def _scalar_crossing(mu, q):
-    """The one-problem scan and scalar bisection the lockstep batch replaced."""
+    """The scan and safeguarded Newton iteration for one problem, one a at a time."""
     import lempertpoles.interpolation as itp
 
     mus = np.asarray(mu)
-    idx = 0 if q <= math.sqrt(float(np.prod(np.abs(mus)))) else 1
-    grid = itp.BRACKET_GRID
-    diff = itp._roots_grid(mus, grid)[idx].prod(axis=1) - q
-    j = int(np.nonzero(diff[:-1] * diff[1:] <= 0.0)[0][0])
-    lo, hi, flo = float(grid[j]), float(grid[j + 1]), float(diff[j])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = float(itp._roots_grid(mus, np.asarray([mid]))[idx].prod(axis=1)[0]) - q
-        if abs(fm) <= itp.BISECT_TOL:
-            return mid
-        if flo * fm <= 0.0:
-            hi = mid
+    large = q > math.sqrt(float(np.prod(np.abs(mus))))
+
+    def log_curve(a):
+        small, big = itp._roots_grid(mus, np.asarray(a))
+        rho = big if large else small
+        logs = np.log(np.abs(rho))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ders = ((1.0 + mus) / (2.0 * rho - np.asarray(a)[:, None] * (1.0 + mus))).real
+        return ([sum(row, 0.0) - math.log(q) for row in logs.tolist()],
+                [sum(row, 0.0) for row in ders.tolist()])
+
+    def newton(x, F, dF, lo, hi):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = float(np.float64(x) - np.float64(F) / np.float64(dF))
+        return xn if lo < xn < hi else 0.5 * (lo + hi)
+
+    grid = itp.BRACKET_GRID.tolist()
+    F, dF = log_curve(grid)
+    j = next(i for i in range(len(F) - 1) if np.sign(F[i]) * np.sign(F[i + 1]) <= 0.0)
+    lo, hi, left = grid[j], grid[j + 1], np.sign(F[j])
+    e = j if abs(F[j]) <= abs(F[j + 1]) else j + 1
+    x = newton(grid[e], F[e], dF[e], lo, hi)
+    rtol = min(itp.BISECT_TOL / q, itp.BISECT_RTOL)
+    for _ in range(itp.BISECT_STEPS):
+        (f,), (df,) = log_curve([x])
+        if abs(np.expm1(f)) <= rtol:
+            return x
+        if np.sign(f) * left <= 0.0:
+            hi = x
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+            lo = x
+        x = newton(x, f, df, lo, hi)
+    return math.nan  # q not met within the cap
 
 
-def test_lockstep_bisection_matches_scalar_loop():
-    problems = [pr for pr in _c1_problems() if all(m != 0 for m in pr.mu)]
+def test_lockstep_newton_matches_scalar_loop():
+    # zero-target problems are checked on their reduced problem
+    import lempertpoles.interpolation as itp
+
+    problems = _c1_problems()
     batch = lemma4_solve_batch(problems)
-    assert len(problems) > 250
     for pr, sol in zip(problems, batch):
-        assert sol.a == _scalar_crossing(pr.mu, pr.q)
+        targets = pr.mu if sol.reduction_alpha is None else itp._reduction_alpha(pr.mu, pr.q)[1]
+        assert sol.a == _scalar_crossing(targets, pr.q)
+
+
+def test_mixed_length_batch_keeps_solo_bits():
+    # rows padded to 12 targets: numpy's pairwise add-reduction, used from 8
+    # entries on, would sum a padded 5-target row as (l0 + l1) + (l2 + l3)
+    # + l4, not in target order, so the terms are added one target at a time
+    rng = np.random.default_rng(3)
+    problems = []
+    for n in (3, 12, 5, 12, 3, 5):
+        mu = tuple((0.3 + 0.65 * rng.random()) * np.exp(2j * np.pi * rng.random())
+                   for _ in range(n))
+        p = float(np.prod(np.abs(mu)))
+        for t in (0.1, 0.9):
+            problems.append(Lemma4Problem(mu=mu, q=p + (1.0 - p) * t * rng.random()))
+    assert {len(pr.mu) for pr in problems} == {3, 5, 12}
+    batch = lemma4_solve_batch(problems)
+    assert {s.branch for s in batch} == {"small", "large"}
+    for pr, got in zip(problems, batch):
+        solo = lemma4_solve(pr)
+        assert (got.a, got.branch, got.eta, got.residual, got.product_error) == (
+            solo.a, solo.branch, solo.eta, solo.residual, solo.product_error)
 
 
 def test_batch_shares_one_scan_per_target_list(monkeypatch):
