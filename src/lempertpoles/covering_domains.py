@@ -14,6 +14,10 @@ That matters: high-winding lifts have disc coordinates within 1e-16 of the
 unit circle, so all moduli and products are computed from `s`, never from the
 rounded disc representation.
 
+`CoverMap.min_lift_log_modulus`, the single-pole value log l_D(a, z), takes
+one point or an array of points; `find_pole_with_value` evaluates all the
+points of its scan along a ray in one such call.
+
 Every winding enumeration goes through one geometric window search, capped at
 LIFTS_PER_SIDE_MAX windings per side.  The K smallest lifts are searched from
 max(8, K//2 + 4) windings per side, growing x4 until the K-th deficit exceeds
@@ -126,8 +130,8 @@ class LiftSet:
         return np.array([moebius_error(*self.moebius_args)])
 
 
-def _punct_strip(a: complex, ks: np.ndarray) -> np.ndarray:
-    return math.log(abs(a)) + 1j * (np.angle(a) + 2.0 * np.pi * ks)
+def _punct_strip(log_r, theta, ks: np.ndarray) -> np.ndarray:
+    return log_r + 1j * (theta + 2.0 * np.pi * ks)
 
 
 def _punct_one_minus_zeta_sq(s: np.ndarray) -> np.ndarray:
@@ -135,9 +139,9 @@ def _punct_one_minus_zeta_sq(s: np.ndarray) -> np.ndarray:
     return -4.0 * x / ((x - 1.0) ** 2 + s.imag ** 2)
 
 
-def _annulus_strip(a: complex, L: float, ks: np.ndarray) -> np.ndarray:
-    th = np.angle(a) + 2.0 * np.pi * ks
-    return (np.pi / L) * th - 1j * (np.pi / L) * (math.log(abs(a)) + L / 2.0)
+def _annulus_strip(log_r, theta, L: float, ks: np.ndarray) -> np.ndarray:
+    th = theta + 2.0 * np.pi * ks
+    return (np.pi / L) * th - 1j * (np.pi / L) * (log_r + L / 2.0)
 
 
 def _annulus_one_minus_zeta_sq(s: np.ndarray) -> np.ndarray:
@@ -154,16 +158,24 @@ def _annulus_one_minus_zeta_sq(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _raw_lifts(domain: PlaneDomain, a_rel: complex, ks: np.ndarray):
+def _raw_lifts(domain: PlaneDomain, log_r, theta, ks: np.ndarray):
     """(s, zeta, 1 - |zeta|^2) of the raw lifts of windings ks, for a point
-    a_rel given relative to the base point's ray."""
+    a_rel = exp(log_r + i theta) given relative to the base point's ray;
+    log_r and theta may be columns of points, giving a points x windings
+    grid."""
     if domain.kind == "punctured":
-        s = _punct_strip(a_rel, ks)
+        s = _punct_strip(log_r, theta, ks)
         return s, (s + 1.0) / (s - 1.0), _punct_one_minus_zeta_sq(s)
     if domain.kind == "annulus":
-        s = _annulus_strip(a_rel, -math.log(domain.R), ks)
+        s = _annulus_strip(log_r, theta, -math.log(domain.R), ks)
         return s, np.tanh(s / 2.0), _annulus_one_minus_zeta_sq(s)
     raise ValueError("disc cover is trivial; no winding enumeration")
+
+
+def _log_abs(a: np.ndarray) -> np.ndarray:
+    """log|a_k| per point, bit for bit math.log(abs(a_k)): np.hypot gives the
+    bits of abs(), and math.log is applied point by point."""
+    return np.array([math.log(r) for r in np.hypot(a.real, a.imag)])
 
 
 def _grow_window(start: int, factor: int, attempt):
@@ -240,7 +252,8 @@ class CoverMap:
 
     # -- lifts -----------------------------------------------------------
     def _raw_lift_data(self, a: complex, ks: np.ndarray):
-        return _raw_lifts(self.domain, abs(a) * np.exp(1j * self.relative_angle(a)), ks)
+        a_rel = abs(a) * np.exp(1j * self.relative_angle(a))
+        return _raw_lifts(self.domain, math.log(abs(a_rel)), np.angle(a_rel), ks)
 
     def lifts(self, a: complex, per_side: int) -> LiftSet:
         """Lifts of a through pi_z for windings |k| <= per_side, sorted ascending
@@ -275,13 +288,52 @@ class CoverMap:
         order = np.argsort(-delta, kind="stable")
         return LiftSet(ks[order], s[order], eta[order], delta[order], logm[order], moduli[order])
 
-    def min_lift_log_modulus(self, a: complex) -> float:
-        """log of the smallest lift modulus, i.e. log l_D(a, z)."""
+    def min_lift_log_modulus(self, a):
+        """log of the smallest lift modulus, i.e. log l_D(a, z), at one point
+        (a float) or at each point of an array (an array of that shape).
+
+        The minimum over windings |k| <= 4 of all the points is taken in one
+        set of array operations, bit for bit `lifts(a, 4).log_modulus[0]`:
+        point moduli go through np.hypot and their logs through math.log
+        (`_log_abs`), since np.abs and np.log on arrays differ from abs() and
+        math.log in the last bit on some points.  Off the annulus or the
+        punctured disc, one point raises ValueError as `lifts` does, and a
+        point of an array gets NaN, so a scan can evaluate points it may never
+        reach.  The disc applies its Python-complex Moebius formula point by
+        point, with no domain check.
+        """
+        pts = np.asarray(a, dtype=complex)
+        flat = pts.ravel()
         if self.domain.kind == "disc":
-            m = abs(moebius(self.base_lift, complex(a)))
-            return math.log(m) if m > 0 else -math.inf
-        ls = self.lifts(a, per_side=4)
-        return float(ls.log_modulus[0])
+            ms = [abs(moebius(self.base_lift, complex(p))) for p in flat]
+            out = np.array([math.log(m) if m > 0 else -math.inf for m in ms])
+        elif pts.ndim == 0:
+            out = self._min_log_moduli(np.array([self.domain.require_interior(a, "a")]))
+        else:
+            inside = np.array([self.domain.contains(p) for p in flat.tolist()], dtype=bool)
+            out = np.full(len(flat), np.nan)
+            out[inside] = self._min_log_moduli(flat[inside])
+        return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
+
+    def _min_log_moduli(self, pts: np.ndarray) -> np.ndarray:
+        """`lifts(a, 4).log_modulus[0]` for each interior point a of pts,
+        with the operations of `lifts` applied to a points x windings grid."""
+        zeta0, c0 = self.base_lift, self._c0
+        rel = np.angle(np.exp(1j * (np.angle(pts) - self.rotation)))  # relative_angle
+        a_rel = np.hypot(pts.real, pts.imag) * np.exp(1j * rel)
+        s, zeta, om = _raw_lifts(self.domain, _log_abs(a_rel)[:, None], np.angle(a_rel)[:, None],
+                                 np.arange(-4, 5))
+        u = np.clip(c0 * om / np.abs(1.0 - np.conj(zeta0) * zeta) ** 2, 0.0, 1.0)
+        rho = np.sqrt(1.0 - u)
+        near = u > 0.5
+        rho[near] = np.abs(moebius(zeta0, zeta[near]))
+        delta = np.where(near, 1.0 - rho, u / (1.0 + rho))
+        # the first largest deficit, as the stable sort in `lifts` puts first
+        rows, k = np.arange(len(pts)), np.argmax(delta, axis=1)
+        u, rho, near = u[rows, k], rho[rows, k], near[rows, k]
+        with np.errstate(divide="ignore"):
+            logm = np.where(near, np.log(np.maximum(rho, 1e-300)), 0.5 * np.log1p(-u))
+        return np.where(rho == 0.0, -np.inf, logm)
 
 
 def build_cover(domain: PlaneDomain, z: complex) -> CoverMap:
@@ -291,7 +343,7 @@ def build_cover(domain: PlaneDomain, z: complex) -> CoverMap:
         return CoverMap(domain, z, 0, 0j, complex(z), _c0=1.0 - abs(z) ** 2)
     rotation = float(np.angle(z))
     ks = np.arange(-3, 4)
-    s, zeta, om = _raw_lifts(domain, abs(z) + 0.0j, ks)
+    s, zeta, om = _raw_lifts(domain, math.log(abs(z)), 0.0, ks)
     moduli = np.sqrt(np.clip(1.0 - om, 0.0, None))
     best = min(range(len(ks)),
                key=lambda i: (round(float(moduli[i]), 15), np.angle(zeta[i]) % (2 * np.pi)))
@@ -560,9 +612,15 @@ def find_pole_with_value(domain: PlaneDomain, z: complex, t: float,
     """Point a on the ray from z in `direction` with l_D({a}, z) = t.
 
     Uses that the single-pole Lempert value is continuous, vanishes at z and
-    tends to 1 toward the boundary: scan for the first bracket, then bisect
-    to |l - t| <= tol.  The root closest to z is returned when the profile is
-    not monotone.
+    tends to 1 toward the boundary.  The scan points are known in advance: a
+    start point near z, 512 grid points and 49 points pushed geometrically
+    toward the boundary, s_max (1 - 2^(-j-1)) for j = 1..49.  All of them
+    are evaluated in one batched call of `CoverMap.min_lift_log_modulus`;
+    the bracket is the first grid step where l - t changes sign, else the
+    first push point with l >= t.  Then one-point calls bisect it to
+    |l - t| <= tol.  The root closest to z is returned when the profile is
+    not monotone.  A scan point that rounding puts off the domain raises
+    ValueError only if the scan reaches it.
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must be in (0, 1)")
@@ -576,30 +634,21 @@ def find_pole_with_value(domain: PlaneDomain, z: complex, t: float,
         return cover.min_lift_log_modulus(z + s * d)
 
     grid = np.linspace(0.0, s_max, 513)[1:] * (1.0 - 1e-12)
-    lo = hi = None
-    prev_s, prev_v = grid[0] * 1e-6, log_l(grid[0] * 1e-6)
-    samples = []
-    for s in grid:
-        v = log_l(s)
-        samples.append((s, v))
-        if (prev_v - log_t) * (v - log_t) <= 0.0:
-            lo, hi = prev_s, s
-            break
-        prev_s, prev_v = s, v
-    if lo is None:
-        # push geometrically toward the boundary where l -> 1
-        for j in range(1, 50):
-            s = s_max * (1.0 - 2.0 ** (-j - 1))
-            v = log_l(s)
-            samples.append((s, v))
-            if v >= log_t:
-                lo, hi = prev_s, s
-                break
-            prev_s, prev_v = s, v
-    if lo is None:
+    push = s_max * (1.0 - np.ldexp(1.0, -np.arange(2, 51)))
+    s = np.concatenate(([grid[0] * 1e-6], grid, push))
+    pts = z + s * d
+    v = cover.min_lift_log_modulus(pts)  # NaN off the domain
+    f = v - log_t
+    # a sign change of l - t over a grid step, or l >= t at a push point
+    hit = np.concatenate((f[:512] * f[1:513] <= 0.0, v[513:] >= log_t))
+    i = int(np.argmax(hit)) + 1 if hit.any() else len(s)
+    for p in pts[:i + 1][np.isnan(v[:i + 1])]:
+        cover.min_lift_log_modulus(p)  # off the domain: raises as the point alone
+    if i == len(s):
+        samples = list(zip(s[-5:].tolist(), v[-5:].tolist()))
         raise RuntimeError(
-            f"bracketing failed for t={t} along direction {d}: samples {samples[-5:]}")
-    flo = prev_v - log_t  # the bracket's lo is always the last sample before hi
+            f"bracketing failed for t={t} along direction {d}: samples {samples}")
+    lo, hi, flo = s[i - 1], s[i], f[i - 1]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         v = log_l(mid)

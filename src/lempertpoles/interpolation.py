@@ -317,7 +317,10 @@ def lemma4_solve_batch(problems) -> list:
     """Solve several interpolation problems of the lemma at once.
 
     Entry k is problem k's Lemma4Solution, bit for bit what solving it alone
-    gives, or the RuntimeError its solve raised.  Zero targets: every mu_j is
+    gives, or the RuntimeError its solve raised.  A solution whose residual
+    max_j |f(eta_j) - mu_j| exceeds RESIDUAL_TOL is refused with one: near
+    q = 1 the nodes crowd the circle, where the root quadratic loses
+    digits.  Zero targets: every mu_j is
     replaced by a preimage under g_alpha(z) = z*Phi_alpha(z) (zeros become
     alpha, the nonzero preimage of 0; nonzero targets use their small-root
     preimage), the reduced problems are solved as one inner batch and each
@@ -337,11 +340,15 @@ def lemma4_solve_batch(problems) -> list:
                 out[k] = exc
                 continue
             reduced.append((k, alpha, Lemma4Problem(mu=mu_red, q=pr.q)))
-    if reduced:
-        inner = lemma4_solve_batch([red for _, _, red in reduced])
-        for (k, alpha, _), sol in zip(reduced, inner):
-            out[k] = sol if isinstance(sol, Exception) else _composed_solution(
-                problems[k], alpha, sol)
+    # the reduced targets are nonzero; their residual is gated only after
+    # the composition, whose Newton steps refine it
+    inner = _solve_nonzero([red for _, _, red in reduced])
+    for (k, alpha, red), res in zip(reduced, inner):
+        out[k] = res if isinstance(res, Exception) else _composed_solution(
+            problems[k], alpha, _nonzero_solution(red, *res))
+    for k, sol in enumerate(out):
+        if isinstance(sol, Lemma4Solution) and not sol.residual <= RESIDUAL_TOL:
+            out[k] = RuntimeError(f"Lemma 4 residual {sol.residual:.3g} exceeds {RESIDUAL_TOL}")
     return out
 
 

@@ -235,6 +235,34 @@ def test_lemma4_tiny_q():
     assert abs(json.loads(out)["value"] - 1e-300) <= 1e-9 * 1e-300
 
 
+def test_lemma4_residual_above_tol_exits_1():
+    code, out = run_cli(["lemma4", "--mu", "0.3+0i,0+0.4i", "--q", "0.999999999"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["kind"] == "internal" and "residual" in doc["error"]
+
+
+def test_eval_find_pole_readme_example():
+    from lempertpoles.covering_domains import PlaneDomain, lempert_poleset_plane
+    from lempertpoles.disc_domain import PoleSet
+
+    code, out = run_cli(["eval", "--domain", "annulus:0.2", "--at", "0.5+0i",
+                         "--find-pole", "0.8", "--direction", "0+1i"])
+    assert code == 0
+    (row,) = json.loads(out)["values"]
+    dom = PlaneDomain("annulus", R=0.2)
+    pole = parse_complex(row["pole"])
+    assert abs(lempert_poleset_plane(dom, PoleSet(points=(pole,), domain=dom), 0.5).value
+               - 0.8) <= 1e-10
+
+
+def test_eval_find_pole_level_outside_unit_interval_exits_1():
+    code, out = run_cli(["eval", "--domain", "annulus:0.2", "--at", "0.5+0i",
+                         "--find-pole", "1.5", "--direction", "0+1i"])
+    assert code == 1
+    assert json.loads(out) == {"error": "t must be in (0, 1)", "kind": "internal"}
+
+
 def test_csv_sweep():
     code, out = run_cli(["eval", "--domain", "disc", "--poles", "0.5+0i",
                          "--at", "0+0i,0.1+0i,0.2+0i", "--csv"])

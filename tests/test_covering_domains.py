@@ -279,9 +279,9 @@ def test_green_enumerates_lifts_once(monkeypatch):
         windows.append(per_side)
         return lifts(self, a, per_side)
 
-    def counting_strip(a, ks):
+    def counting_strip(log_r, theta, ks):
         windings.append(len(ks))
-        return punct_strip(a, ks)
+        return punct_strip(log_r, theta, ks)
 
     monkeypatch.setattr(CoverMap, "lifts", counting_lifts)
     monkeypatch.setattr(cd, "_punct_strip", counting_strip)
@@ -374,16 +374,169 @@ def test_find_pole_continuity_and_multiplicity():
      0.24033527037076702 + 0.159664729629233j, 144),
 ])
 def test_find_pole_bisection_keeps_lower_value(monkeypatch, dom, z, t, d, point, old_calls):
-    # the bisection keeps l - t at its lower end instead of re-evaluating it
-    # every step: the same point, with fewer lift enumerations than the
-    # re-evaluating loop (old_calls, counted on it)
+    # the scan is one batched evaluation and the bisection keeps l - t at its
+    # lower end instead of re-evaluating it: the same point from at most 40
+    # evaluator calls, the batch counted once (old_calls, counted on a
+    # one-point scan with a re-evaluating bisection)
     calls = []
     real = cd.CoverMap.min_lift_log_modulus
     monkeypatch.setattr(cd.CoverMap, "min_lift_log_modulus",
                         lambda self, x: calls.append(x) or real(self, x))
     a = find_pole_with_value(dom, z, t, d, tol=1e-11)
     assert a == point
-    assert len(calls) < old_calls
+    assert len(calls) <= 40 < old_calls
+
+
+def _ray_points(dom, rng, rays=8):
+    """(cover, points) on seeded random rays from random base points:
+    points geometrically near the base point, uniform ones, and points
+    geometrically near the exit, all interior."""
+    for _ in range(rays):
+        r0 = dom.R or 0.0
+        z = (r0 + (1 - r0) * rng.uniform(0.05, 0.95)) * np.exp(2j * np.pi * rng.random())
+        d = np.exp(2j * np.pi * rng.random())
+        frac = np.concatenate((np.logspace(-9, -1, 40), rng.random(40),
+                               1.0 - np.logspace(-12, -1, 40)))
+        pts = z + cd._ray_exit(dom, z, d) * frac * d
+        yield build_cover(dom, z), pts[[dom.contains(p) for p in pts]]
+
+
+BITS_DOMAINS = [PlaneDomain("annulus", R=0.02), PlaneDomain("annulus", R=0.3),
+                PlaneDomain("annulus", R=0.7), PlaneDomain("punctured"), PlaneDomain("disc")]
+
+
+@pytest.mark.parametrize("dom", BITS_DOMAINS, ids=str)
+def test_batched_min_lift_keeps_point_bits(dom):
+    # the batch gives each point the bits of its one-point call and of the
+    # smallest lift that `lifts` enumerates
+    rng = np.random.default_rng(11)
+    for cover, pts in _ray_points(dom, rng):
+        batch = cover.min_lift_log_modulus(pts)
+        alone = np.array([cover.min_lift_log_modulus(p) for p in pts])
+        lifts = np.array([cover.lifts(p, 4).log_modulus[0] for p in pts])
+        assert batch.tobytes() == alone.tobytes() == lifts.tobytes()
+    assert cover.min_lift_log_modulus(pts.reshape(-1, 2)).shape == (len(pts) // 2, 2)
+    assert type(cover.min_lift_log_modulus(pts[0])) is float
+
+
+def test_batched_min_lift_bits_control(monkeypatch):
+    # negative control: log|a| of the relative points by np.abs and np.log
+    # on the array moves the last bits of some values
+    monkeypatch.setattr(cd, "_log_abs", lambda a: np.log(np.abs(a)))
+    rng = np.random.default_rng(11)
+    differ = 0
+    for dom in BITS_DOMAINS[:4]:
+        for cover, pts in _ray_points(dom, rng):
+            lifts = np.array([cover.lifts(p, 4).log_modulus[0] for p in pts])
+            differ += int(np.sum(cover.min_lift_log_modulus(pts) != lifts))
+    assert differ > 0
+
+
+def test_batched_min_lift_off_domain():
+    # an array gives NaN where a point is off the domain; the point alone raises
+    cover = build_cover(PlaneDomain("annulus", R=0.3), 0.5)
+    v = cover.min_lift_log_modulus(np.array([0.6, 0.1, 0.7j, 1.0]))
+    assert np.isnan(v[[1, 3]]).all() and np.isfinite(v[[0, 2]]).all()
+    with pytest.raises(ValueError, match="not interior"):
+        cover.min_lift_log_modulus(0.1)
+
+
+def _scan_one_at_a_time(domain, z, t, direction, tol):
+    """find_pole_with_value with one evaluator call per scan point: the
+    first sign change of l - t over the grid, else the first push point with
+    l >= t, then the bisection."""
+    d = direction / abs(direction)
+    cover = build_cover(domain, z)
+    s_max = cd._ray_exit(domain, z, d)
+    log_t = math.log(t)
+
+    def log_l(s):
+        return cover.min_lift_log_modulus(z + s * d)
+
+    grid = np.linspace(0.0, s_max, 513)[1:] * (1.0 - 1e-12)
+    lo = None
+    prev_s, prev_v = grid[0] * 1e-6, log_l(grid[0] * 1e-6)
+    for s in grid:
+        v = log_l(s)
+        if (prev_v - log_t) * (v - log_t) <= 0.0:
+            lo, hi = prev_s, s
+            break
+        prev_s, prev_v = s, v
+    if lo is None:
+        for j in range(1, 50):
+            s = s_max * (1.0 - 2.0 ** (-j - 1))
+            v = log_l(s)
+            if v >= log_t:
+                lo, hi = prev_s, s
+                break
+            prev_s, prev_v = s, v
+    flo = prev_v - log_t
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        v = log_l(mid)
+        if abs(math.expm1(v - log_t) * t) <= tol:
+            return z + mid * d
+        if flo * (v - log_t) <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, v - log_t
+    if abs(math.exp(log_l(0.5 * (lo + hi))) - t) > max(tol * 10, 1e-9):
+        raise AssertionError("the reference bisection did not converge")
+    return z + 0.5 * (lo + hi) * d
+
+
+def _c9_find_pole_calls(monkeypatch):
+    """The find_pole_with_value calls of criterion 9's construction."""
+    import lempertpoles.product_engine as pe
+    from lempertpoles.acceptance import c9_prop10
+
+    calls = []
+    real = pe.find_pole_with_value
+    monkeypatch.setattr(pe, "find_pole_with_value",
+                        lambda *args, **kw: calls.append((args, kw)) or real(*args, **kw))
+    assert c9_prop10().passed
+    return calls
+
+
+# (domain, z, t, direction, tol) of the scan's edge cases
+LAST_CELL = (PlaneDomain("annulus", R=0.2), 0.5, 1 - 5e-8, np.exp(0.4j), 1e-11)
+ORIGIN_PUSH = (PlaneDomain("punctured"), 0.4, 0.938, -1.0, 1e-8)
+OFF_DOMAIN = (PlaneDomain("annulus", R=0.02), -0.8228827822373055 - 0.48778931163788225j,
+              1 - 1e-15, -0.983795912370888 + 0.17929194851507424j, 1e-11)
+
+
+def test_find_pole_scan_matches_one_point_scan(monkeypatch):
+    cases = [
+        (PlaneDomain("annulus", R=0.3), 0.6 + 0.1j, 0.5, 1j, 1e-11),
+        (PlaneDomain("punctured"), 0.4, 0.3, -1 + 1j, 1e-11),
+        LAST_CELL,
+        ORIGIN_PUSH,
+    ]
+    c9 = _c9_find_pole_calls(monkeypatch)
+    assert len(c9) >= 4
+    cases += [(*args, kw["tol"]) for args, kw in c9]
+    for dom, z, t, d, tol in cases:
+        assert find_pole_with_value(dom, z, t, d, tol=tol) == _scan_one_at_a_time(dom, z, t, d, tol)
+    # a scan that reaches a push point rounded off the domain raises as the
+    # one-point scan does
+    errors = []
+    for scan in (find_pole_with_value, _scan_one_at_a_time):
+        with pytest.raises(ValueError, match="not interior") as err:
+            scan(*OFF_DOMAIN[:4], tol=OFF_DOMAIN[4])
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+def test_find_pole_edge_cases_reach_their_ends():
+    # LAST_CELL crosses t in the grid's last step, as the benchmark's second
+    # Proposition-10 level does; ORIGIN_PUSH has no crossing on the grid and
+    # is bracketed by the boundary push before the origin
+    dom, z, t, d, tol = LAST_CELL
+    s_max = cd._ray_exit(dom, z, d)
+    assert abs(find_pole_with_value(dom, z, t, d, tol=tol) - z) > s_max * 511 / 512
+    dom, z, t, d, tol = ORIGIN_PUSH
+    assert cd._ray_exit(dom, z, d) == 0.4
+    assert 0.0 < find_pole_with_value(dom, z, t, d, tol=tol).real < 0.4 * 1e-12
 
 
 def test_complex_trigamma_against_real_reference():

@@ -139,6 +139,20 @@ def test_unmet_crossing_raises():
         lemma4_solve(Lemma4Problem(mu=(1e-300, 0.5), q=1e-150))
 
 
+def test_residual_above_tol_is_refused():
+    # near q = 1 the nodes lie within about 1e-9 of the circle, where the
+    # root quadratic loses digits: at q = 1 - 1e-9 the residual is 1.0e-7,
+    # so the solve raises instead of returning it; at 1 - 1e-7 it is 7.2e-10
+    near, nearer = (Lemma4Problem(mu=(0.3, 0.4j), q=q) for q in (1 - 1e-7, 1 - 1e-9))
+    sol = lemma4_solve(near)
+    assert sol.residual <= RESIDUAL_TOL
+    with pytest.raises(RuntimeError, match="residual"):
+        lemma4_solve(nearer)
+    refused, kept = lemma4_solve_batch([nearer, near])
+    assert isinstance(refused, RuntimeError)
+    assert (kept.a, kept.eta, kept.residual) == (sol.a, sol.eta, sol.residual)
+
+
 def test_all_zero_targets():
     sol = lemma4_solve(Lemma4Problem(mu=(0j, 0j, 0j), q=0.75))
     assert sol.residual < 1e-9 and sol.product_error < 1e-9
