@@ -9,6 +9,15 @@ are equal, so a change is checked against its parent with one `diff`:
         --root ../parent-checkout
     diff old.txt new.txt
 
+Where the dumps differ, `--compare old.txt new.txt` says how: for each
+line, the fields that are not byte-identical (a field of `meta` counts on
+its own), the largest distance in ulps among their floats, and "different
+root" where a node of `certificate_nodes` or `nodes` moved by more than
+1e-12, so that a last-bits change is told from a different solution; a
+moved node's move is also given relative to its modulus, in units of
+2^-52, since a small component's ulps overstate it.  It ends with a count
+per field.
+
 The round is the one perfbench/run.py times: `workloads.make_round` of the
 checkout named by --root (default: this repository), run against that
 checkout's ./src.  --panel dumps the fixed bound_gap panel round instead of
@@ -21,9 +30,14 @@ Nothing under perfbench/ is changed.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
+import math
 import os
+import re
+import struct
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -53,16 +67,138 @@ def describe(obj, points=(0j,)) -> str:
     return repr(obj)
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+NODE_FIELDS = ("certificate_nodes", "nodes")
+ROOT_MOVE = 1e-12
+EPS = 2.0 ** -52
+
+
+def _split_top(text: str, sep: str = ",") -> list:
+    """text split at the separators outside brackets and quotes."""
+    parts, depth, quote, start = [], 0, None, 0
+    for i, ch in enumerate(text):
+        if quote:
+            quote = None if ch == quote else quote
+        elif ch in "'\"":
+            quote = ch
+        elif ch in "([{<":
+            depth += 1
+        elif ch in ")]}>":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i].strip())
+            start = i + 1
+    parts.append(text[start:].strip())
+    return [p for p in parts if p]
+
+
+def fields(text: str) -> dict:
+    """The named fields of one dumped output: name=value of a dataclass, and
+    each entry of a dict-valued field as field.key; other outputs are one
+    field, "output"."""
+    m = re.fullmatch(r"\w+\((.*)\)", text, re.S)
+    if not m:
+        return {"output": text}
+    out = {}
+    for part in _split_top(m.group(1)):
+        name, _, value = part.partition("=")
+        if value.startswith("{") and value.endswith("}"):
+            for entry in _split_top(value[1:-1]):
+                key, _, v = entry.partition(":")
+                out[f"{name}.{key.strip().strip(chr(39))}"] = v.strip()
+        else:
+            out[name] = value
+    return out
+
+
+def _ordered(x: float) -> int:
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def ulps(old: str, new: str):
+    """Largest distance in ulps between the floats of two field texts, None
+    when they do not have the same count of numbers."""
+    a, b = NUMBER.findall(old), NUMBER.findall(new)
+    if len(a) != len(b):
+        return None
+    return max((abs(_ordered(float(x)) - _ordered(float(y))) for x, y in zip(a, b)), default=0)
+
+
+def node_moves(old: str, new: str) -> tuple:
+    """Largest move of a node between two field texts, absolute and relative
+    to the node's modulus; infinite when they do not pair up."""
+    try:
+        a, b = ast.literal_eval(old), ast.literal_eval(new)
+    except (ValueError, SyntaxError):
+        return math.inf, math.inf
+    if len(a) != len(b):
+        return math.inf, math.inf
+    moves = [(abs(complex(x) - complex(y)), abs(complex(x) - complex(y)) / abs(complex(x)))
+             for x, y in zip(a, b) if x != y]
+    return tuple(max(m) for m in zip(*moves)) if moves else (0.0, 0.0)
+
+
+def compare(old_path: str, new_path: str, out) -> int:
+    """Write the field-by-field comparison of two dumps; 1 if they differ."""
+    with open(old_path) as f:
+        old = f.read().splitlines()
+    with open(new_path) as f:
+        new = f.read().splitlines()
+    if len(old) != len(new):
+        out.write(f"{len(old)} lines against {len(new)}\n")
+        return 1
+    changed, worst, roots, moved, rel = Counter(), {}, 0, 0, 0.0
+    for lo, ln in zip(old, new):
+        k, stratum, text_old = lo.split(" ", 2)
+        text_new = ln.split(" ", 2)[2]
+        fo, fn = fields(text_old), fields(text_new)
+        notes = []
+        for name in list(fo) + [n for n in fn if n not in fo]:
+            if fo.get(name) == fn.get(name):
+                continue
+            changed[name] += 1
+            if name not in fo or name not in fn:
+                notes.append(f"{name} ({'new' if name in fn else 'old'} only)")
+                continue
+            d = ulps(fo[name], fn[name])
+            worst[name] = max(worst.get(name, 0), d if d is not None else float("inf"))
+            note = f"{name} ({'not comparable' if d is None else f'{d} ulps'})"
+            if name.rpartition(".")[2] in NODE_FIELDS:
+                move, move_rel = node_moves(fo[name], fn[name])
+                moved += 1
+                rel = max(rel, move_rel)
+                note += f", moved {move:.3g} = {move_rel / EPS:.3g} ulps of |node|"
+                if move > ROOT_MOVE:
+                    note += " different root"
+                    roots += 1
+            notes.append(note)
+        out.write(f"{k} {stratum}: {', '.join(notes) if notes else 'identical'}\n")
+    out.write(f"{len(old)} lines, {sum(lo != ln for lo, ln in zip(old, new))} differ; nodes "
+              f"moved on {moved}, at most {rel / EPS:.3g} ulps of |node|, "
+              f"{roots} to a different root\n")
+    for name, count in changed.most_common():
+        out.write(f"  {name}: {count} lines" + (f", at most {worst[name]} ulps" if name in worst else "")
+                  + "\n")
+    return int(old != new)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--workload")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                   help="compare two dumps field by field instead of dumping")
     p.add_argument("--panel", action="store_true",
                    help="dump the fixed bound_gap panel round, not the seeded one")
     p.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    help="checkout whose src/ and perfbench/ are used")
     p.add_argument("--out", default="-", help="output file (default: stdout)")
     args = p.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, sys.stdout)
+    if args.workload is None or args.seed is None:
+        p.error("--workload and --seed are required to dump a round")
 
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]

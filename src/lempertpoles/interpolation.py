@@ -12,27 +12,34 @@ first sign change of F, and Newton steps, with F' from implicit
 differentiation of the quadratic, run inside the bracket, which the sign of
 F shrinks at every step; a step that is not finite or leaves the bracket is
 replaced by the bracket midpoint (Brent, Algorithms for Minimization without
-Derivatives, 1973).  Log products do not underflow, so every q > 0 that
-normal floats resolve is met.  Zero targets are removed first by pulling
-every target back through one more map z*Phi_alpha(z) (the nonzero preimage
-of 0 is alpha itself), solving the reduced problem and composing.
+Derivatives, 1973), a geometric one inside the first scan cell [0, 1/1024]
+so that crossings far below it are reached.  Log products do not underflow,
+so every q > 0 that normal floats resolve is met.  Zero targets are removed
+first by pulling every target back through one more map z*Phi_alpha(z) (the
+nonzero preimage of 0 is alpha itself), solving the reduced problem and
+composing.
 
-`lemma4_solve_batch` solves several problems in one pass, and
+`lemma4_solve_batch` solves several problems in one array pass, and
 `lemma4_solve` is a batch of one.  Theorem 5's certificate is built at a
-ladder of values q that share one target list (`theorem5_certificates`),
-so the batch scans the curve g or h once per distinct target list and
-branch, since the curves do not depend on q, and every problem reuses that
-scan.  The Newton iterations then run in lockstep: each step is one
+ladder of values q that share one target list (`theorem5_ladder`), so the
+batch scans the curve g or h once per distinct target list and branch,
+since the curves do not depend on q, and every problem reuses that scan:
+the first bracket of every row is found at once, as arrays over rows x
+grid.  The Newton iterations then run in lockstep: each step is one
 root-kernel call over the rows still live, and a row leaves as soon as
 |prod|rho_j| - q| <= min(1e-11, 1e-9 q), so that a small q is met to a
 relative 1e-9 too.  From the scan's bracket this usually takes two steps.
+The nodes are the roots of the step at which a row left, the roots whose
+product passed that test, in the order solve_node_quadratic gives them.
+Residuals, product errors and the Newton refinement of composed solutions
+are arrays over rows x targets.
 Every row gets the bits of its solo run: the scan is the same computation,
 each row of a step applies the same elementwise operations to its own
 targets and iterate, and a row's log terms are added one target at a time
 in target order (numpy's add-reduction is pairwise from 8 entries on);
 shorter target lists are padded with terms that add exactly 0.0.
-Zero-target problems find their reduction alpha one by one, and their
-reduced problems are solved as one inner batch.
+Zero-target problems share one alpha search per distinct target list.  The
+ladder builds one certificate, for the rung it reports.
 """
 
 from __future__ import annotations
@@ -67,6 +74,30 @@ BRACKET_GRID = np.unique(np.concatenate([
     1.0 - 2.0 ** (-np.arange(10, 49, dtype=float)),
 ]))
 BRACKET_GRID.flags.writeable = False
+# inside the first scan cell the safeguard's midpoint is geometric, from the
+# smallest normal float up: halvings of [0, 1/1024] reach only 2^-210 in
+# BISECT_STEPS steps
+FIRST_CELL = float(BRACKET_GRID[1])
+# zero-value reduction: alpha starts ALPHA_GAP below 1, or ALPHA_GAP_MIN
+# below where q is nearer 1; from a nearer start the composed residual
+# exceeds RESIDUAL_TOL
+ALPHA_GAP = 2.0 ** -20
+ALPHA_GAP_MIN = 2.0 ** -22
+
+
+def _checked_targets(mu) -> tuple:
+    """mu as a tuple of complex numbers, 1..MAX_TARGETS of them, inside the disc."""
+    mu = tuple(complex(m) for m in mu)
+    if not 1 <= len(mu) <= MAX_TARGETS:
+        raise ValueError(f"need 1..{MAX_TARGETS} targets, got {len(mu)}")
+    for j, m in enumerate(mu):
+        if abs(m) >= 1.0:
+            raise ValueError(f"|mu[{j}]| = {abs(m)} not inside the disc")
+    return mu
+
+
+def _target_product(mu) -> float:
+    return float(np.prod([abs(m) for m in mu]))
 
 
 @dataclass(frozen=True)
@@ -75,20 +106,14 @@ class Lemma4Problem:
     q: float
 
     def __post_init__(self):
-        mu = tuple(complex(m) for m in self.mu)
-        object.__setattr__(self, "mu", mu)
-        if not 1 <= len(mu) <= MAX_TARGETS:
-            raise ValueError(f"need 1..{MAX_TARGETS} targets, got {len(mu)}")
-        for j, m in enumerate(mu):
-            if abs(m) >= 1.0:
-                raise ValueError(f"|mu[{j}]| = {abs(m)} not inside the disc")
-        p = float(np.prod([abs(m) for m in mu]))
+        object.__setattr__(self, "mu", _checked_targets(self.mu))
+        p = self.p
         if not p < self.q < 1.0:
             raise ValueError(f"q={self.q} outside (p, 1) with p={p}")
 
     @property
     def p(self) -> float:
-        return float(np.prod([abs(m) for m in self.mu]))
+        return _target_product(self.mu)
 
 
 @dataclass
@@ -108,7 +133,8 @@ def _roots_grid(mus: np.ndarray, a: np.ndarray):
 
     mus is one target list shared by every row, shape (N,), or one list per
     row, shape (len(a), N).  Vectorized version of solve_node_quadratic (all
-    mu nonzero here)."""
+    mu nonzero here); the moduli are np.abs's, which `_nodes` refines to
+    the scalar order."""
     a = np.asarray(a)[:, None]
     b = a * (1.0 + mus)
     sq = np.sqrt(b * b - 4.0 * mus)
@@ -123,6 +149,22 @@ def _roots_grid(mus: np.ndarray, a: np.ndarray):
     return np.where(swap, w, zs), np.where(swap, zs, w)
 
 
+def _nodes(small: np.ndarray, big: np.ndarray, large) -> np.ndarray:
+    """The nodes of branch large (one bool per row) from the root pairs
+    (small, big) of `_roots_grid`, in the order of solve_node_quadratic.
+
+    Its moduli are the scalar abs, which np.hypot reproduces bit for bit and
+    np.abs of a complex array does not (the last bit differs for about a
+    third of all values), and at equal moduli, as for the conjugate roots
+    of a real mu, the small root is the one of larger imaginary part, then
+    of larger real part.  Conjugate roots have equal moduli up to rounding,
+    so without this order a node can be the conjugate of the scalar one."""
+    az, ab = np.hypot(small.real, small.imag), np.hypot(big.real, big.imag)
+    swap = (az > ab) | ((az == ab) & ((big.imag > small.imag)
+                                      | ((big.imag == small.imag) & (big.real > small.real))))
+    return np.where(swap == np.asarray(large)[:, None], small, big)
+
+
 def curves_gh(mu, a: float) -> tuple:
     """g(a) = prod |z_j(a)|, h(a) = prod |w_j(a)| for nonzero targets."""
     mus = np.asarray([complex(m) for m in mu])
@@ -132,185 +174,306 @@ def curves_gh(mu, a: float) -> tuple:
     return float(np.prod(np.abs(small[0]))), float(np.prod(np.abs(large[0])))
 
 
-def _log_curve(mus: np.ndarray, a: np.ndarray, large, pad=False) -> tuple:
-    """S(a) = sum_j log|rho_j(a)| and S'(a), one row per entry of a.
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Row sums added column by column in target order: numpy's
+    add-reduction is pairwise from 8 entries on, and a padded row must get
+    the bits of its unpadded run."""
+    out = np.zeros(len(terms))
+    for j in range(terms.shape[1]):
+        out += terms[:, j]
+    return out
+
+
+def _log_curve(mus: np.ndarray, a: np.ndarray, large, pad=None) -> tuple:
+    """S(a) = sum_j log|rho_j(a)|, the roots rho_j and the root pairs
+    (small, large), one row per entry of a.
 
     rho_j is the large root where `large` holds, else the small one (large
-    broadcasts against the rows: one bool, or one per row as shape (rows, 1)).
-    Implicit differentiation of rho^2 - a(1+mu)rho + mu = 0 gives
-    d log|rho| / da = Re((1+mu) / (2 rho - a(1+mu))).  Entries where pad
-    holds add exactly 0.0, and the terms are added column by column in
-    target order, so a padded row gets the bits of its unpadded run.  Where
-    the two roots meet, the derivative is infinite or nan."""
+    is one bool, or one per row as shape (rows, 1)).  Entries where the mask
+    pad holds add exactly 0.0."""
     small, big = _roots_grid(mus, a)
-    rho = np.where(large, big, small)
+    rho = np.where(large, big, small) if np.ndim(large) else (big if large else small)
+    logs = np.log(np.abs(rho))
+    if pad is not None:
+        logs = np.where(pad, 0.0, logs)
+    return _row_sums(logs), rho, small, big
+
+
+def _log_slope(mus: np.ndarray, a: np.ndarray, rho: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """S'(a) at the roots rho of `_log_curve`.
+
+    Implicit differentiation of rho^2 - a(1+mu)rho + mu = 0 gives
+    d log|rho| / da = Re((1+mu) / (2 rho - a(1+mu))); entries where pad holds
+    add exactly 0.0.  Where the two roots meet, it is infinite or nan."""
     one_mu = 1.0 + mus
-    logs = np.where(pad, 0.0, np.log(np.abs(rho)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ders = np.where(pad, 0.0, (one_mu / (2.0 * rho - a[:, None] * one_mu)).real)
-    S, dS = np.zeros(len(a)), np.zeros(len(a))
-    for j in range(logs.shape[1]):
-        S += logs[:, j]
-        dS += ders[:, j]
-    return S, dS
+        return _row_sums(np.where(pad, 0.0, (one_mu / (2.0 * rho - a[:, None] * one_mu)).real))
 
 
 def _newton_step(x, F, dF, lo, hi):
     """x - F/F', or the midpoint of [lo, hi] where that step is not finite or
-    leaves the open bracket."""
+    leaves the open bracket; inside the first scan cell the midpoint is
+    geometric, with lo taken as at least the smallest normal float."""
     with np.errstate(divide="ignore", invalid="ignore"):
         xn = x - F / dF
-    return np.where((lo < xn) & (xn < hi), xn, 0.5 * (lo + hi))
+    inside = (lo < xn) & (xn < hi)
+    if inside.all():
+        return xn
+    mid = np.where(hi <= FIRST_CELL,
+                   np.sqrt(np.maximum(lo, sys.float_info.min)) * np.sqrt(hi), 0.5 * (lo + hi))
+    return np.where(inside, xn, mid)
 
 
 def _crossing_lockstep(mus: np.ndarray, pad: np.ndarray, large: np.ndarray,
                        log_q: np.ndarray, rtol: np.ndarray, lo: np.ndarray,
-                       hi: np.ndarray, sign_lo: np.ndarray, x: np.ndarray) -> np.ndarray:
+                       hi: np.ndarray, sign_lo: np.ndarray, x: np.ndarray) -> tuple:
     """Solve F(a) = S(a) - log q = 0 for every row together, by Newton steps
     safeguarded by each row's bracket [lo, hi].
 
     Row r follows the small or large root (large[r]) of the targets mus[r],
     whose padding entries pad[r] add nothing; sign_lo is the sign of F at lo
     and x the first iterate.  A row stops once |expm1(F)| <= rtol, that is
-    |prod|rho_j| - q| <= rtol q; a row that has not stopped after
-    BISECT_STEPS steps gets nan.  lo, hi and x are updated in place.  Each
-    step is one root-kernel call over the rows still live, and applies the
-    same elementwise operations to every row, so each row's bits are its
-    solo run's."""
-    a_star = np.empty(len(x))
-    live = np.arange(len(x))
+    |prod|rho_j| - q| <= rtol q.  Returns the crossings and the nodes, the
+    roots of the stopping step in the order of solve_node_quadratic; a row
+    that has not stopped after BISECT_STEPS steps gets nan.  Each step is
+    one root-kernel call over all rows, until every row has stopped, and
+    applies the same elementwise operations to every row, so each row's
+    bits are its solo run's; a stopped row keeps its iterate."""
+    a_star = np.full(len(x), np.nan)
+    eta = np.full(mus.shape, np.nan, dtype=complex)
+    live, large_rows = np.ones(len(x), dtype=bool), large[:, None]
     for _ in range(BISECT_STEPS):
-        if not live.size:
-            return a_star
-        xl = x[live]
-        F, dF = _log_curve(mus[live], xl, large[live, None], pad[live])
-        F -= log_q[live]
-        done = np.abs(np.expm1(F)) <= rtol[live]
-        a_star[live[done]] = xl[done]
-        below = np.sign(F) * sign_lo[live] <= 0.0  # the crossing lies in [lo, x]
-        hi[live[below]] = xl[below]
-        lo[live[~below]] = xl[~below]
-        step = _newton_step(xl, F, dF, lo[live], hi[live])
-        live = live[~done]
-        x[live] = step[~done]
-    a_star[live] = np.nan
-    return a_star
+        F, rho, small, big = _log_curve(mus, x, large_rows, pad)
+        F -= log_q
+        done = live & (np.abs(np.expm1(F)) <= rtol)
+        if done.any():
+            a_star[done] = x[done]
+            eta[done] = _nodes(small[done], big[done], large[done])
+            live &= ~done
+            if not live.any():
+                break
+        below = np.sign(F) * sign_lo <= 0.0  # the crossing lies in [lo, x]
+        lo, hi = np.where(below, lo, x), np.where(below, x, hi)
+        x = np.where(live, _newton_step(x, F, _log_slope(mus, x, rho, pad), lo, hi), x)
+    return a_star, eta
 
 
-def _solve_nonzero(problems: list) -> list:
-    """Crossing parameter and branch, (a_star, branch), of each problem with
-    nonzero targets, or the RuntimeError raised when no bracket exists or the
-    iteration does not meet q."""
-    out = [None] * len(problems)
-    scans = {}
-    # (problem index, targets, large branch, log q, rtol, grid index of lo,
-    #  first iterate, sign of F at lo)
-    rows = []
-    for k, pr in enumerate(problems):
-        mus = np.asarray(pr.mu)
-        p = float(np.prod(np.abs(mus)))
-        large = pr.q > math.sqrt(p)
-        key = (mus.tobytes(), large)
-        if key not in scans:
-            scans[key] = _log_curve(mus, BRACKET_GRID, large)
-        S, dS = scans[key]
-        log_q = math.log(pr.q)
-        F = S - log_q
-        rtol = min(BISECT_TOL / pr.q, BISECT_RTOL)
-        # signs, not the product F[:-1] * F[1:], which underflows to 0.0
-        cross = np.nonzero(np.sign(F[:-1]) * np.sign(F[1:]) <= 0.0)[0]
-        if len(cross):
-            j = int(cross[0])
-            e = j if abs(F[j]) <= abs(F[j + 1]) else j + 1  # Newton from the nearer end
-            x0 = _newton_step(BRACKET_GRID[e], F[e], dS[e], BRACKET_GRID[j], BRACKET_GRID[j + 1])
-            rows.append((k, mus, large, log_q, rtol, j, float(x0), float(np.sign(F[j]))))
-            continue
-        j = int(np.argmin(np.abs(F)))
-        if abs(math.expm1(F[j])) <= rtol:
-            out[k] = (float(BRACKET_GRID[j]), "large" if large else "small")
+def _padded(targets: list) -> tuple:
+    """The target lists as one array padded with a harmless 0.5, and the mask
+    of the padding."""
+    shape = len(targets), max(map(len, targets), default=1)
+    mus = [tuple(t) + (0.5,) * (shape[1] - len(t)) for t in targets]
+    pad = [(False,) * len(t) + (True,) * (shape[1] - len(t)) for t in targets]
+    return (np.array(mus, dtype=complex).reshape(shape),
+            np.array(pad, dtype=bool).reshape(shape))
+
+
+def _crossings(targets: list, q: np.ndarray, mus: np.ndarray, pad: np.ndarray) -> tuple:
+    """Crossing parameter, branch and nodes of problems with nonzero targets,
+    given also as the padded array mus with its padding mask pad.
+
+    Returns a (nan where the problem failed), large (the branch), the nodes
+    (rows x longest list) and, per row, None or the RuntimeError raised when
+    no bracket exists or the iteration does not meet q."""
+    lists, scans, keys = {}, {}, []
+    large = np.empty(len(targets), dtype=bool)
+    for r, t in enumerate(targets):
+        if id(t) not in lists:
+            arr = np.asarray(t)
+            lists[id(t)] = arr, arr.tobytes(), math.sqrt(float(np.prod(np.abs(arr))))
+        arr, raw, sqrt_p = lists[id(t)]
+        large[r] = q[r] > sqrt_p
+        keys.append((raw, bool(large[r])))
+        if keys[-1] not in scans:  # one scan per list and branch
+            scans[keys[-1]] = _log_curve(arr, BRACKET_GRID, large[r])
+    log_q = np.array([math.log(v) for v in q])
+    rtol = np.minimum(BISECT_TOL / q, BISECT_RTOL)
+    # the first sign change of F on the grid, for every row at once; signs,
+    # not the product F[:-1] * F[1:], which underflows to 0.0
+    S = (np.stack([scans[k][0] for k in keys]) if len(scans) > 1
+         else next(iter(scans.values()))[0][None, :])
+    F = S - log_q[:, None]
+    sign = np.sign(F)
+    cross = sign[:, :-1] * sign[:, 1:] <= 0.0
+    bracketed = cross.any(axis=1)
+    a = np.full(len(targets), np.nan)
+    eta = np.full(mus.shape, np.nan, dtype=complex)
+    errors = [None] * len(targets)
+    for r in np.nonzero(~bracketed)[0]:
+        k = int(np.argmin(np.abs(F[r])))
+        if abs(math.expm1(F[r, k])) <= rtol[r]:
+            _, _, small, big = scans[keys[r]]
+            a[r] = BRACKET_GRID[k]
+            eta[r, :len(targets[r])] = _nodes(small[k:k + 1], big[k:k + 1], large[r:r + 1])[0]
         else:
-            out[k] = RuntimeError("no bracket found for the Lemma 4 curve; should not occur")
-    if rows:
-        ks, targets, large, log_q, rtol, j, x0, sign_lo = zip(*rows)
-        mus = np.full((len(rows), max(map(len, targets))), 0.5 + 0j)  # harmless padding
-        pad = np.ones(mus.shape, dtype=bool)
-        for r, t in enumerate(targets):
-            mus[r, :len(t)] = t
-            pad[r, :len(t)] = False
-        j = np.asarray(j)
-        a_star = _crossing_lockstep(mus, pad, np.asarray(large), np.asarray(log_q),
-                                    np.asarray(rtol), BRACKET_GRID[j], BRACKET_GRID[j + 1],
-                                    np.asarray(sign_lo), np.asarray(x0))
-        for k, a, big in zip(ks, a_star, large):
-            out[k] = (RuntimeError(f"the Lemma 4 iteration did not meet q in {BISECT_STEPS} steps")
-                      if np.isnan(a) else (float(a), "large" if big else "small"))
-    return out
+            errors[r] = RuntimeError("no bracket found for the Lemma 4 curve; should not occur")
+    rows = np.nonzero(bracketed)[0]
+    if rows.size:
+        j = cross[rows].argmax(axis=1)
+        Fj, Fj1 = F[rows, j], F[rows, j + 1]
+        e = np.where(np.abs(Fj) <= np.abs(Fj1), j, j + 1)  # Newton from the nearer end
+        rho_e = np.full((len(rows), mus.shape[1]), 0.5 + 0j)  # the scan's roots at e
+        for i, r in enumerate(rows):
+            rho_e[i, :len(targets[r])] = scans[keys[r]][1][e[i]]
+        dS = _log_slope(mus[rows], BRACKET_GRID[e], rho_e, pad[rows])
+        lo, hi = BRACKET_GRID[j], BRACKET_GRID[j + 1]
+        x0 = _newton_step(BRACKET_GRID[e], np.where(e == j, Fj, Fj1), dS, lo, hi)
+        a[rows], eta[rows] = _crossing_lockstep(mus[rows], pad[rows], large[rows], log_q[rows],
+                                                rtol[rows], lo, hi, np.sign(Fj), x0)
+        for r in rows[np.isnan(a[rows])]:
+            errors[r] = RuntimeError(f"the Lemma 4 iteration did not meet q in {BISECT_STEPS} steps")
+    return a, large, eta, errors
 
 
-def _eval_f(a: float, z: complex) -> complex:
+def _eval_f(a, z):
     return z * (a - z) / (1.0 - a * z)
 
 
-def _deriv_f(a: float, z: complex) -> complex:
-    # d/dz [z Phi_a(z)] with a real: Phi_a(z) + z (a^2 - 1)/(1 - a z)^2
-    return (a - z) / (1.0 - a * z) + z * (a * a - 1.0) / (1.0 - a * z) ** 2
+def _f_and_slope(a, z) -> tuple:
+    """`_eval_f` and d/dz [z Phi_a(z)] = Phi_a(z) + z (a^2 - 1)/(1 - a z)^2
+    for real a, sharing their common terms."""
+    u, d = a - z, 1.0 - a * z
+    return z * u / d, u / d + z * (a * a - 1.0) / d ** 2
 
 
-def _nonzero_solution(problem: Lemma4Problem, a_star: float, branch: str) -> Lemma4Solution:
-    mu, q = problem.mu, problem.q
-    roots = [solve_node_quadratic(a_star, m) for m in mu]
-    eta = tuple(r[0] if branch == "small" else r[1] for r in roots)
-    f = BlaschkeExpr(BlaschkeDisc(phase=math.pi, zeros=(0.0, a_star)))
-    residual = max(abs(_eval_f(a_star, e) - m) for e, m in zip(eta, mu))
-    prod_err = abs(float(np.prod(np.abs(eta))) - q)
-    return Lemma4Solution(a=a_star, branch=branch, eta=eta, f=f,
-                          residual=residual, product_error=prod_err)
+def _reduction_alphas(mu: tuple, q: np.ndarray) -> list:
+    """alpha and the reduced targets of the zero-value reduction for each q
+    of one target list, or the RuntimeError of a q it cannot serve.
 
-
-def _reduction_alpha(mu: tuple, q: float) -> tuple:
-    """alpha and the reduced targets of the zero-value reduction.
-
-    alpha starts at 1 - 2^-20 and decreases geometrically until the reduced
-    product drops below q.  The zero replacements equal alpha, so the product
-    is at most alpha and the search ends for every q; it gives up only once
-    alpha leaves the normal floats, where it is no longer resolved."""
-    alpha = 1.0 - 2.0 ** -20
-    while True:
+    alpha starts ALPHA_GAP below 1 and decreases geometrically until the
+    reduced product drops below q.  The zero replacements equal alpha, so the
+    product is at most alpha and the search ends for every q; it gives up
+    only once alpha leaves the normal floats, where it is no longer resolved.
+    The reduced problem's roots at a replaced zero lie on |z| = sqrt(alpha)
+    up to within (1 - alpha)^2 / 8 of a = 1, beyond the floats' resolution,
+    so its product must cross q before that: with m zero targets, 1 - q must
+    exceed m (1 - alpha).  A q nearer 1 than m ALPHA_GAP starts at
+    ALPHA_GAP_MIN, and one nearer than m ALPHA_GAP_MIN is refused.  The gap
+    1 - alpha grows by 4 up to 1/2, then alpha halves, so the sequence from
+    ALPHA_GAP_MIN runs through ALPHA_GAP: it is computed once, and each q
+    takes the first alpha below its start that serves it, the alpha of its
+    own search."""
+    zeros = sum(m == 0 for m in mu)
+    start = np.where(zeros * ALPHA_GAP < 1.0 - q, 1.0 - ALPHA_GAP, 1.0 - ALPHA_GAP_MIN)
+    out = [RuntimeError(f"zero-value reduction: q = {float(v)!r} lies within {zeros} * 2^-22 of 1; "
+                        f"the reduced problem needs 1 - q > {zeros} (1 - alpha), and alpha "
+                        f"above 1 - 2^-22 puts the residual above {RESIDUAL_TOL}")
+           if not zeros * ALPHA_GAP_MIN < 1.0 - v else None for v in q]
+    open_ = np.array([o is None for o in out])
+    alpha = float(start[open_].max()) if open_.any() else 0.0
+    while open_.any():
+        if alpha < sys.float_info.min:
+            for k in np.nonzero(open_)[0]:
+                out[k] = RuntimeError("zero-value reduction failed to find alpha")
+            break
         mu_red = tuple(
             complex(alpha) if m == 0 else solve_node_quadratic(alpha, m)[0]
             for m in mu
         )
         p_red = float(np.prod(np.abs(np.asarray(mu_red))))
-        if p_red < q * (1.0 - 1e-9):
-            return alpha, mu_red
+        for k in np.nonzero(open_ & (alpha <= start) & (p_red < q * (1.0 - 1e-9)))[0]:
+            out[k] = (alpha, mu_red)
+            open_[k] = False
         alpha = 1.0 - min((1.0 - alpha) * 4.0, 0.5) if alpha > 0.5 else alpha * 0.5
-        if alpha < sys.float_info.min:
-            raise RuntimeError("zero-value reduction failed to find alpha")
+    return out
 
 
-def _composed_solution(problem: Lemma4Problem, alpha: float,
-                       inner: Lemma4Solution) -> Lemma4Solution:
-    mu, q = problem.mu, problem.q
-    g_alpha = BlaschkeExpr(BlaschkeDisc(phase=math.pi, zeros=(0.0, alpha)))
-    f = ComposeExpr(g_alpha, inner.f)
-    # the derivative of g_alpha at the replaced-zero targets is O(1/(1-alpha^2)),
-    # which amplifies the inner root error; two Newton steps on the composed
-    # map bring the residual back to evaluation-noise level
-    a_in = inner.a
-    eta = list(inner.eta)
-    for j, m in enumerate(mu):
-        for _ in range(2):
-            val = _eval_f(alpha, _eval_f(a_in, eta[j])) - m
-            der = _deriv_f(alpha, _eval_f(a_in, eta[j])) * _deriv_f(a_in, eta[j])
-            if abs(der) < 1e-8 or abs(val) < 1e-14:
-                break
-            eta[j] = eta[j] - val / der
-    eta = tuple(eta)
-    residual = max(abs(complex(f.eval(e)) - m) for e, m in zip(eta, mu))
-    prod_err = abs(float(np.prod(np.abs(eta))) - q)
-    return Lemma4Solution(a=a_in, branch=inner.branch, eta=eta, f=f,
-                          residual=residual, product_error=prod_err,
-                          reduction_alpha=alpha)
+@dataclass
+class Lemma4Rows:
+    """Solutions of a batch as arrays, one row per problem: row k's first
+    n[k] nodes are its own, the rest padding.  reduction_alpha is nan where
+    no target is zero; errors[k] is None or the exception of problem k."""
+    n: list
+    a: np.ndarray
+    large: np.ndarray
+    eta: np.ndarray
+    residual: np.ndarray
+    product_error: np.ndarray
+    reduction_alpha: np.ndarray
+    errors: list
+
+    def solution(self, k: int):
+        """Problem k's Lemma4Solution, or its exception."""
+        if self.errors[k] is not None:
+            return self.errors[k]
+        a = float(self.a[k])
+        alpha = None if np.isnan(self.reduction_alpha[k]) else float(self.reduction_alpha[k])
+        f = BlaschkeExpr(BlaschkeDisc(phase=math.pi, zeros=(0.0, a)))
+        if alpha is not None:
+            f = ComposeExpr(BlaschkeExpr(BlaschkeDisc(phase=math.pi, zeros=(0.0, alpha))), f)
+        return Lemma4Solution(a=a, branch="large" if self.large[k] else "small",
+                              eta=tuple(complex(e) for e in self.eta[k, :self.n[k]]), f=f,
+                              residual=float(self.residual[k]),
+                              product_error=float(self.product_error[k]),
+                              reduction_alpha=alpha)
+
+
+def _solve_rows(targets: list, q, errors=None) -> Lemma4Rows:
+    """Solve the problems (targets[k], q[k]) in one array pass; rows whose
+    errors[k] is already set are skipped and keep it.
+
+    Zero targets: every mu_j is replaced by a preimage under g_alpha(z) =
+    z*Phi_alpha(z) (zeros become alpha, the nonzero preimage of 0; nonzero
+    targets use their small-root preimage), the reduced problems are solved
+    with the others, and f = g_alpha o f' is composed.  The derivative of
+    g_alpha at the replaced zeros is O(1/(1 - alpha^2)), which amplifies the
+    inner root error; two Newton steps on the composed map bring the residual
+    back to evaluation-noise level.  A solution whose residual exceeds
+    RESIDUAL_TOL is refused with a RuntimeError."""
+    q = np.asarray(q, dtype=float)
+    errors = [None] * len(targets) if errors is None else list(errors)
+    alpha = np.full(len(targets), np.nan)
+    solved = list(targets)  # the targets whose crossing is solved
+    groups = {}
+    for k, t in enumerate(targets):
+        if errors[k] is None and any(m == 0 for m in t):
+            groups.setdefault(np.asarray(t).tobytes(), []).append(k)
+    for ks in groups.values():
+        for k, res in zip(ks, _reduction_alphas(targets[ks[0]], q[ks])):
+            if isinstance(res, Exception):
+                errors[k] = res
+            else:
+                alpha[k], solved[k] = res
+    mus, pad = _padded(targets)
+    a = np.full(len(targets), np.nan)
+    large = np.zeros(len(targets), dtype=bool)
+    eta = np.full(mus.shape, np.nan, dtype=complex)
+    live = np.array([k for k, e in enumerate(errors) if e is None], dtype=np.intp)
+    if live.size:
+        solved_mus = mus[live]
+        for r, k in enumerate(live):
+            if solved[k] is not targets[k]:
+                solved_mus[r, :len(solved[k])] = solved[k]
+        a[live], large[live], eta[live], errs = _crossings([solved[k] for k in live], q[live],
+                                                           solved_mus, pad[live])
+        for k, e in zip(live, errs):
+            errors[k] = e
+    ok = np.array([e is None for e in errors], dtype=bool)
+    comp = ok & ~np.isnan(alpha)
+    if comp.any():
+        ac, al, ec, mc = a[comp, None], alpha[comp, None], eta[comp], mus[comp]
+        move = ~pad[comp]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(2):
+                inner, d_inner = _f_and_slope(ac, ec)
+                outer, d_outer = _f_and_slope(al, inner)
+                val, der = outer - mc, d_outer * d_inner
+                move &= (np.abs(der) >= 1e-8) & (np.abs(val) >= 1e-14)
+                ec = np.where(move, ec - val / der, ec)
+        eta[comp] = ec
+    with np.errstate(invalid="ignore"):  # rows that failed hold nan
+        values = _eval_f(a[:, None], eta)
+    if comp.any():
+        values[comp] = _eval_f(alpha[comp, None], values[comp])
+    residual = np.where(pad, 0.0, np.abs(values - mus)).max(axis=1)
+    moduli, prod = np.where(pad, 1.0, np.abs(eta)), np.ones(len(targets))
+    for j in range(mus.shape[1]):  # in target order, so padding leaves the bits
+        prod *= moduli[:, j]
+    for k in np.nonzero(ok & ~(residual <= RESIDUAL_TOL))[0]:
+        errors[k] = RuntimeError(f"Lemma 4 residual {residual[k]:.3g} exceeds {RESIDUAL_TOL}")
+    return Lemma4Rows(n=[len(t) for t in targets], a=a, large=large, eta=eta,
+                      residual=residual, product_error=np.abs(prod - q),
+                      reduction_alpha=alpha, errors=errors)
 
 
 def lemma4_solve_batch(problems) -> list:
@@ -320,36 +483,11 @@ def lemma4_solve_batch(problems) -> list:
     gives, or the RuntimeError its solve raised.  A solution whose residual
     max_j |f(eta_j) - mu_j| exceeds RESIDUAL_TOL is refused with one: near
     q = 1 the nodes crowd the circle, where the root quadratic loses
-    digits.  Zero targets: every mu_j is
-    replaced by a preimage under g_alpha(z) = z*Phi_alpha(z) (zeros become
-    alpha, the nonzero preimage of 0; nonzero targets use their small-root
-    preimage), the reduced problems are solved as one inner batch and each
-    f = g_alpha o f' composed.
+    digits.  Zero targets are removed by the reduction of `_solve_rows`.
     """
     problems = list(problems)
-    out = [None] * len(problems)
-    plain = [k for k, pr in enumerate(problems) if all(m != 0 for m in pr.mu)]
-    for k, res in zip(plain, _solve_nonzero([problems[k] for k in plain])):
-        out[k] = res if isinstance(res, Exception) else _nonzero_solution(problems[k], *res)
-    reduced = []  # (problem index, alpha, reduced problem)
-    for k, pr in enumerate(problems):
-        if out[k] is None:
-            try:
-                alpha, mu_red = _reduction_alpha(pr.mu, pr.q)
-            except RuntimeError as exc:
-                out[k] = exc
-                continue
-            reduced.append((k, alpha, Lemma4Problem(mu=mu_red, q=pr.q)))
-    # the reduced targets are nonzero; their residual is gated only after
-    # the composition, whose Newton steps refine it
-    inner = _solve_nonzero([red for _, _, red in reduced])
-    for (k, alpha, red), res in zip(reduced, inner):
-        out[k] = res if isinstance(res, Exception) else _composed_solution(
-            problems[k], alpha, _nonzero_solution(red, *res))
-    for k, sol in enumerate(out):
-        if isinstance(sol, Lemma4Solution) and not sol.residual <= RESIDUAL_TOL:
-            out[k] = RuntimeError(f"Lemma 4 residual {sol.residual:.3g} exceeds {RESIDUAL_TOL}")
-    return out
+    rows = _solve_rows([pr.mu for pr in problems], [pr.q for pr in problems])
+    return [rows.solution(k) for k in range(len(problems))]
 
 
 def lemma4_solve(problem: Lemma4Problem) -> Lemma4Solution:
@@ -359,6 +497,32 @@ def lemma4_solve(problem: Lemma4Problem) -> Lemma4Solution:
     if isinstance(sol, Exception):
         raise sol
     return sol
+
+
+def _ladder_rows(lam, zeta: complex, alphas) -> Lemma4Rows:
+    """The lemma's solutions for targets lam at q = alpha, one row per alpha.
+
+    A rung fails with a ValueError where alpha lies outside (max(prod|lam|,
+    |zeta|), 1) or a node is not inside the disc, where the certificate's
+    Blaschke product is undefined, and with the lemma's RuntimeError.
+    Invalid targets raise their ValueError for the whole ladder."""
+    lam = _checked_targets(lam)
+    lo = max(_target_product(lam), abs(zeta))
+    errors = [None if lo < alpha < 1.0 else
+              ValueError(f"alpha={alpha} must lie in (max(prod|lam|, |zeta|), 1) = ({lo}, 1)")
+              for alpha in alphas]
+    rows = _solve_rows([lam] * len(alphas), alphas, errors)
+    for k in np.nonzero(np.abs(rows.eta).max(axis=1) >= 1.0)[0]:
+        if rows.errors[k] is None:
+            rows.errors[k] = ValueError(f"a node of {rows.eta[k].tolist()} is not inside the disc")
+    return rows
+
+
+def _certificate(phi, psi, zeta, alpha, sol: Lemma4Solution) -> tuple:
+    B = BlaschkeDisc.normalized_from_zeros(sol.eta)
+    second = ComposeExpr(psi, ScaleExpr(zeta / alpha,
+                                        ComposeExpr(MoebiusExpr(alpha), BlaschkeExpr(B))))
+    return PairExpr(ComposeExpr(phi, sol.f), second), list(sol.eta)
 
 
 def theorem5_certificates(phi: DiscExpr, lam, psi: DiscExpr, zeta: complex,
@@ -374,35 +538,12 @@ def theorem5_certificates(phi: DiscExpr, lam, psi: DiscExpr, zeta: complex,
     Entry k is (xi, eta) for alphas[k], or the ValueError (alpha out of
     range) or RuntimeError (lemma failed) that its construction raised.
     """
-    lam = tuple(complex(v) for v in lam)
-    p = float(np.prod([abs(v) for v in lam]))
-    slots = []
-    for alpha in alphas:
-        try:
-            if not (alpha < 1.0 and alpha > max(p, abs(zeta))):
-                raise ValueError(f"alpha={alpha} must lie in (max(prod|lam|, |zeta|), 1)"
-                                 f" = ({max(p, abs(zeta))}, 1)")
-            slots.append(Lemma4Problem(mu=lam, q=alpha))
-        except ValueError as exc:
-            slots.append(exc)
-    sols = iter(lemma4_solve_batch([s for s in slots if isinstance(s, Lemma4Problem)]))
-    out = []
-    for alpha, slot in zip(alphas, slots):
-        sol = next(sols) if isinstance(slot, Lemma4Problem) else slot
-        if not isinstance(sol, Exception):
-            try:
-                sol = _certificate(phi, psi, zeta, alpha, sol)
-            except ValueError as exc:
-                sol = exc
-        out.append(sol)
-    return out
-
-
-def _certificate(phi, psi, zeta, alpha, sol: Lemma4Solution) -> tuple:
-    B = BlaschkeDisc.normalized_from_zeros(sol.eta)
-    second = ComposeExpr(psi, ScaleExpr(zeta / alpha,
-                                        ComposeExpr(MoebiusExpr(alpha), BlaschkeExpr(B))))
-    return PairExpr(ComposeExpr(phi, sol.f), second), list(sol.eta)
+    try:
+        rows = _ladder_rows(lam, zeta, alphas)
+    except ValueError as exc:
+        return [exc] * len(alphas)
+    return [rows.errors[k] or _certificate(phi, psi, zeta, alpha, rows.solution(k))
+            for k, alpha in enumerate(alphas)]
 
 
 def theorem5_certificate(phi: DiscExpr, lam, psi: DiscExpr, zeta: complex,
@@ -413,3 +554,20 @@ def theorem5_certificate(phi: DiscExpr, lam, psi: DiscExpr, zeta: complex,
     if isinstance(cert, Exception):
         raise cert
     return cert
+
+
+def theorem5_ladder(phi: DiscExpr, lam, psi: DiscExpr, zeta: complex, alphas) -> tuple:
+    """Theorem 5's ladder of upper bounds alphas, tried in order: the number
+    of rungs certified before the first that fails, and the certificate
+    (xi, eta) of `theorem5_certificates` for the last of them, or None when
+    there is none.  All rungs are solved in one batch, and one certificate
+    is built."""
+    try:
+        rows = _ladder_rows(lam, zeta, alphas)
+    except ValueError:
+        return 0, None
+    certified = next((k for k, e in enumerate(rows.errors) if e is not None), len(alphas))
+    if not certified:
+        return 0, None
+    k = certified - 1
+    return certified, _certificate(phi, psi, zeta, alphas[k], rows.solution(k))

@@ -26,7 +26,7 @@ from .disc_domain import (
     PoleSet,
     RotationExpr,
 )
-from .interpolation import theorem5_certificates
+from .interpolation import theorem5_ladder
 
 ROTATION_TOL = 1e-12
 EQUALITY_TOL = 1e-10
@@ -67,7 +67,10 @@ def theorem5_bounds(D: PlaneDomain, G: PlaneDomain, A: PoleSet, b: complex,
     max(l_D(A,z), l_G(b,w)) is certified constructively at alpha = upper +
     slack, with the slack starting at SLACK and tightened geometrically (/8,
     down to SLACK_FLOOR) while the certificate construction keeps
-    succeeding.  The whole ladder of slacks is built in one Lemma-4 batch.
+    succeeding.  The whole ladder of slacks is solved in one Lemma-4 batch,
+    and the certificate is built for the reported rung only.  meta counts the
+    rungs tried and those certified before the first failure; with none
+    certified the upper bound is upper0 itself, without a certificate.
     equality_flag reports whether l_G(b,w) = l_G^{#A}(b,w) within 1e-10, the
     equality criterion for the product property with #A-point pole sets.
     """
@@ -92,12 +95,9 @@ def theorem5_bounds(D: PlaneDomain, G: PlaneDomain, A: PoleSet, b: complex,
         s /= 8.0
     # every rung in one batch; the bound is the last rung before the first
     # that failed, as if the rungs were built one after another
-    xi = eta = alpha = None
-    for cand, cert in zip(ladder, theorem5_certificates(phi, lam, psi, zeta, ladder)):
-        if isinstance(cert, Exception):
-            break
-        (xi, eta), alpha = cert, cand
-    upper = alpha if alpha is not None else upper0
+    certified, cert = theorem5_ladder(phi, lam, psi, zeta, ladder)
+    xi, eta = cert if cert is not None else (None, None)
+    upper = ladder[certified - 1] if certified else upper0
     residual = None
     if xi is not None:
         v0 = xi.eval(0.0)
@@ -110,7 +110,8 @@ def theorem5_bounds(D: PlaneDomain, G: PlaneDomain, A: PoleSet, b: complex,
         certificate_nodes=tuple(eta) if eta is not None else (),
         equality_flag=bool(abs(lG1 - lGN) < EQUALITY_TOL),
         meta={"l_D_A": lD, "l_G_1": lG1, "l_G_N": lGN, "N": N,
-              "certificate_residual": residual},
+              "certificate_residual": residual, "rungs_tried": len(ladder),
+              "rungs_certified": certified},
     )
 
 

@@ -120,6 +120,9 @@ def test_bounds_command():
     doc = json.loads(out)
     assert doc["bounds"]["lower"] <= doc["bounds"]["upper"] + 1e-12
     assert doc["equality_flag"] is False
+    # the slack ladder's outcome: every rung certified, the bound the last
+    meta = doc["meta"]
+    assert meta["rungs_tried"] >= 1 and meta["rungs_certified"] == meta["rungs_tried"]
 
 
 def test_counterexample_cor8():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -130,13 +131,17 @@ def test_tiny_q_product_is_met_relatively(mu, q):
     assert abs(product - q) <= 1e-9 * q
 
 
-def test_unmet_crossing_raises():
+def test_crossing_deep_in_first_scan_cell_is_met(node_product):
     # a target of 1e-300 puts h's crossing with q = 1e-150 near a = 1.4e-150,
     # inside the first scan cell [0, 1/1024]; Newton steps leave that bracket,
-    # and BISECT_STEPS halvings reach only about 1e-63, so the solve raises
-    # instead of returning an a whose node product is 2e-64
-    with pytest.raises(RuntimeError, match="did not meet q"):
-        lemma4_solve(Lemma4Problem(mu=(1e-300, 0.5), q=1e-150))
+    # and halvings of it would reach only 2^-210 (about 1e-63) in
+    # BISECT_STEPS steps, so the cell's midpoints are geometric
+    mu, q = (1e-300, 0.5), 1e-150
+    sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
+    assert sol.branch == "large" and 1e-151 < sol.a < 1e-149
+    assert abs(node_product(mu, sol.a, "large") - q) <= 1e-9 * q
+    product = float(np.prod(np.abs(np.asarray(sol.eta))))
+    assert abs(product - q) <= 1e-9 * q
 
 
 def test_residual_above_tol_is_refused():
@@ -208,7 +213,7 @@ def test_crossing_meets_q_at_50_digits(mu, q, branch, alpha, node_product):
 
     sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
     assert (sol.branch, sol.reduction_alpha) == (branch, alpha)
-    targets = mu if alpha is None else itp._reduction_alpha(mu, q)[1]
+    targets = mu if alpha is None else itp._reduction_alphas(mu, np.array([q]))[0][1]
     assert abs(node_product(targets, sol.a, branch) - q) <= min(1e-11, 1e-9 * q)
 
 
@@ -231,7 +236,11 @@ def _scalar_crossing(mu, q):
     def newton(x, F, dF, lo, hi):
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = float(np.float64(x) - np.float64(F) / np.float64(dF))
-        return xn if lo < xn < hi else 0.5 * (lo + hi)
+        if lo < xn < hi:
+            return xn
+        if hi <= itp.FIRST_CELL:  # geometric inside the first scan cell
+            return math.sqrt(max(lo, sys.float_info.min)) * math.sqrt(hi)
+        return 0.5 * (lo + hi)
 
     grid = itp.BRACKET_GRID.tolist()
     F, dF = log_curve(grid)
@@ -259,7 +268,8 @@ def test_lockstep_newton_matches_scalar_loop():
     problems = _c1_problems()
     batch = lemma4_solve_batch(problems)
     for pr, sol in zip(problems, batch):
-        targets = pr.mu if sol.reduction_alpha is None else itp._reduction_alpha(pr.mu, pr.q)[1]
+        targets = (pr.mu if sol.reduction_alpha is None
+                   else itp._reduction_alphas(pr.mu, np.array([pr.q]))[0][1])
         assert sol.a == _scalar_crossing(targets, pr.q)
 
 
@@ -305,6 +315,81 @@ def test_batch_shares_one_scan_per_target_list(monkeypatch):
     assert calls[0] == len(itp.BRACKET_GRID)
     assert calls[1:] == sorted(calls[1:], reverse=True)
     assert len(calls) - 1 == max(steps) < sum(steps)
+
+
+def test_mixed_batch_makes_one_scan_per_list_and_one_lockstep(monkeypatch):
+    # plain and zero-target lists share the lockstep; each zero-target list
+    # gets one alpha search, and the nodes need no scalar root solve
+    import lempertpoles.interpolation as itp
+
+    plain, zero = (0.3, 0.4j, -0.2 + 0.35j), (0j, 0.5, 0.3j)
+    problems = ([Lemma4Problem(mu=plain, q=0.9 + 1e-6 / 8 ** k) for k in range(3)]
+                + [Lemma4Problem(mu=zero, q=0.4 + 1e-6 / 8 ** k) for k in range(3)])
+    kernel, searches, scalar = [], [], []
+    real_roots, real_search, real_scalar = (itp._roots_grid, itp._reduction_alphas,
+                                            itp.solve_node_quadratic)
+    monkeypatch.setattr(itp, "_roots_grid", lambda mus, a: kernel.append(len(a)) or real_roots(mus, a))
+    monkeypatch.setattr(itp, "_reduction_alphas",
+                        lambda mu, q: searches.append(len(q)) or real_search(mu, q))
+    monkeypatch.setattr(itp, "solve_node_quadratic",
+                        lambda a, m: scalar.append(m) or real_scalar(a, m))
+    steps = []
+    for pr in problems:
+        kernel.clear()
+        lemma4_solve(pr)
+        steps.append(len(kernel) - 1)
+    for calls in (kernel, searches, scalar):
+        calls.clear()
+    batch = lemma4_solve_batch(problems)
+    assert [s.reduction_alpha is None for s in batch] == [True] * 3 + [False] * 3
+    assert kernel[:2] == [len(itp.BRACKET_GRID)] * 2
+    assert len(kernel) - 2 == max(steps) and max(kernel[2:]) <= len(problems)
+    assert searches == [3]
+    # the alpha search solves the nonzero targets once per alpha it tries
+    assert scalar and all(m != 0 for m in scalar) and len(scalar) % 2 == 0
+    scalar.clear()
+    lemma4_solve_batch(problems[:3])
+    assert not scalar
+
+
+def test_batch_nodes_are_the_scalar_roots():
+    # the reduced target of a zero, alpha, is real, so its two roots are
+    # conjugates of equal modulus up to rounding; np.abs of an array rounds
+    # differently from the scalar abs, and without solve_node_quadratic's
+    # order a batch node can be the conjugate of the scalar one
+    import lempertpoles.interpolation as itp
+
+    problems = [pr for pr in _c1_problems() if any(m == 0 for m in pr.mu)]
+    assert len(problems) > 100
+    for pr, sol in zip(problems, lemma4_solve_batch(problems)):
+        ((_, mu_red),) = itp._reduction_alphas(pr.mu, np.array([pr.q]))
+        for eta, m in zip(sol.eta, mu_red):
+            root = solve_node_quadratic(sol.a, m)[sol.branch == "large"]
+            assert abs(eta - root) <= 1e-12
+
+
+@pytest.mark.parametrize("mu", [(0j, 0.4j), (0.3, 0j)])
+@pytest.mark.parametrize("gap", [1e-9, 1e-7])
+def test_zero_targets_too_near_q_one_are_refused_by_cause(mu, gap):
+    # the reduced problem's roots at alpha leave the circle |z| = sqrt(alpha)
+    # within (1 - alpha)^2 / 8 of a = 1, which floats do not resolve, so its
+    # crossing must come first: 1 - q > 1 - alpha, while alpha nearer 1 than
+    # 1 - 2^-22 puts the composed residual above RESIDUAL_TOL
+    with pytest.raises(RuntimeError, match="zero-value reduction: q = .* lies within"):
+        lemma4_solve(Lemma4Problem(mu=mu, q=1.0 - gap))
+
+
+@pytest.mark.parametrize("mu", [(0j, 0.4j), (0.3, 0j)])
+@pytest.mark.parametrize("gap,alpha", [(3e-7, 1.0 - 2.0 ** -22), (2e-6, 1.0 - 2.0 ** -20)])
+def test_zero_targets_near_q_one_start_alpha_nearer_the_circle(mu, gap, alpha, node_product):
+    import lempertpoles.interpolation as itp
+
+    q = 1.0 - gap
+    sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
+    assert sol.reduction_alpha == alpha
+    assert sol.residual <= RESIDUAL_TOL
+    ((_, mu_red),) = itp._reduction_alphas(mu, np.array([q]))
+    assert abs(node_product(mu_red, sol.a, sol.branch) - q) <= 1e-9 * q
 
 
 def test_batch_scans_each_branch_of_shared_targets():

@@ -153,25 +153,58 @@ def test_theorem5_ladder_batch_matches_sequential_ladder():
     assert zero_nodes >= 18
 
 
+def _failing_rungs(monkeypatch, failing):
+    """Make the ladder's batch report a RuntimeError for every q in failing."""
+    real = itp._solve_rows
+
+    def solve_rows(targets, q, errors=None):
+        rows = real(targets, q, errors)
+        for k, v in enumerate(q):
+            if v in failing:
+                rows.errors[k] = RuntimeError("rung failed")
+        return rows
+
+    monkeypatch.setattr(itp, "_solve_rows", solve_rows)
+
+
 def test_theorem5_ladder_stops_at_first_failed_rung(monkeypatch):
     A = PoleSet(points=(0.5, 0.5j))
     b, z, w = 0.3 - 0.2j, 0.1 + 0.05j, -0.2 + 0.1j
     clean = theorem5_bounds(DISC, DISC, A, b, z, w)
     upper0 = max(clean.meta["l_D_A"], clean.meta["l_G_1"])
     assert clean.upper == upper0 + 1e-6 / 8 ** 5  # all six rungs succeed
-    bad = upper0 + 1e-6 / 8 / 8  # the third rung
-    real = itp.lemma4_solve_batch
-
-    def failing_third_rung(problems):
-        problems = list(problems)
-        return [RuntimeError("rung failed") if pr.q == bad else sol
-                for pr, sol in zip(problems, real(problems))]
-
-    monkeypatch.setattr(itp, "lemma4_solve_batch", failing_third_rung)
+    assert (clean.meta["rungs_tried"], clean.meta["rungs_certified"]) == (6, 6)
+    _failing_rungs(monkeypatch, {upper0 + 1e-6 / 8 / 8})  # the third rung
     rep = theorem5_bounds(DISC, DISC, A, b, z, w)
     # the previous rung's candidate, although later rungs succeed in the batch
     assert rep.upper == upper0 + 1e-6 / 8
+    assert (rep.meta["rungs_tried"], rep.meta["rungs_certified"]) == (6, 2)
     assert _bounds_repr(rep) == _sequential_ladder(DISC, DISC, A, b, z, w)
+
+
+def test_theorem5_ladder_with_every_rung_failed_reports_upper0(monkeypatch):
+    A = PoleSet(points=(0.5, 0.5j))
+    b, z, w = 0.3 - 0.2j, 0.1 + 0.05j, -0.2 + 0.1j
+    clean = theorem5_bounds(DISC, DISC, A, b, z, w)
+    upper0 = max(clean.meta["l_D_A"], clean.meta["l_G_1"])
+    _failing_rungs(monkeypatch, {upper0 + 1e-6 / 8 ** k for k in range(6)})
+    rep = theorem5_bounds(DISC, DISC, A, b, z, w)
+    assert rep.upper == upper0
+    assert (rep.meta["rungs_tried"], rep.meta["rungs_certified"]) == (6, 0)
+    assert rep.certificate is None and rep.certificate_nodes == ()
+    assert rep.meta["certificate_residual"] is None
+
+
+def test_theorem5_bounds_builds_one_certificate(monkeypatch):
+    # the ladder is solved as arrays; only the reported rung gets its disc
+    calls = []
+    real = itp._certificate
+    monkeypatch.setattr(itp, "_certificate", lambda *args: calls.append(args[3]) or real(*args))
+    for G, A, b, z, w in list(_certify_like_instances(seed=7, per_stratum=1))[:12]:
+        calls.clear()
+        rep = theorem5_bounds(DISC, G, A, b, z, w)
+        assert rep.meta["rungs_certified"] >= 1
+        assert calls == [rep.upper]
 
 
 def test_theorem7_rotation_detection():
