@@ -25,7 +25,6 @@ from .interpolation import (
     lemma4_solve,
     lemma4_solve_batch,
     theorem5_certificate,
-    theorem5_certificates,
 )
 from .node_optimizer import NodeConfig, OptimizerSettings, bidisc_lempert, mixed_product_upper
 from .product_engine import (
@@ -71,7 +70,6 @@ __all__ = [
     "preimage_moduli",
     "solve_node_quadratic",
     "theorem5_certificate",
-    "theorem5_certificates",
 ]
 
 __version__ = "0.1.0"

@@ -14,9 +14,10 @@ That matters: high-winding lifts have disc coordinates within 1e-16 of the
 unit circle, so all moduli and products are computed from `s`, never from the
 rounded disc representation.
 
-`CoverMap.min_lift_log_modulus`, the single-pole value log l_D(a, z), takes
-one point or an array of points; `find_pole_with_value` evaluates all the
-points of its scan along a ray in one such call.
+Every lift modulus follows one rule (`_lift_log_moduli`), and the smallest
+lift of each point of an array comes from one points x windings grid
+(`CoverMap._min_lifts`): `lempert_poleset_plane` evaluates all its poles, and
+`find_pole_with_value` all the points of its scan along a ray, in one call.
 
 Every winding enumeration goes through one geometric window search, capped at
 LIFTS_PER_SIDE_MAX windings per side.  The K smallest lifts are searched from
@@ -266,74 +267,75 @@ class CoverMap:
             logm = math.log(am) if am > 0 else -math.inf
             return LiftSet(np.array([0]), np.array([0j]), np.array([eta]), np.array([1.0 - am]),
                            np.array([logm]), np.array([am]), (self.base_lift, a))
-        zeta0, c0 = self.base_lift, self._c0
         ks = np.arange(-per_side, per_side + 1)
         s, zeta, om = self._raw_lift_data(a, ks)
-        u = c0 * om / np.abs(1.0 - np.conj(zeta0) * zeta) ** 2
-        u = np.clip(u, 0.0, 1.0)
-        eta = moebius(zeta0, zeta)
-        rho = np.sqrt(1.0 - u)
-        # 1 - u cancels for lifts hyperbolically close to the base; there the
-        # direct Moebius modulus is the accurate route (no boundary loss)
-        near = u > 0.5
-        if near.any():
-            rho[near] = np.abs(eta[near])
-        delta = np.where(near, 1.0 - rho, u / (1.0 + rho))
-        with np.errstate(divide="ignore"):  # rho == 0 at an exact pole hit
-            logm = np.where(near, np.log(np.maximum(rho, 1e-300)),
-                            0.5 * np.log1p(-u))
-            logm = np.where((rho == 0.0), -np.inf, logm)
-        # 1 - (1 - rho) would lose the leading digits of small moduli
-        moduli = np.where(near, rho, 1.0 - delta)
+        logm, delta, moduli = _lift_log_moduli(self.base_lift, self._c0, zeta, om, deficits=True)
         order = np.argsort(-delta, kind="stable")
-        return LiftSet(ks[order], s[order], eta[order], delta[order], logm[order], moduli[order])
+        return LiftSet(ks[order], s[order], moebius(self.base_lift, zeta[order]), delta[order],
+                       logm[order], moduli[order])
 
     def min_lift_log_modulus(self, a):
-        """log of the smallest lift modulus, i.e. log l_D(a, z), at one point
-        (a float) or at each point of an array (an array of that shape).
-
-        The minimum over windings |k| <= 4 of all the points is taken in one
-        set of array operations, bit for bit `lifts(a, 4).log_modulus[0]`:
-        point moduli go through np.hypot and their logs through math.log
-        (`_log_abs`), since np.abs and np.log on arrays differ from abs() and
-        math.log in the last bit on some points.  Off the annulus or the
+        """log l_D(a, z) by `_min_lifts`, at one point (a float) or at each
+        point of an array (an array of that shape).  Off the annulus or the
         punctured disc, one point raises ValueError as `lifts` does, and a
         point of an array gets NaN, so a scan can evaluate points it may never
-        reach.  The disc applies its Python-complex Moebius formula point by
-        point, with no domain check.
-        """
+        reach.  The disc takes no domain check."""
         pts = np.asarray(a, dtype=complex)
         flat = pts.ravel()
         if self.domain.kind == "disc":
-            ms = [abs(moebius(self.base_lift, complex(p))) for p in flat]
-            out = np.array([math.log(m) if m > 0 else -math.inf for m in ms])
+            out = self._min_lifts(flat)[0]
         elif pts.ndim == 0:
-            out = self._min_log_moduli(np.array([self.domain.require_interior(a, "a")]))
+            out = self._min_lifts(np.array([self.domain.require_interior(a, "a")]))[0]
         else:
             inside = np.array([self.domain.contains(p) for p in flat.tolist()], dtype=bool)
             out = np.full(len(flat), np.nan)
-            out[inside] = self._min_log_moduli(flat[inside])
+            out[inside] = self._min_lifts(flat[inside])[0]
         return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
-    def _min_log_moduli(self, pts: np.ndarray) -> np.ndarray:
-        """`lifts(a, 4).log_modulus[0]` for each interior point a of pts,
-        with the operations of `lifts` applied to a points x windings grid."""
-        zeta0, c0 = self.base_lift, self._c0
+    def _min_lifts(self, pts: np.ndarray) -> tuple:
+        """(log|eta|, eta) of the smallest lift of each point of pts, bit for
+        bit the first entry of `lifts(a, 4)`, with no domain check: one grid
+        of the points x windings |k| <= 4, each row keeping its first largest
+        deficit as the stable sort of `lifts` does.  Point moduli go through
+        np.hypot and math.log (`_log_abs`), since np.abs and np.log on arrays
+        differ from abs() and math.log in the last bit on some points.  The
+        disc applies its Moebius formula point by point."""
+        zeta0 = self.base_lift
+        if self.domain.kind == "disc":
+            eta = [moebius(zeta0, complex(p)) for p in pts]
+            return np.array([math.log(abs(e)) if e != 0 else -math.inf for e in eta]), np.array(eta)
         rel = np.angle(np.exp(1j * (np.angle(pts) - self.rotation)))  # relative_angle
         a_rel = np.hypot(pts.real, pts.imag) * np.exp(1j * rel)
-        s, zeta, om = _raw_lifts(self.domain, _log_abs(a_rel)[:, None], np.angle(a_rel)[:, None],
+        _, zeta, om = _raw_lifts(self.domain, _log_abs(a_rel)[:, None], np.angle(a_rel)[:, None],
                                  np.arange(-4, 5))
-        u = np.clip(c0 * om / np.abs(1.0 - np.conj(zeta0) * zeta) ** 2, 0.0, 1.0)
-        rho = np.sqrt(1.0 - u)
-        near = u > 0.5
-        rho[near] = np.abs(moebius(zeta0, zeta[near]))
-        delta = np.where(near, 1.0 - rho, u / (1.0 + rho))
-        # the first largest deficit, as the stable sort in `lifts` puts first
-        rows, k = np.arange(len(pts)), np.argmax(delta, axis=1)
-        u, rho, near = u[rows, k], rho[rows, k], near[rows, k]
-        with np.errstate(divide="ignore"):
-            logm = np.where(near, np.log(np.maximum(rho, 1e-300)), 0.5 * np.log1p(-u))
-        return np.where(rho == 0.0, -np.inf, logm)
+        logm, delta, _ = _lift_log_moduli(zeta0, self._c0, zeta, om, deficits=True)
+        rows, k = np.arange(len(pts)), delta.argmax(axis=1)
+        return logm[rows, k], moebius(zeta0, zeta[rows, k])
+
+
+def _lift_log_moduli(zeta0: complex, c0: float, zeta: np.ndarray, om: np.ndarray,
+                     deficits: bool = False):
+    """log|eta| of the lifts eta = Phi_{zeta0}(zeta) of raw lifts zeta, any
+    shape, with 1 - |zeta|^2 = om; with deficits=True also (1 - |eta|, |eta|).
+
+    u = 1 - |eta|^2 comes from the pseudo-hyperbolic identity, accurate near
+    the circle.  For lifts hyperbolically close to the base (u > 1/2),
+    1 - u cancels, and the direct Moebius modulus is the accurate route.
+    Moduli are |eta| to a few ulps below 2^-1/2 and 1 - delta nearer the
+    circle; an exact pole hit has log-modulus -inf.
+    """
+    u = (c0 * om / np.abs(1.0 - np.conj(zeta0) * zeta) ** 2).clip(0.0, 1.0)
+    near = u > 0.5
+    rho = np.abs(moebius(zeta0, zeta[near]))
+    with np.errstate(divide="ignore"):
+        logm = 0.5 * np.log1p(-u)
+        logm[near] = np.log(rho)
+    if not deficits:
+        return logm
+    delta = u / (1.0 + np.sqrt(1.0 - u))
+    moduli = 1.0 - delta  # near lifts keep rho: 1 - (1 - rho) loses small moduli
+    moduli[near], delta[near] = rho, 1.0 - rho
+    return logm, delta, moduli
 
 
 def build_cover(domain: PlaneDomain, z: complex) -> CoverMap:
@@ -405,7 +407,7 @@ def lempert_N_plane(domain: PlaneDomain, a: complex, z: complex, N: int) -> Eval
         raise ValueError("N must be in 1..1000")
     cover = build_cover(domain, z)
     a = domain.require_interior(a, "a")
-    if abs(a - z) < 1e-12:
+    if a == z:
         return EvalResult(value=0.0, certificate=CoverExpr(cover), nodes=(0.0 + 0.0j,),
                           meta={"N": N, "degenerate": True})
     ls = _smallest_lifts(cover, a, N)
@@ -425,22 +427,19 @@ def lempert_N_plane(domain: PlaneDomain, a: complex, z: complex, N: int) -> Eval
 
 
 def lempert_poleset_plane(domain: PlaneDomain, A: PoleSet, z: complex) -> EvalResult:
-    """l_D(A, z) = prod over poles of the minimal preimage modulus."""
+    """l_D(A, z) = prod over poles of the minimal preimage modulus; a pole
+    a == z makes the value 0 with node 0."""
     cover = build_cover(domain, z)
-    z = domain.require_interior(z, "z")
-    nodes = []
-    log_value = 0.0
-    for a in A:
-        if abs(a - z) < 1e-12:
-            nodes.append(0.0 + 0.0j)
-            log_value = -math.inf
-            continue
-        ls = cover.lifts(a, 6)  # the disc has its one Moebius lift
-        nodes.append(complex(ls.eta[0]))
-        log_value += float(ls.log_modulus[0])
-    value = 0.0 if log_value == -math.inf else math.exp(log_value)
-    return EvalResult(value=value, certificate=CoverExpr(cover), nodes=tuple(nodes),
-                      meta={"log_value": log_value})
+    pts = [domain.require_interior(a, "a") for a in A]
+    logm, eta = cover._min_lifts(np.array(pts))
+    log_value, nodes = 0.0, []
+    for a, v, node in zip(pts, logm.tolist(), eta.tolist()):
+        if a == cover.base_point:
+            v, node = -math.inf, 0j
+        log_value += v
+        nodes.append(node)
+    return EvalResult(value=math.exp(log_value), certificate=CoverExpr(cover),
+                      nodes=tuple(nodes), meta={"log_value": log_value})
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +522,8 @@ def _punctured_green(cover: CoverMap, a: complex, tol_tail: float):
             f"tail tolerance {tol_tail} not reachable within {2 * LIFTS_PER_SIDE_MAX} lifts")
     T_mid, bound = bracket
     _, zeta, om = cover._raw_lift_data(a, np.arange(-K2, K2 + 1))
-    u = np.clip(c0 * om / np.abs(1.0 - np.conj(zeta0) * zeta) ** 2, 0.0, 1.0)
-    return math.exp(float(np.sum(0.5 * np.log1p(-u))) - 0.5 * T_mid), bound
+    log_value = float(np.sum(_lift_log_moduli(zeta0, c0, zeta, om)))
+    return math.exp(log_value - 0.5 * T_mid), bound
 
 
 def _annulus_green(cover: CoverMap, a: complex, tol_tail: float):
@@ -570,7 +569,7 @@ def green_plane(domain: PlaneDomain, a: complex, z: complex,
     """
     a = domain.require_interior(a, "a")
     z = domain.require_interior(z, "z")
-    if abs(a - z) < 1e-12:
+    if a == z:
         return 0.0, 0.0
     cover = build_cover(domain, z)
     if domain.kind == "disc":
@@ -612,12 +611,13 @@ def find_pole_with_value(domain: PlaneDomain, z: complex, t: float,
     """Point a on the ray from z in `direction` with l_D({a}, z) = t.
 
     Uses that the single-pole Lempert value is continuous, vanishes at z and
-    tends to 1 toward the boundary.  The scan points are known in advance: a
-    start point near z, 512 grid points and 49 points pushed geometrically
-    toward the boundary, s_max (1 - 2^(-j-1)) for j = 1..49.  All of them
-    are evaluated in one batched call of `CoverMap.min_lift_log_modulus`;
-    the bracket is the first grid step where l - t changes sign, else the
-    first push point with l >= t.  Then one-point calls bisect it to
+    tends to 1 toward the boundary.  The scan points are known in advance:
+    z itself (s = 0, where l = 0), 512 grid points up to s_max (1 - 1e-12)
+    and 11 points pushed geometrically toward the boundary beyond them,
+    s_max (1 - 2^-j) for j = 40..50.  All of them are evaluated in one
+    batched call of `CoverMap.min_lift_log_modulus`; the bracket is the
+    first step where l - t changes sign on z and the grid, else the first
+    push point with l >= t.  Then one-point calls bisect it to
     |l - t| <= tol.  The root closest to z is returned when the profile is
     not monotone.  A scan point that rounding puts off the domain raises
     ValueError only if the scan reaches it.
@@ -634,8 +634,8 @@ def find_pole_with_value(domain: PlaneDomain, z: complex, t: float,
         return cover.min_lift_log_modulus(z + s * d)
 
     grid = np.linspace(0.0, s_max, 513)[1:] * (1.0 - 1e-12)
-    push = s_max * (1.0 - np.ldexp(1.0, -np.arange(2, 51)))
-    s = np.concatenate(([grid[0] * 1e-6], grid, push))
+    push = s_max * (1.0 - np.ldexp(1.0, -np.arange(40, 51)))
+    s = np.concatenate(([0.0], grid, push))
     pts = z + s * d
     v = cover.min_lift_log_modulus(pts)  # NaN off the domain
     f = v - log_t

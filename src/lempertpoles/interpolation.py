@@ -525,41 +525,29 @@ def _certificate(phi, psi, zeta, alpha, sol: Lemma4Solution) -> tuple:
     return PairExpr(ComposeExpr(phi, sol.f), second), list(sol.eta)
 
 
-def theorem5_certificates(phi: DiscExpr, lam, psi: DiscExpr, zeta: complex,
-                          alphas) -> list:
-    """Discs into the product domain certifying each upper bound of alphas.
+def theorem5_certificate(phi: DiscExpr, lam, psi: DiscExpr, zeta: complex,
+                         alpha: float) -> tuple:
+    """Disc into the product domain certifying the upper bound alpha.
 
     phi hits the poles at nodes lam with prod|lam| < alpha, psi hits the
     second-factor pole at zeta with |zeta| < alpha.  The interpolating f and
-    nodes eta come from the lemma with q = alpha, one batch for all alphas;
-    B is the normalized Blaschke product over eta with B(0) = alpha, and
+    nodes eta come from the lemma with q = alpha; B is the normalized
+    Blaschke product over eta with B(0) = alpha, and
         xi = (phi o f, psi((zeta/alpha) Phi_alpha(B(.)))).
     Then xi(0) = (z, w), xi(eta_j) = (a_j, b) and prod|eta_j| = alpha.
-    Entry k is (xi, eta) for alphas[k], or the ValueError (alpha out of
-    range) or RuntimeError (lemma failed) that its construction raised.
+    Returns (xi, eta); raises ValueError (alpha out of range) or
+    RuntimeError (lemma failed).
     """
-    try:
-        rows = _ladder_rows(lam, zeta, alphas)
-    except ValueError as exc:
-        return [exc] * len(alphas)
-    return [rows.errors[k] or _certificate(phi, psi, zeta, alpha, rows.solution(k))
-            for k, alpha in enumerate(alphas)]
-
-
-def theorem5_certificate(phi: DiscExpr, lam, psi: DiscExpr, zeta: complex,
-                         alpha: float) -> tuple:
-    """Disc into the product domain certifying the upper bound alpha: the
-    pair (xi, eta) of `theorem5_certificates` for the single value alpha."""
-    (cert,) = theorem5_certificates(phi, lam, psi, zeta, [alpha])
-    if isinstance(cert, Exception):
-        raise cert
-    return cert
+    rows = _ladder_rows(lam, zeta, [alpha])
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
+    return _certificate(phi, psi, zeta, alpha, rows.solution(0))
 
 
 def theorem5_ladder(phi: DiscExpr, lam, psi: DiscExpr, zeta: complex, alphas) -> tuple:
     """Theorem 5's ladder of upper bounds alphas, tried in order: the number
     of rungs certified before the first that fails, and the certificate
-    (xi, eta) of `theorem5_certificates` for the last of them, or None when
+    (xi, eta) of `theorem5_certificate` for the last of them, or None when
     there is none.  All rungs are solved in one batch, and one certificate
     is built."""
     try:

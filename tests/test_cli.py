@@ -259,6 +259,21 @@ def test_eval_find_pole_readme_example():
                - 0.8) <= 1e-10
 
 
+def test_eval_find_pole_small_level():
+    # a level below l at the scan's first grid point is bracketed from z
+    from lempertpoles.covering_domains import PlaneDomain, lempert_poleset_plane
+    from lempertpoles.disc_domain import PoleSet
+
+    code, out = run_cli(["eval", "--domain", "annulus:0.2", "--at", "0.5+0i",
+                         "--find-pole", "1e-9", "--direction", "0+1i"])
+    assert code == 0
+    (row,) = json.loads(out)["values"]
+    dom = PlaneDomain("annulus", R=0.2)
+    pole = parse_complex(row["pole"])
+    assert abs(lempert_poleset_plane(dom, PoleSet(points=(pole,), domain=dom), 0.5).value
+               - 1e-9) <= 1e-10
+
+
 def test_eval_find_pole_level_outside_unit_interval_exits_1():
     code, out = run_cli(["eval", "--domain", "annulus:0.2", "--at", "0.5+0i",
                          "--find-pole", "1.5", "--direction", "0+1i"])

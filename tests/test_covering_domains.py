@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,9 +210,8 @@ def test_near_lift_moduli_equal_eta_modulus(dom, z):
         eta = abs(ls.eta[0])
         assert abs(ls.moduli[0] - eta) <= 4 * np.spacing(eta), r
         assert abs(preimage_moduli(cover, a, 2)[0] - eta) <= 4 * np.spacing(eta), r
-        if abs(a - z) >= 1e-12:  # nearer, a is a pole hit
-            res = lempert_N_plane(dom, a, z, 2)
-            assert abs(res.meta["moduli"][0] - eta) <= 4 * np.spacing(eta), r
+        res = lempert_N_plane(dom, a, z, 2)
+        assert abs(res.meta["moduli"][0] - eta) <= 4 * np.spacing(eta), r
 
 
 @pytest.mark.parametrize("dom, z", [
@@ -305,6 +305,46 @@ def test_green_punctured_matches_moebius():
         # the certificate itself: the true value lies inside the stated band
         truth = abs(moebius(a, z))
         assert v * (1 - tail) - 1e-14 <= truth <= v * (1 + tail) + 1e-14
+
+
+NEAR_BASE = (0.3 + 0.2j, -0.6 + 0.1j, 0.05j)
+
+
+@pytest.mark.parametrize("z", NEAR_BASE)
+def test_green_punctured_near_the_base_point(z):
+    # on the punctured disc g(a, z) is the Moebius modulus, since {0} is
+    # polar; near windings take the direct modulus, so the value stays
+    # within its tail bound of it as a approaches z
+    mp = pytest.importorskip("mpmath")
+    dom = PlaneDomain("punctured")
+    with mp.workdps(40), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for d in (0.3, 0.1, 1e-2, 1e-3, 1e-4):
+            a = z + d * np.exp(0.7j)
+            m = float(abs(mp.mpc(a) - mp.mpc(z)) / abs(1 - mp.conj(mp.mpc(z)) * mp.mpc(a)))
+            v, tail = green_plane(dom, a, z)
+            assert abs(v - m) <= tail * m + 4 * np.spacing(m), d
+        # nearer, forming zeta - zeta0 from rounded lifts costs about 1e-16/d
+        # relative, but the value stays positive and below l^3
+        for d in (1e-6, 1e-8, 1e-10, 1e-12):
+            a = z + d * np.exp(0.7j)
+            v, _ = green_plane(dom, a, z)
+            assert 0.0 < v <= lempert_N_plane(dom, a, z, 3).value, d
+
+
+def test_only_exact_coincidence_is_a_pole_hit():
+    # a pole 5e-13 from the base point keeps its value |a - z| / (1 - |a|^2)
+    dom = PlaneDomain("disc")
+    a = 0.9999999
+    z = a + 5e-13j
+    want = abs(moebius(a, z))
+    assert want == pytest.approx(2.5e-6, rel=1e-6)
+    assert lempert_poleset_plane(dom, PoleSet(points=(a,)), z).value == pytest.approx(want, rel=1e-9)
+    assert lempert_N_plane(dom, a, z, 2).value == pytest.approx(want, rel=1e-9)
+    assert green_plane(dom, a, z)[0] == want
+    for dom in (PlaneDomain("punctured"), PlaneDomain("annulus", R=0.2)):
+        assert lempert_poleset_plane(dom, PoleSet(points=(0.5, 0.6j), domain=dom), 0.5).value == 0.0
+        assert lempert_N_plane(dom, 0.5, 0.5, 2).value == green_plane(dom, 0.5, 0.5)[0] == 0.0
 
 
 def test_green_thin_and_deep_annulus_radii():
@@ -443,8 +483,8 @@ def test_batched_min_lift_off_domain():
 
 def _scan_one_at_a_time(domain, z, t, direction, tol):
     """find_pole_with_value with one evaluator call per scan point: the
-    first sign change of l - t over the grid, else the first push point with
-    l >= t, then the bisection."""
+    first sign change of l - t over z and the grid, else the first push point
+    beyond the grid with l >= t, then the bisection."""
     d = direction / abs(direction)
     cover = build_cover(domain, z)
     s_max = cd._ray_exit(domain, z, d)
@@ -455,7 +495,7 @@ def _scan_one_at_a_time(domain, z, t, direction, tol):
 
     grid = np.linspace(0.0, s_max, 513)[1:] * (1.0 - 1e-12)
     lo = None
-    prev_s, prev_v = grid[0] * 1e-6, log_l(grid[0] * 1e-6)
+    prev_s, prev_v = 0.0, log_l(0.0)
     for s in grid:
         v = log_l(s)
         if (prev_v - log_t) * (v - log_t) <= 0.0:
@@ -465,6 +505,8 @@ def _scan_one_at_a_time(domain, z, t, direction, tol):
     if lo is None:
         for j in range(1, 50):
             s = s_max * (1.0 - 2.0 ** (-j - 1))
+            if s <= grid[-1]:
+                continue
             v = log_l(s)
             if v >= log_t:
                 lo, hi = prev_s, s
@@ -503,6 +545,10 @@ LAST_CELL = (PlaneDomain("annulus", R=0.2), 0.5, 1 - 5e-8, np.exp(0.4j), 1e-11)
 ORIGIN_PUSH = (PlaneDomain("punctured"), 0.4, 0.938, -1.0, 1e-8)
 OFF_DOMAIN = (PlaneDomain("annulus", R=0.02), -0.8228827822373055 - 0.48778931163788225j,
               1 - 1e-15, -0.983795912370888 + 0.17929194851507424j, 1e-11)
+# levels below l at the first grid point: crossed in the cell from z itself
+FIRST_CELL = [(PlaneDomain("annulus", R=0.3), 0.6 + 0.1j, 1e-9, 1j, 1e-15),
+              (PlaneDomain("disc"), 0.2, 1e-9, 1j, 1e-15),
+              (PlaneDomain("annulus", R=0.2), 0.5, 1e-9, 1j, 1e-15)]
 
 
 def test_find_pole_scan_matches_one_point_scan(monkeypatch):
@@ -511,6 +557,7 @@ def test_find_pole_scan_matches_one_point_scan(monkeypatch):
         (PlaneDomain("punctured"), 0.4, 0.3, -1 + 1j, 1e-11),
         LAST_CELL,
         ORIGIN_PUSH,
+        *FIRST_CELL,
     ]
     c9 = _c9_find_pole_calls(monkeypatch)
     assert len(c9) >= 4
@@ -537,6 +584,17 @@ def test_find_pole_edge_cases_reach_their_ends():
     dom, z, t, d, tol = ORIGIN_PUSH
     assert cd._ray_exit(dom, z, d) == 0.4
     assert 0.0 < find_pole_with_value(dom, z, t, d, tol=tol).real < 0.4 * 1e-12
+
+
+@pytest.mark.parametrize("dom, z, t, d, tol", FIRST_CELL)
+def test_find_pole_level_below_the_first_grid_point(dom, z, t, d, tol):
+    # l rises past t before the first grid point; the bracket starts at z,
+    # where l = 0, and the pole lies on the ray within tol of the level
+    a = find_pole_with_value(dom, z, t, d, tol=tol)
+    s = (a - z) / d
+    assert abs(s.imag) < 1e-15 and 0.0 < s.real < cd._ray_exit(dom, z, d) / 512
+    value = lempert_poleset_plane(dom, PoleSet(points=(a,), domain=dom), z).value
+    assert abs(value - t) <= tol
 
 
 def test_complex_trigamma_against_real_reference():
