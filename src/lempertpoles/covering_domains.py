@@ -30,6 +30,7 @@ depth at which their closed-form tail bound meets the tolerance (annulus from
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -597,13 +598,16 @@ def _ray_exit(domain: PlaneDomain, z: complex, direction: complex) -> float:
             for root in (-b - math.sqrt(disc), -b + math.sqrt(disc)):
                 if root > 1e-15:
                     s_max = min(s_max, root)
-    if domain.kind == "punctured":
-        # the ray passes through the origin when z and d are anti-parallel
-        cross = (z * np.conj(d)).imag
-        along = -(z * np.conj(d)).real
-        if abs(cross) < 1e-15 and along > 0:
-            s_max = min(s_max, along)
+    if _meets_puncture(domain, z, d):
+        s_max = min(s_max, -(z * np.conj(d)).real)
     return s_max
+
+
+def _meets_puncture(domain: PlaneDomain, z: complex, d: complex) -> bool:
+    """Whether the ray from z in the unit direction d runs into the puncture
+    0 of the punctured disc, z and d being anti-parallel."""
+    zd = z * np.conj(d)
+    return domain.kind == "punctured" and abs(zd.imag) < 1e-15 and zd.real < 0
 
 
 def find_pole_with_value(domain: PlaneDomain, z: complex, t: float,
@@ -614,29 +618,35 @@ def find_pole_with_value(domain: PlaneDomain, z: complex, t: float,
     tends to 1 toward the boundary.  The scan points are known in advance:
     z itself (s = 0, where l = 0), 512 grid points up to s_max (1 - 1e-12)
     and 11 points pushed geometrically toward the boundary beyond them,
-    s_max (1 - 2^-j) for j = 40..50.  All of them are evaluated in one
-    batched call of `CoverMap.min_lift_log_modulus`; the bracket is the
-    first step where l - t changes sign on z and the grid, else the first
-    push point with l >= t.  Then one-point calls bisect it to
-    |l - t| <= tol.  The root closest to z is returned when the profile is
-    not monotone.  A scan point that rounding puts off the domain raises
-    ValueError only if the scan reaches it.
+    s_max (1 - 2^-j) for j = 40..50.  A ray into the puncture of the
+    punctured disc, where l tends to 1 only like 1 - c / |log|a||, is
+    scanned instead in x = log rho, a = z rho: 513 points from rho = 1 down
+    to |a| = the smallest normal float, and a level beyond l there raises
+    ValueError.  All scan points are evaluated in one batched call of
+    `CoverMap.min_lift_log_modulus`; the bracket is the first step where
+    l - t changes sign on z and the grid, else the first push point with
+    l >= t.  Then one-point calls bisect it to |l - t| <= tol.  The root
+    closest to z is returned when the profile is not monotone.  A scan point
+    that rounding puts off the domain raises ValueError only if the scan
+    reaches it.
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must be in (0, 1)")
     z = domain.require_interior(z, "z")
     d = direction / abs(direction)
     cover = build_cover(domain, z)
-    s_max = _ray_exit(domain, z, d)
     log_t = math.log(t)
-
-    def log_l(s: float) -> float:
-        return cover.min_lift_log_modulus(z + s * d)
-
-    grid = np.linspace(0.0, s_max, 513)[1:] * (1.0 - 1e-12)
-    push = s_max * (1.0 - np.ldexp(1.0, -np.arange(40, 51)))
-    s = np.concatenate(([0.0], grid, push))
-    pts = z + s * d
+    into_puncture = _meets_puncture(domain, z, d)
+    if into_puncture:
+        point = lambda x: z * np.exp(x)
+        s = np.linspace(0.0, math.log(sys.float_info.min / abs(z)), 513)
+    else:
+        point = lambda x: z + x * d
+        s_max = _ray_exit(domain, z, d)
+        grid = np.linspace(0.0, s_max, 513)[1:] * (1.0 - 1e-12)
+        push = s_max * (1.0 - np.ldexp(1.0, -np.arange(40, 51)))
+        s = np.concatenate(([0.0], grid, push))
+    pts = point(s)
     v = cover.min_lift_log_modulus(pts)  # NaN off the domain
     f = v - log_t
     # a sign change of l - t over a grid step, or l >= t at a push point
@@ -645,20 +655,23 @@ def find_pole_with_value(domain: PlaneDomain, z: complex, t: float,
     for p in pts[:i + 1][np.isnan(v[:i + 1])]:
         cover.min_lift_log_modulus(p)  # off the domain: raises as the point alone
     if i == len(s):
+        if into_puncture:
+            raise ValueError(f"t={t} lies beyond l = {math.exp(v[-1])!r} at the smallest "
+                             f"normal |a| on the ray from z={z} into the puncture")
         samples = list(zip(s[-5:].tolist(), v[-5:].tolist()))
         raise RuntimeError(
             f"bracketing failed for t={t} along direction {d}: samples {samples}")
     lo, hi, flo = s[i - 1], s[i], f[i - 1]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        v = log_l(mid)
+        v = cover.min_lift_log_modulus(point(mid))
         if abs(math.expm1(v - log_t) * t) <= tol:
-            return z + mid * d
+            return point(mid)
         if flo * (v - log_t) <= 0.0:
             hi = mid
         else:
             lo, flo = mid, v - log_t
-    a = z + 0.5 * (lo + hi) * d
-    if abs(math.exp(log_l(0.5 * (lo + hi))) - t) > max(tol * 10, 1e-9):
+    a = point(0.5 * (lo + hi))
+    if abs(math.exp(cover.min_lift_log_modulus(a)) - t) > max(tol * 10, 1e-9):
         raise RuntimeError(f"bisection did not converge for t={t}")
     return a

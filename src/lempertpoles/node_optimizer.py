@@ -63,10 +63,11 @@ skip rule checked again before each, so the outcome is that of searching them
 one by one, and a subset pruned by the first one never enters the compass.
 Restarts are then ranked feasibility-first: only those whose worst Pick
 violation is at most NEAR_FEASIBLE_TOL are candidates, ordered by node-moduli
-product.  The best are polished with SLSQP, which gets exact first
-derivatives (the node-product gradient, and Magnus's eigenvalue derivative
-v^H (dH) v from one batched eigh per point), then scaled outward until both
-Pick problems pass the certified test `pick_margin`.  Each restart draws its
+product.  The best are scaled outward until both Pick problems pass the
+certified test `pick_margin` (`_repair`), polished together by a Newton
+iteration on a log barrier, which is smooth where two Pick eigenvalues meet
+near 0 as lambda_min is not (Overton 1992), and repaired again; the least
+certified product is reported.  Each restart draws its
 start and its probe directions from its own RNG stream, and every decision of
 the descent reads only the restart's own probes, so results are bit-identical
 for any batch composition, and the restarts of a smaller run are a prefix of
@@ -81,7 +82,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .complex_kernel import (
     cholesky_succeeds,
@@ -111,7 +111,7 @@ PENALTY_ROWS = 4096
 # PENALTY_RAMP_EVERY iterations; initial step, multiplied by STEP_DECAY after
 # an iteration without an accepted probe; a restart stops once its step is
 # below TOLERANCE.  The compass only has to bring a restart near enough for
-# the SLSQP polish, which replaces the nodes of the candidates it keeps: at
+# the polish, which replaces the nodes of the candidates it keeps: at
 # 1e-5 rather than 1e-9 a search makes about half the penalty calls, and the
 # polished values stay within a few 1e-9 of those of the finer compass
 PENALTY_WEIGHT = 1e4
@@ -120,9 +120,13 @@ PENALTY_RAMP_FACTOR = 10.0
 STEP_INIT = 0.12
 STEP_DECAY = 0.6
 TOLERANCE = 1e-5
-# candidates per subset given to the SLSQP polish, and its rounds
+# largest node modulus of the repair and of the polish's feasible set
+NODE_CAP = 0.9999999
+# candidates per subset given to the polish; its barrier weights from the
+# first stage to the last, and its Newton steps per stage
 POLISH_TOP = 2
-POLISH_ROUNDS = 2
+BARRIER_MU = tuple(10.0 ** -k for k in range(3, 14))
+NEWTON_STEPS = 40
 # rotation angles e^{i theta} of the structured starts
 STRUCTURED_ANGLES = 8
 
@@ -377,7 +381,7 @@ def _repair(nodes: np.ndarray, coords: list):
     margins = _margins(nodes, coords)
     if margins.all():
         return nodes, margins
-    lo, hi = 0.0, min(0.05, 0.9999999 / np.max(np.abs(nodes)) - 1.0)
+    lo, hi = 0.0, min(0.05, NODE_CAP / np.max(np.abs(nodes)) - 1.0)
     margins = _margins(nodes * (1.0 + hi), coords)
     if hi <= lo or not margins.all():
         return None
@@ -495,72 +499,108 @@ def _compass_chunk(x, step, weight, gens, rows: _Rows, settings):
     return x
 
 
-def _product_grad(lam: np.ndarray):
-    """prod |lam_k| and its gradient in the coordinates (Re lam, Im lam)."""
-    am = np.abs(lam)
-    # d|lam_k| = (Re lam_k, Im lam_k) / |lam_k|, times the other moduli
-    others = np.prod(np.where(np.eye(len(lam), dtype=bool), 1.0, am), axis=1)
-    g = others * np.divide(lam, am, out=np.zeros_like(lam), where=am > 0)
-    return float(np.prod(am)), np.concatenate([g.real, g.imag])
+def _barrier_value(lam: np.ndarray, nums: np.ndarray, mu: float) -> np.ndarray:
+    """The barrier objective sum_k log|lam_k| - mu sum_c log det H_c -
+    mu sum_k log(NODE_CAP^2 - |lam_k|^2) per row of lam (B, m), inf where
+    a node reaches the cap or a Pick eigenvalue is <= 0.  nums (B, c, m+1,
+    m+1) are the frozen Pick numerators of each row; one eigvalsh call gives
+    the feasibility test and the log determinants."""
+    am2 = lam.real ** 2 + lam.imag ** 2
+    room = NODE_CAP ** 2 - am2
+    f = np.full(len(lam), np.inf)
+    inside = np.nonzero((room > 0.0).all(axis=1))[0]
+    eig = np.linalg.eigvalsh(nums[inside] / _one_minus_outer(lam[inside])[:, None])
+    pos = (eig[..., 0] > 0.0).all(axis=1)
+    ok, eig = inside[pos], eig[pos]
+    f[ok] = (0.5 * np.log(am2[ok]).sum(axis=1)
+             - mu * (np.log(eig).sum(axis=(1, 2)) + np.log(room[ok]).sum(axis=1)))
+    return f
 
 
-def _pick_min_eig_grad(lam: np.ndarray, num: np.ndarray):
-    """Min Pick eigenvalue per coordinate and its gradient in (Re lam, Im lam).
+def _barrier_derivatives(lam: np.ndarray, nums: np.ndarray, mu: float):
+    """Gradient (B, 2m) and Hessian (B, 2m, 2m) of `_barrier_value` in the
+    coordinates (Re lam, Im lam), at strictly feasible rows of lam (B, m).
 
-    num: (c, m+1, m+1), the Pick numerators of one frozen target row per
-    coordinate (`_one_minus_outer`).  All c Pick matrices go through one
-    batched eigh.  For the smallest eigenpair (mu, v) of H, dmu = v^H (dH) v
-    (Magnus 1985); H_kj depends on L_k through its row and on conj(L_k)
-    through its column, which gives dmu = 2 Re(a_k dL_k) with
-    a_k = sum_j conj(v_k) v_j H_kj conj(L_j) / (1 - L_k conj(L_j)).
+    With L = (0, lam), G = 1 - L L^H, H = num / G and K = H^-1, the entry
+    H_kj depends on L_k through its row and on conj(L_j) through its column.
+    Let A_kj = H_kj conj(L_j) / G_kj, B_kj = H_kj L_k / G_kj and M = A K;
+    then d log det H / dL_p = M_pp,
+    d^2 / dL_p dL_r = delta_pr sum_j K_jp 2 A_pj conj(L_j) / G_pj - M_pr M_rp
+    and d^2 / dL_p dconj(L_q) = K_qp (H_pq (1 + L_p conj(L_q)) / G_pq^2 - (M B)_pq).
+    The real derivatives follow from the Wirtinger ones f_z, f_zz and
+    f_zzbar: g = (2 Re f_z, -2 Im f_z), H_xx = 2 Re(f_zz + f_zzbar),
+    H_yy = 2 Re(f_zzbar - f_zz) and H_xy = 2 Im(f_zzbar - f_zz).
     """
-    L = np.concatenate([[0j], lam])
-    den = _one_minus_outer(lam[None, :])[0]
-    H = num / den
-    mu, vecs = np.linalg.eigh(H)
-    v = vecs[:, :, 0]
-    a = np.einsum("ck,cj,ckj->ck", np.conj(v), v, H * (np.conj(L)[None, :] / den))
-    return mu[:, 0], np.concatenate([2.0 * a[:, 1:].real, -2.0 * a[:, 1:].imag], axis=1)
+    B, m = lam.shape
+    L = np.concatenate([np.zeros((B, 1), dtype=complex), lam], axis=1)[:, None, :, None]
+    Lbar = np.conj(np.swapaxes(L, -1, -2))
+    G = _one_minus_outer(lam)[:, None]
+    H = nums / G
+    K = np.linalg.inv(H)
+    KT = np.swapaxes(K, -1, -2)
+    A = H * Lbar / G
+    M = A @ K
+    fz = -mu * np.diagonal(M, axis1=-2, axis2=-1).sum(axis=1)[:, 1:]
+    fzz = mu * (M * np.swapaxes(M, -1, -2)).sum(axis=1)
+    fzb = -mu * (KT * (H * (2.0 - G) / G ** 2 - M @ (H * L / G))).sum(axis=1)
+    k = np.arange(1, m + 1)
+    fzz[:, k, k] -= mu * (2.0 * A * Lbar / G * KT).sum(axis=(1, 3))[:, 1:]
+    # the node product and the cap barrier act on each node alone
+    room = NODE_CAP ** 2 - (lam.real ** 2 + lam.imag ** 2)
+    fz += 0.5 / lam + mu * np.conj(lam) / room
+    fzz[:, k, k] += mu * np.conj(lam) ** 2 / room ** 2 - 0.5 / lam ** 2
+    fzb[:, k, k] += mu * NODE_CAP ** 2 / room ** 2
+    fzz, fzb = fzz[:, 1:, 1:], fzb[:, 1:, 1:]
+    hxy = 2.0 * (fzb - fzz).imag
+    hess = np.block([[2.0 * (fzz + fzb).real, hxy],
+                     [np.swapaxes(hxy, -1, -2), 2.0 * (fzb - fzz).real]])
+    return np.concatenate([2.0 * fz.real, -2.0 * fz.imag], axis=1), hess
 
 
-def _polish(nodes: np.ndarray, coords: list) -> np.ndarray:
-    """SLSQP refinement of a candidate with eigenvalue inequality constraints.
-
-    The lift assignment of plane coordinates is frozen at the incoming
-    configuration so the constraints stay smooth.  Objective and constraints
-    carry exact gradients; the Pick constraint value and its Jacobian share
-    one eigen-decomposition per point.
-    """
-    m = len(nodes)
-    to_lam = lambda x: x[:m] + 1j * x[m:]
-    frozen = _one_minus_outer(np.array([c.batch_targets(nodes[None, :])[0] for c in coords]))
-    cache = {}
-
-    def pick(x):
-        key = x.tobytes()
-        if key not in cache:
-            cache.clear()
-            mu, grad = _pick_min_eig_grad(to_lam(x), frozen)
-            cache[key] = (mu * 1e3, grad * 1e3)
-        return cache[key]
-
-    def cap_grad(x):
-        return np.hstack([np.diag(-2.0 * x[:m]), np.diag(-2.0 * x[m:])])
-
-    cons = [{"type": "ineq", "fun": lambda x: pick(x)[0], "jac": lambda x: pick(x)[1]},
-            {"type": "ineq", "fun": lambda x: 0.9999999 ** 2 - np.abs(to_lam(x)) ** 2,
-             "jac": cap_grad}]
-    x0 = np.concatenate([nodes.real, nodes.imag])
-    best = nodes
-    for _ in range(POLISH_ROUNDS):
-        res = minimize(lambda x: _product_grad(to_lam(x)), x0, jac=True,
-                       method="SLSQP", constraints=cons,
-                       options={"maxiter": 80, "ftol": 1e-14})
-        x0 = res.x
-        cand = to_lam(res.x)
-        if np.max(np.abs(cand)) < 1.0:
-            best = cand
-    return best
+def _polish(starts: np.ndarray, coords: list) -> np.ndarray:
+    """Newton refinement of the strictly feasible rows of starts (B, m) on
+    `_barrier_value`, mu running through BARRIER_MU; the other rows are
+    dropped.  Plane lift assignments are frozen at the starts.  A step is the
+    Newton direction with the Hessian's eigenvalues replaced by their moduli,
+    floored at 1e-12 times the largest (the node product is harmonic and the
+    common rotation flat), with Armijo backtracking from 1, at most 20
+    halvings.  A row leaves a stage when its squared Newton decrement is
+    below mu (1e-14 in the last stage), after NEWTON_STEPS steps, or when its
+    line search fails: its bits do not depend on the batch."""
+    nums = np.stack([_one_minus_outer(c.batch_targets(starts)) for c in coords], axis=1)
+    feasible = np.isfinite(_barrier_value(starts, nums, BARRIER_MU[0]))
+    lam, nums = starts[feasible], nums[feasible]
+    m = lam.shape[1]
+    for mu in BARRIER_MU:
+        tol = 1e-14 if mu == BARRIER_MU[-1] else mu
+        f = _barrier_value(lam, nums, mu)
+        live = np.arange(len(lam))
+        for _ in range(NEWTON_STEPS):
+            if len(live) == 0:
+                break
+            g, hess = _barrier_derivatives(lam[live], nums[live], mu)
+            w, V = np.linalg.eigh(hess)
+            w = np.abs(w)
+            w = np.maximum(w, 1e-12 * w.max(axis=1, keepdims=True))
+            c = (g[:, None, :] @ V)[:, 0] / w
+            decrement = (c * c * w).sum(axis=1)
+            go = decrement >= tol
+            live, slope = live[go], -decrement[go]
+            step = (V[go] @ c[go][:, :, None])[..., 0]
+            dlam = -(step[:, :m] + 1j * step[:, m:])
+            t, todo = 1.0, np.arange(len(live))
+            for _ in range(21):
+                if len(todo) == 0:
+                    break
+                rows = live[todo]
+                trial = lam[rows] + t * dlam[todo]
+                ft = _barrier_value(trial, nums[rows], mu)
+                ok = ft <= f[rows] + 1e-4 * t * slope[todo]
+                lam[rows[ok]], f[rows[ok]] = trial[ok], ft[ok]
+                todo, t = todo[~ok], 0.5 * t
+            # rows whose line search failed leave the stage
+            live = np.delete(live, todo)
+    return lam
 
 
 def _restart_starts(subset, coords, settings: OptimizerSettings, subset_key):
@@ -611,8 +651,9 @@ def _compass(items, settings: OptimizerSettings) -> list:
 
 
 def _finish(subset, coords, lam: np.ndarray):
-    """Rank the compass restarts lam (restarts, m) of one subset, polish and
-    repair the best; returns the best certified NodeConfig, or None."""
+    """Rank the compass restarts lam (restarts, m) of one subset, repair the
+    best, polish the repaired ones and repair them again; returns the best
+    certified NodeConfig, or None."""
     restarts = len(lam)
     raw_vals = np.prod(np.abs(lam), axis=1)
     den = _one_minus_outer(lam)
@@ -624,11 +665,12 @@ def _finish(subset, coords, lam: np.ndarray):
     # so only near-feasible restarts are ranked by product
     near = [r for r in range(restarts) if viol[r] <= NEAR_FEASIBLE_TOL]
     order = sorted(near, key=lambda r: (raw_vals[r], r))
-    candidates = [lam[r] for r in order[:POLISH_TOP]]
-    candidates += [_polish(c, coords) for c in list(candidates)]
-    repaired = [r for r in (_repair(c, coords) for c in candidates) if r is not None]
+    repaired = [out for out in (_repair(lam[r], coords) for r in order[:POLISH_TOP])
+                if out is not None]
     if not repaired:
         return None
+    polished = _polish(np.array([nodes for nodes, _ in repaired]), coords)
+    repaired += [out for out in (_repair(p, coords) for p in polished) if out is not None]
     best_nodes, margins = min(repaired, key=lambda r: np.prod(np.abs(r[0])))
     return NodeConfig(subset=tuple(subset), nodes=tuple(best_nodes),
                       value=float(np.prod(np.abs(best_nodes))),

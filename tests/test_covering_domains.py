@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -484,16 +485,23 @@ def test_batched_min_lift_off_domain():
 def _scan_one_at_a_time(domain, z, t, direction, tol):
     """find_pole_with_value with one evaluator call per scan point: the
     first sign change of l - t over z and the grid, else the first push point
-    beyond the grid with l >= t, then the bisection."""
+    beyond the grid with l >= t, then the bisection.  A ray into the
+    puncture is scanned and bisected in x = log rho, a = z rho, down to the
+    smallest normal |a|, with no push."""
     d = direction / abs(direction)
     cover = build_cover(domain, z)
-    s_max = cd._ray_exit(domain, z, d)
     log_t = math.log(t)
+    if cd._meets_puncture(domain, z, d):
+        point = lambda x: z * np.exp(x)
+        grid, s_max = np.linspace(0.0, math.log(sys.float_info.min / abs(z)), 513)[1:], None
+    else:
+        point = lambda x: z + x * d
+        s_max = cd._ray_exit(domain, z, d)
+        grid = np.linspace(0.0, s_max, 513)[1:] * (1.0 - 1e-12)
 
     def log_l(s):
-        return cover.min_lift_log_modulus(z + s * d)
+        return cover.min_lift_log_modulus(point(s))
 
-    grid = np.linspace(0.0, s_max, 513)[1:] * (1.0 - 1e-12)
     lo = None
     prev_s, prev_v = 0.0, log_l(0.0)
     for s in grid:
@@ -517,14 +525,14 @@ def _scan_one_at_a_time(domain, z, t, direction, tol):
         mid = 0.5 * (lo + hi)
         v = log_l(mid)
         if abs(math.expm1(v - log_t) * t) <= tol:
-            return z + mid * d
+            return point(mid)
         if flo * (v - log_t) <= 0.0:
             hi = mid
         else:
             lo, flo = mid, v - log_t
     if abs(math.exp(log_l(0.5 * (lo + hi))) - t) > max(tol * 10, 1e-9):
         raise AssertionError("the reference bisection did not converge")
-    return z + 0.5 * (lo + hi) * d
+    return point(0.5 * (lo + hi))
 
 
 def _c9_find_pole_calls(monkeypatch):
@@ -542,7 +550,7 @@ def _c9_find_pole_calls(monkeypatch):
 
 # (domain, z, t, direction, tol) of the scan's edge cases
 LAST_CELL = (PlaneDomain("annulus", R=0.2), 0.5, 1 - 5e-8, np.exp(0.4j), 1e-11)
-ORIGIN_PUSH = (PlaneDomain("punctured"), 0.4, 0.938, -1.0, 1e-8)
+INTO_PUNCTURE = (PlaneDomain("punctured"), 0.4, 0.938, -1.0, 1e-8)
 OFF_DOMAIN = (PlaneDomain("annulus", R=0.02), -0.8228827822373055 - 0.48778931163788225j,
               1 - 1e-15, -0.983795912370888 + 0.17929194851507424j, 1e-11)
 # levels below l at the first grid point: crossed in the cell from z itself
@@ -556,7 +564,7 @@ def test_find_pole_scan_matches_one_point_scan(monkeypatch):
         (PlaneDomain("annulus", R=0.3), 0.6 + 0.1j, 0.5, 1j, 1e-11),
         (PlaneDomain("punctured"), 0.4, 0.3, -1 + 1j, 1e-11),
         LAST_CELL,
-        ORIGIN_PUSH,
+        INTO_PUNCTURE,
         *FIRST_CELL,
     ]
     c9 = _c9_find_pole_calls(monkeypatch)
@@ -576,12 +584,12 @@ def test_find_pole_scan_matches_one_point_scan(monkeypatch):
 
 def test_find_pole_edge_cases_reach_their_ends():
     # LAST_CELL crosses t in the grid's last step, as the benchmark's second
-    # Proposition-10 level does; ORIGIN_PUSH has no crossing on the grid and
-    # is bracketed by the boundary push before the origin
+    # Proposition-10 level does; INTO_PUNCTURE crosses t within 1e-12 of the
+    # puncture, on the scan in log rho
     dom, z, t, d, tol = LAST_CELL
     s_max = cd._ray_exit(dom, z, d)
     assert abs(find_pole_with_value(dom, z, t, d, tol=tol) - z) > s_max * 511 / 512
-    dom, z, t, d, tol = ORIGIN_PUSH
+    dom, z, t, d, tol = INTO_PUNCTURE
     assert cd._ray_exit(dom, z, d) == 0.4
     assert 0.0 < find_pole_with_value(dom, z, t, d, tol=tol).real < 0.4 * 1e-12
 
@@ -595,6 +603,22 @@ def test_find_pole_level_below_the_first_grid_point(dom, z, t, d, tol):
     assert abs(s.imag) < 1e-15 and 0.0 < s.real < cd._ray_exit(dom, z, d) / 512
     value = lempert_poleset_plane(dom, PoleSet(points=(a,), domain=dom), z).value
     assert abs(value - t) <= tol
+
+
+@pytest.mark.parametrize("t", [0.94, 0.95, 0.99])
+def test_find_pole_on_a_ray_into_the_puncture(t):
+    # l reaches these levels only within 1e-12 of the puncture (0.99 at
+    # |a| ~ 1e-79), where one ulp of s near s_max = 0.4 moves l by about 1e-6
+    dom, z = PlaneDomain("punctured"), 0.4
+    a = find_pole_with_value(dom, z, t, -1.0, tol=1e-11)
+    assert a.imag == 0.0 and 0.0 < a.real < 1e-12
+    assert abs(lempert_poleset_plane(dom, PoleSet(points=(a,), domain=dom), z).value - t) <= 1e-11
+
+
+def test_find_pole_level_beyond_the_puncture_scan_is_refused():
+    # l is about 0.99742 at the smallest normal |a| on this ray
+    with pytest.raises(ValueError, match="beyond l = 0.997"):
+        find_pole_with_value(PlaneDomain("punctured"), 0.4, 0.998, -1.0)
 
 
 def test_complex_trigamma_against_real_reference():

@@ -1,28 +1,38 @@
+import inspect
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lempertpoles
 from lempertpoles.acceptance import GRID_ORACLE_DELTA, c8_theorem7_failure
 from lempertpoles.complex_kernel import moebius, moebius_error
 from lempertpoles.covering_domains import PlaneDomain, build_cover, lempert_poleset_plane
 from lempertpoles.disc_domain import PoleSet
 from lempertpoles import node_optimizer
 from lempertpoles.node_optimizer import (
+    BARRIER_MU,
     DIRECTION_BLOCK,
     LB_SKIP_MARGIN,
     OptimizerSettings,
     _compass,
     _compass_chunk,
     _compass_item,
+    _barrier_derivatives,
+    _barrier_value,
     _Coord,
+    _finish,
     _margins,
     _one_minus_outer,
     _pair_level,
     _penalized,
-    _pick_min_eig_grad,
     _pick_violation,
-    _product_grad,
+    _polish,
     _repair,
     _restart_starts,
     _Rows,
@@ -327,36 +337,130 @@ def _central_differences(fun, lam, h=1e-6):
     return np.stack(cols, axis=-1)
 
 
-def _gradient_configs():
-    # seeded nodes with disc targets, and with frozen plane-lift targets
+def _barrier_configs():
+    # strictly feasible nodes: each coordinate's targets are g(lam) for a
+    # self-map g of the disc with g(0) = 0 and sup |g| < 1.  Plane-lift
+    # targets (the smallest annulus lifts of seeded poles) are reached by
+    # g(z) = s z from lam = lifts / s; disc targets are lam (0.5 + 0.3 lam)
+    # e^{i theta}.  Yields lam (m,) and the Pick numerators (1, 2, m+1, m+1).
     rng = np.random.default_rng(17)
-    annulus = PlaneDomain("annulus", R=0.1)
-    cover = build_cover(annulus, 0.45)
+    cover = build_cover(PlaneDomain("annulus", R=0.1), 0.45)
     for m in (2, 3, 4):
         for _ in range(3):
-            lam = 0.95 * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
-            disc = 0.6 * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
-            poles = (0.2 + 0.7 * rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
-            lifts = [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in poles]
-            plane = _lifted(lifts).batch_targets(lam[None, :])[0]
-            yield lam, np.array([disc, plane])
+            lifts = np.ones(m)
+            while np.abs(lifts).max() > 0.9:
+                poles = (0.2 + 0.7 * rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
+                lifts = np.array([cover.lifts(p, 6).eta[0] for p in poles], dtype=complex)
+            lam = lifts / max(0.6, np.abs(lifts).max() / 0.95)
+            disc = lam * (0.5 + 0.3 * lam) * np.exp(2j * np.pi * rng.random())
+            yield lam, _one_minus_outer(np.array([disc, lifts]))[None]
 
 
-def test_pick_eigenvalue_gradient_matches_central_differences():
-    for lam, targets in _gradient_configs():
-        num = _one_minus_outer(targets)
-        _, grad = _pick_min_eig_grad(lam, num)
-        numeric = _central_differences(lambda l: _pick_min_eig_grad(l, num)[0], lam)
-        assert grad.shape == (2, 2 * len(lam))
-        assert np.max(np.abs(grad - numeric)) <= 1e-6
+def _derivative_errors(derivatives, mu=0.05):
+    """Largest error of the gradient and of the Hessian of `derivatives`
+    against central differences of `_barrier_value` and of the gradient,
+    relative to the largest entry, per configuration above."""
+    worst = []
+    for lam, nums in _barrier_configs():
+        assert np.isfinite(_barrier_value(lam[None], nums, mu)[0])
+        g, hess = derivatives(lam[None], nums, mu)
+        g_fd = _central_differences(lambda l: _barrier_value(l[None], nums, mu)[0], lam)
+        h_fd = _central_differences(lambda l: derivatives(l[None], nums, mu)[0][0], lam)
+        worst.append((np.max(np.abs(g[0] - g_fd)) / np.max(np.abs(g)),
+                      np.max(np.abs(hess[0] - h_fd)) / np.max(np.abs(hess))))
+    return np.array(worst)
 
 
-def test_node_product_gradient_matches_central_differences():
-    for lam, _ in _gradient_configs():
-        f, grad = _product_grad(lam)
-        assert f == pytest.approx(float(np.prod(np.abs(lam))), rel=1e-15)
-        numeric = _central_differences(lambda l: _product_grad(l)[0], lam)
-        assert np.max(np.abs(grad - numeric)) <= 1e-6
+def test_barrier_derivatives_match_central_differences():
+    errors = _derivative_errors(_barrier_derivatives)
+    assert len(errors) == 9 and np.all(errors <= 1e-6)
+
+
+def test_barrier_derivatives_check_rejects_a_dropped_conjugate():
+    # negative control: A_kj = H_kj / G_kj without the factor conj(L_j)
+    source = textwrap.dedent(inspect.getsource(_barrier_derivatives))
+    assert source.count("A = H * Lbar / G") == 1
+    namespace = dict(vars(node_optimizer))
+    exec(source.replace("A = H * Lbar / G", "A = H / G"), namespace)
+    errors = _derivative_errors(namespace["_barrier_derivatives"])
+    assert np.all(errors.max(axis=1) > 1e-3)
+
+
+def _c8_polish_calls():
+    """(starts, coords, polished) of every polish call of criterion 8 at 48
+    restarts, recorded around `_polish`."""
+    calls = []
+    polish = node_optimizer._polish
+
+    def recording(starts, coords):
+        out = polish(starts, coords)
+        calls.append((starts, coords, out))
+        return out
+
+    node_optimizer._polish = recording
+    try:
+        assert c8_theorem7_failure(restarts=48).passed
+    finally:
+        node_optimizer._polish = polish
+    return calls
+
+
+def _last_stage_decrement(lam, nums):
+    """The squared Newton decrement of `_polish` at the rows of lam in its
+    last stage."""
+    g, hess = _barrier_derivatives(lam, nums, BARRIER_MU[-1])
+    w, V = np.linalg.eigh(hess)
+    w = np.abs(w)
+    w = np.maximum(w, 1e-12 * w.max(axis=1, keepdims=True))
+    c = (g[:, None, :] @ V)[:, 0]
+    return (c * c / w).sum(axis=1)
+
+
+def test_polish_converges_on_criterion8(session_cache):
+    # every polished row ends its last stage on the decrement test, not on
+    # the step cap or a failed line search
+    decrements = []
+    for starts, coords, out in session_cache("c8_polish_48", _c8_polish_calls):
+        nums = np.stack([_one_minus_outer(c.batch_targets(starts)) for c in coords], axis=1)
+        assert len(out) == len(starts) == 2
+        decrements.extend(_last_stage_decrement(out, nums))
+    assert len(decrements) == 14 and max(decrements) < 1e-14
+
+
+def test_polish_row_has_the_same_bits_alone_and_in_a_batch(session_cache):
+    for starts, coords, out in session_cache("c8_polish_48", _c8_polish_calls):
+        assert np.array_equal(_polish(starts, coords), out)
+        swapped = _polish(starts[::-1].copy(), coords)
+        for r in range(2):
+            alone = _polish(starts[r:r + 1].copy(), coords)
+            assert np.array_equal(alone[0], out[r]) and np.array_equal(swapped[1 - r], out[r])
+
+
+def test_polish_starts_only_inside_the_feasible_set(monkeypatch, session_cache):
+    # candidates up to NEAR_FEASIBLE_TOL = 1e-6 outside the feasible set (a
+    # polished criterion-8 row scaled inward) are scaled back to strict
+    # feasibility by the repair, or skipped, before the Newton iteration
+    # evaluates any derivative
+    starts, coords, out = session_cache("c8_polish_48", _c8_polish_calls)[-1]
+    raw = np.array([out[0] * (1.0 - e) for e in (1e-10, 1e-8, 3e-7)])
+    den = _one_minus_outer(raw)
+    viol = np.maximum(*(_pick_violation(c.pick_num(raw), den) for c in coords))
+    assert np.all((viol > 0.0) & (viol <= node_optimizer.NEAR_FEASIBLE_TOL))
+    nums = np.stack([_one_minus_outer(c.batch_targets(raw)) for c in coords], axis=1)
+    assert np.all(np.isinf(_barrier_value(raw, nums, BARRIER_MU[0])))
+    assert _polish(raw, coords).shape == (0, 4)
+
+    seen, derivatives = [], node_optimizer._barrier_derivatives
+
+    def checked(lam, nums, mu):
+        seen.append(len(lam))
+        assert np.all(np.isfinite(_barrier_value(lam, nums, mu)))
+        return derivatives(lam, nums, mu)
+
+    monkeypatch.setattr(node_optimizer, "_barrier_derivatives", checked)
+    cfg = _finish(((0, 0), (0, 1), (1, 0), (1, 1)), coords, raw)
+    assert sum(seen) > 0 and min(cfg.margins) > 0.0
+    assert cfg.value <= np.prod(np.abs(out[0])) * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("restarts", [4, 24, 96])
@@ -681,3 +785,24 @@ def test_loser_proof_never_drops_a_violation_below_its_cut():
         H = np.array([_split_pair_matrix(rng, n, s) for s in b])
         for t in ((b - 1.0) * (1 + 1e-9), np.nextafter(b - 1.0, np.inf)):
             assert not np.any(node_optimizer._proves_violation(H.copy(), t))
+
+
+C8_AT_48 = ("from lempertpoles.acceptance import c8_theorem7_failure\n"
+            "print(repr(c8_theorem7_failure(restarts=48).details))")
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    # criterion 8 at 48 restarts and the bidisc_failure seed-1 dump, each in
+    # child processes whose environment alone sets the OpenBLAS thread count
+    src = Path(lempertpoles.__file__).resolve().parents[1]
+    dump = src.parent / "scripts" / "dump_outputs.py"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        outputs.append([subprocess.run(argv, env=env, capture_output=True, text=True,
+                                       check=True).stdout
+                        for argv in ([sys.executable, "-c", C8_AT_48],
+                                     [sys.executable, str(dump), "--workload", "bidisc_failure",
+                                      "--seed", "1"])])
+    assert all(outputs[0]) and outputs[0] == outputs[1]
