@@ -67,14 +67,32 @@ class BlaschkeDisc:
         return out if out.shape else complex(out)
 
 
+def equal_root_moduli(a, mu):
+    """Whether the two roots of z^2 - a(1+mu)z + mu = 0 (a real, |mu| < 1)
+    have equal moduli, read from the coefficients: a = 0, or mu real with
+    b^2 <= 4 mu for b = a(1+mu), where the roots are conjugate.
+
+    |z| = |w| exactly when b^2/mu = z/w + w/z + 2 lies in [0, 4], and
+    b^2/mu = a^2 (2 + mu + 1/mu) is real for a > 0 only if mu is (|mu| < 1).
+    For real mu, b^2 is rounded as the root formulas round it, so the test
+    holds exactly where their discriminant is <= 0 and the computed roots
+    are conjugate too.  Takes Python scalars or numpy arrays, which
+    broadcast.
+    """
+    b = a * (1.0 + mu.real)
+    return (a == 0.0) | ((mu.imag == 0.0) & (b * b <= 4.0 * mu.real))
+
+
 def solve_node_quadratic(a: float, mu: complex) -> tuple:
     """Both roots of f_a(z) = z*Phi_a(z) = mu, i.e. of z^2 - a(1+mu)z + mu = 0.
 
     Returns (z_small, w_large) ordered so that |z_small| <= sqrt|mu| <= |w_large|;
     both roots lie in the open disc.  The larger-magnitude root is computed
     first and the other recovered from the constant term mu (Vieta), which
-    avoids cancellation when mu is tiny.  Ties at a = 0 are broken in favor of
-    nonnegative imaginary part (then nonnegative real part) for z_small.
+    avoids cancellation when mu is tiny.  Where the roots have equal moduli
+    (`equal_root_moduli`: a = 0, or conjugate roots of a real mu), the tie
+    is broken from that structure, not from the rounded moduli: z_small is
+    the root of larger imaginary part, then of larger real part.
     """
     a = float(a)
     if not 0.0 <= a < 1.0:
@@ -92,12 +110,11 @@ def solve_node_quadratic(a: float, mu: complex) -> tuple:
     if w == 0:  # a == 0 and sqrt branch hit zero; roots are +-i sqrt(mu)
         w = 1j * np.sqrt(mu)
     z = mu / w
-    if abs(z) > abs(w):
+    if equal_root_moduli(a, mu):
+        if (w.imag, w.real) > (z.imag, z.real):
+            z, w = w, z
+    elif abs(z) > abs(w):
         z, w = w, z
-    elif abs(z) == abs(w):
-        # deterministic tie-break
-        cand = sorted((z, w), key=lambda t: (-t.imag, -t.real))
-        z, w = cand[0], cand[1]
     return complex(z), complex(w)
 
 

@@ -25,19 +25,25 @@ max(8, K//2 + 4) windings per side, growing x4 until the K-th deficit exceeds
 both edge deficits or underflows to 0.0.  The Green functions first pick the
 depth at which their closed-form tail bound meets the tolerance (annulus from
 4, x4; punctured disc from 1024, x2), then enumerate once.
+
+The punctured disc's winding tail is summed in closed form through psi and
+psi' at Re z > 1000, by their asymptotic series (`_digamma_complex`,
+`_trigamma_complex`, one Bernoulli table); each states a bound on its
+remainder and rounding, and the tail bound carries both, so the truncation
+is certified end to end with numpy as the only dependency.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import digamma
 
-from .complex_kernel import moebius, moebius_error
+from .complex_kernel import BOUND_SLACK, CDIV_ERR, U, _gamma, moebius, moebius_error
 from .disc_domain import DiscExpr, EvalResult, PoleSet
 
 ANNULUS_R_MIN = 1e-6
@@ -448,17 +454,77 @@ def lempert_poleset_plane(domain: PlaneDomain, A: PoleSet, z: complex) -> EvalRe
 # ---------------------------------------------------------------------------
 
 
-def _trigamma_complex(z: complex) -> complex:
-    """psi'(z) for Re z >= 50 by the asymptotic series.
+# B_2, B_4, B_6: the asymptotic series of psi and psi' stop after these
+# terms, and |B_8| bounds their remainders
+BERNOULLI_2K = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)
+BERNOULLI_NEXT = 1.0 / 30.0
+# bounds sum_k |B_2k| (2k)^-p |z|^(2-2k) for p = 0, 1 and |z| >= 1
+BERNOULLI_ABS = sum(abs(b) for b in BERNOULLI_2K)
+PSI_SERIES_MIN = 50.0  # smallest Re z of both series
+# each complex operation and 1/z errs by at most CDIV_ERR relative; a term of
+# either series goes through at most this many of them
+SERIES_OPS = 20
+SERIES_ERR = _gamma(SERIES_OPS, CDIV_ERR)
+# log z by cmath: log(hypot) and atan2, each within an ulp (glibc's stated
+# accuracy), so each part within this relative error
+LOG_ERR = 4.0 * U
 
-    1/z + 1/(2 z^2) + sum B_{2n} z^{-2n-1}; at Re z >= 50 the truncation
-    error is below 1e-18, far under the float precision of the callers.
-    """
-    if z.real < 50.0:
-        raise RuntimeError("asymptotic trigamma needs Re z >= 50")
+
+def _bernoulli_series(z: complex, divide: bool) -> tuple:
+    """(1/z, s) with s = sum_k B_2k / (2k)^p z^(2-2k) over BERNOULLI_2K, by
+    Horner in 1/z^2: p = 1 (divide) for psi, p = 0 for psi'."""
+    if z.real < PSI_SERIES_MIN:
+        raise RuntimeError(f"asymptotic psi series needs Re z >= {PSI_SERIES_MIN}")
+    b2, b4, b6 = BERNOULLI_2K
     zi = 1.0 / z
-    zi2 = zi * zi
-    return zi * (1.0 + zi * (0.5 + zi * (1.0 / 6.0 + zi2 * (-1.0 / 30.0 + zi2 * (1.0 / 42.0 - zi2 / 30.0)))))
+    t = zi * zi
+    if divide:
+        return zi, b2 / 2.0 + t * (b4 / 4.0 + t * (b6 / 6.0))
+    return zi, b2 + t * (b4 + t * b6)
+
+
+def _digamma_complex(z: complex) -> tuple:
+    """(psi(z), err_re, err_im) for Re z >= 50 by the asymptotic series
+    psi(z) = log z - 1/(2z) - sum_{k=1..3} B_2k / (2k z^2k) + R.
+
+    err_re and err_im bound the error of the real and imaginary part.  With
+    x = Re z, |R| <= |B_8| / (8 x^8) (below 1.1e-16 at x = 50): in Binet's
+    integral psi(z) = log z - 1/(2z) - int_0^inf (1/(e^t-1) - 1/t + 1/2)
+    e^{-zt} dt (DLMF 5.9.13) the Bernoulli expansion of the bracket stops
+    within its first omitted term B_8 t^7/8! for t > 0, an alternating
+    remainder of its partial fractions sum_m 2t/(t^2 + 4 pi^2 m^2), and
+    int_0^inf t^7/8! e^{-xt} dt = 1/(8 x^8) (DLMF 5.11(ii)).  Rounding, in
+    the standard model (Higham, Accuracy and Stability, ch. 3): each part of
+    log z errs by LOG_ERR relative and the last subtraction by U, and every
+    term of 1/(2z) + sum B_2k/(2k z^2k) passes through at most SERIES_OPS
+    operations of relative error CDIV_ERR, so that sum errs by at most
+    gamma_SERIES_OPS times its sum of moduli.
+    """
+    zi, s = _bernoulli_series(z, True)
+    log_z = cmath.log(z)
+    azi = abs(zi)
+    e = SERIES_ERR * azi * (0.5 + azi * BERNOULLI_ABS) + BERNOULLI_NEXT / (8.0 * z.real ** 8)
+    return (log_z - zi * (0.5 + zi * s),
+            BOUND_SLACK * ((LOG_ERR + U) * abs(log_z.real) + e),
+            BOUND_SLACK * ((LOG_ERR + U) * abs(log_z.imag) + e))
+
+
+def _trigamma_complex(z: complex) -> tuple:
+    """(psi'(z), err_re, err_im) for Re z >= 50 by the asymptotic series
+    psi'(z) = 1/z + 1/(2 z^2) + sum_{k=1..3} B_2k / z^(2k+1) + R.
+
+    err_re and err_im bound the error of the real and imaginary part.  With
+    x = Re z, |R| <= |B_8| / x^9 (below 1.8e-17 at x = 50), from the
+    derivative of Binet's integral as for `_digamma_complex`, with
+    int_0^inf t^8/8! e^{-xt} dt = 1/x^9.  Every term passes through at most
+    SERIES_OPS operations of relative error CDIV_ERR, so the rounding is at
+    most gamma_SERIES_OPS times the sum of moduli of the terms.
+    """
+    zi, s = _bernoulli_series(z, False)
+    azi = abs(zi)
+    err = BOUND_SLACK * (SERIES_ERR * azi * (1.0 + azi * (0.5 + azi * BERNOULLI_ABS))
+                         + BERNOULLI_NEXT / z.real ** 9)
+    return zi * (1.0 + zi * (0.5 + zi * s)), err, err
 
 
 def _punctured_tail_side(K2: int, theta: float, c: float, M_eff: float,
@@ -472,31 +538,47 @@ def _punctured_tail_side(K2: int, theta: float, c: float, M_eff: float,
     |r_k| <= ebar^2/((c^2+y^2)(1-ebar)).  The three structured sums are
     exact: 1/(c^2+y^2) via digamma and the squared terms via complex
     trigamma; y_sign = -1 mirrors the sum for negative windings (y < 0).
+    The half-width holds r_k, the bound on the log correction and the
+    stated error bounds of both series, carried through S1, S_y and S_2.
     """
     two_pi = 2.0 * np.pi
     A = theta / two_pi
     zdig = K2 + 1 + A + 1j * c / two_pi
-    S1 = float(np.imag(digamma(zdig))) / (two_pi * c)
+    psi, _, e_psi = _digamma_complex(zdig)
+    S1 = psi.imag / (two_pi * c)
     # sum 1/(y + i c)^2 over the tail
-    s_quad = _trigamma_complex(complex(K2 + 1 + (theta + 1j * c) / two_pi)) / (two_pi ** 2)
+    tri, e_re, e_im = _trigamma_complex(zdig)
+    s_quad = tri / (two_pi ** 2)
     # sum y/(c^2+y^2)^2 = -Im(s_quad)/(2c); sum 1/(c^2+y^2)^2 = (2 S1 - 2 Re s_quad)/(4 c^2)
     S_y = -float(np.imag(s_quad)) / (2.0 * c)
     S_2 = (2.0 * S1 - 2.0 * float(np.real(s_quad))) / (4.0 * c * c)
+    e_S1 = e_psi / (two_pi * c)
+    e_Sy = e_im / (two_pi ** 2 * 2.0 * c)
+    e_S2 = (2.0 * e_S1 + 2.0 * e_re / two_pi ** 2) / (4.0 * c * c)
     y_min = two_pi * (K2 + 1) + theta
     ebar = (2.0 * abs(g.imag) * y_min + abs(kappa)) / (c * c + y_min * y_min)
     if ebar >= 0.5:
         return None
     u_sum_est = M_eff * (S1 + y_sign * 2.0 * g.imag * S_y - kappa * S_2)
     r_bound = M_eff * ebar * ebar / (1.0 - ebar) * S1
+    series_bound = M_eff * (e_S1 + 2.0 * abs(g.imag) * e_Sy + abs(kappa) * e_S2)
     u_max = M_eff / (c * c + y_min * y_min) * (1.0 + ebar) / (1.0 - ebar)
     # -ln(1-u) = u + lncorr with 0 <= lncorr <= u^2/(2(1-u_max)) summed
-    ln_corr_hi = u_max * (u_sum_est + r_bound) / (2.0 * (1.0 - u_max))
+    ln_corr_hi = u_max * (u_sum_est + r_bound + series_bound) / (2.0 * (1.0 - u_max))
     T_mid = u_sum_est + 0.5 * ln_corr_hi
-    half = r_bound + 0.5 * ln_corr_hi
+    half = r_bound + series_bound + 0.5 * ln_corr_hi
     return T_mid, half
 
 
 def _punctured_green(cover: CoverMap, a: complex, tol_tail: float):
+    """(value, tail bound) of the punctured-disc Green function: the
+    product over windings |k| <= K2 of the lift moduli, times exp(-T_mid/2)
+    for the bracketed tail beyond them.
+
+    K2 runs 1024, 2048, ... until the two sides' half-widths
+    (`_punctured_tail_side`, which include the digamma and trigamma series
+    bounds) plus the rounding of the log-modulus sum meet tol_tail.
+    """
     x = math.log(abs(a))
     theta = cover.relative_angle(a)
     c = 1.0 - x  # = |x - 1| since x < 0
@@ -564,7 +646,9 @@ def green_plane(domain: PlaneDomain, a: complex, z: complex,
     product of all preimage moduli.
 
     The true value lies in [value*(1-tail_bound), value*(1+tail_bound)].
-    Disc: the one lift, |Phi_a(z)|, with no tail.  Punctured disc: winding tails are bracketed exactly through digamma sums.
+    Disc: the one lift, |Phi_a(z)|, with no tail.  Punctured disc: winding
+    tails are bracketed in closed form through digamma and trigamma sums,
+    with the error bounds of their series in the bracket.
     Annulus: lift moduli approach 1 at the geometric rate exp(-2 pi^2/L), so
     an explicit geometric majorant certifies the truncation.
     """

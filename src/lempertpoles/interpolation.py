@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_kernel import BlaschkeDisc, solve_node_quadratic
+from .complex_kernel import BlaschkeDisc, equal_root_moduli, solve_node_quadratic
 from .disc_domain import (
     BlaschkeExpr,
     ComposeExpr,
@@ -149,19 +149,22 @@ def _roots_grid(mus: np.ndarray, a: np.ndarray):
     return np.where(swap, w, zs), np.where(swap, zs, w)
 
 
-def _nodes(small: np.ndarray, big: np.ndarray, large) -> np.ndarray:
+def _nodes(small: np.ndarray, big: np.ndarray, large, a: np.ndarray, mus: np.ndarray) -> np.ndarray:
     """The nodes of branch large (one bool per row) from the root pairs
-    (small, big) of `_roots_grid`, in the order of solve_node_quadratic.
+    (small, big) of `_roots_grid` at the parameters a (one per row) and
+    targets mus, in the order of solve_node_quadratic.
 
     Its moduli are the scalar abs, which np.hypot reproduces bit for bit and
     np.abs of a complex array does not (the last bit differs for about a
-    third of all values), and at equal moduli, as for the conjugate roots
-    of a real mu, the small root is the one of larger imaginary part, then
-    of larger real part.  Conjugate roots have equal moduli up to rounding,
-    so without this order a node can be the conjugate of the scalar one."""
-    az, ab = np.hypot(small.real, small.imag), np.hypot(big.real, big.imag)
-    swap = (az > ab) | ((az == ab) & ((big.imag > small.imag)
-                                      | ((big.imag == small.imag) & (big.real > small.real))))
+    third of all values).  Where `equal_root_moduli` holds, as for the
+    conjugate roots of a real mu, the small root is the one of larger
+    imaginary part, then of larger real part, whatever the rounded moduli
+    say: they differ in the last bits between SIMD code paths, and without
+    this order a node can be the conjugate of the other path's."""
+    tie = equal_root_moduli(np.asarray(a)[:, None], mus)
+    by_part = (big.imag > small.imag) | ((big.imag == small.imag) & (big.real > small.real))
+    swap = np.where(tie, by_part,
+                    np.hypot(small.real, small.imag) > np.hypot(big.real, big.imag))
     return np.where(swap == np.asarray(large)[:, None], small, big)
 
 
@@ -248,7 +251,7 @@ def _crossing_lockstep(mus: np.ndarray, pad: np.ndarray, large: np.ndarray,
         done = live & (np.abs(np.expm1(F)) <= rtol)
         if done.any():
             a_star[done] = x[done]
-            eta[done] = _nodes(small[done], big[done], large[done])
+            eta[done] = _nodes(small[done], big[done], large[done], x[done], mus[done])
             live &= ~done
             if not live.any():
                 break
@@ -304,7 +307,8 @@ def _crossings(targets: list, q: np.ndarray, mus: np.ndarray, pad: np.ndarray) -
         if abs(math.expm1(F[r, k])) <= rtol[r]:
             _, _, small, big = scans[keys[r]]
             a[r] = BRACKET_GRID[k]
-            eta[r, :len(targets[r])] = _nodes(small[k:k + 1], big[k:k + 1], large[r:r + 1])[0]
+            eta[r, :len(targets[r])] = _nodes(small[k:k + 1], big[k:k + 1], large[r:r + 1],
+                                              BRACKET_GRID[k:k + 1], lists[id(targets[r])][0])[0]
         else:
             errors[r] = RuntimeError("no bracket found for the Lemma 4 curve; should not occur")
     rows = np.nonzero(bracketed)[0]

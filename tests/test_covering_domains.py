@@ -291,7 +291,8 @@ def test_green_enumerates_lifts_once(monkeypatch):
     assert res == (0.7729340492219975, 1.39e-14)
     res = green_plane(PlaneDomain("punctured"), 0.4 + 0.2j, -0.3 + 0.1j, tol_tail=3e-12)
     assert windings == [7, 4097]  # build_cover's 7 windings, then one window
-    assert res == (0.6401843996644254, 9.228837247850614e-13)
+    # the bound includes 4.0e-18 from the digamma and trigamma series bounds
+    assert res == (0.6401843996644254, 9.228877691169944e-13)
 
 
 def test_green_punctured_matches_moebius():
@@ -622,12 +623,72 @@ def test_find_pole_level_beyond_the_puncture_scan_is_refused():
 
 
 def test_complex_trigamma_against_real_reference():
-    from scipy.special import polygamma
-    from lempertpoles.covering_domains import _trigamma_complex
+    mp = pytest.importorskip("mpmath")
     for x in (60.0, 123.5, 1025.0, 9001.25):
-        ours = _trigamma_complex(complex(x))
-        ref = float(polygamma(1, x))
+        ours, err, _ = cd._trigamma_complex(complex(x))
+        ref = float(mp.polygamma(1, x))
         assert abs(ours - ref) < 1e-16 + 1e-13 * ref
+        assert ours.imag == 0.0 and err < 1e-13 * ref
+
+
+SERIES_POINTS = [complex(x, y) for x in (50.0, 1025.0, 1e4, 1e6) for y in (0.0, 1e-3, 0.3, 5.0)]
+
+
+def _series_misses(mp, points):
+    """The points where _digamma_complex or _trigamma_complex lies, in its
+    real or imaginary part, off the 40-digit mpmath value by more than its
+    stated bound."""
+    misses = []
+    with mp.workdps(40):
+        for z in points:
+            arg = mp.mpc(z.real, z.imag)
+            for fn, ref in ((cd._digamma_complex, mp.digamma(arg)),
+                            (cd._trigamma_complex, mp.polygamma(1, arg))):
+                value, err_re, err_im = fn(z)
+                if (abs(mp.mpf(value.real) - ref.real) > err_re
+                        or abs(mp.mpf(value.imag) - ref.imag) > err_im):
+                    misses.append((fn.__name__, z))
+    return misses
+
+
+def test_psi_series_lie_within_their_stated_bounds():
+    mp = pytest.importorskip("mpmath")
+    assert _series_misses(mp, SERIES_POINTS) == []
+
+
+@pytest.mark.parametrize("k", range(len(cd.BERNOULLI_2K)))
+def test_psi_series_bound_check_catches_a_dropped_term(monkeypatch, k):
+    # each Bernoulli term of both series lies above the stated bound at
+    # Re z = 50, the smallest Re z the series take
+    mp = pytest.importorskip("mpmath")
+    dropped = tuple(0.0 if i == k else b for i, b in enumerate(cd.BERNOULLI_2K))
+    monkeypatch.setattr(cd, "BERNOULLI_2K", dropped)
+    at_50 = [z for z in SERIES_POINTS if z.real == 50.0]
+    misses = _series_misses(mp, at_50)
+    assert {name for name, _ in misses} == {"_digamma_complex", "_trigamma_complex"}
+
+
+@pytest.mark.parametrize("fn", [cd._digamma_complex, cd._trigamma_complex])
+def test_psi_series_refuse_re_below_50(fn):
+    with pytest.raises(RuntimeError, match="Re z >= 50"):
+        fn(complex(49.9, 0.3))
+    fn(complex(50.0, 0.3))
+
+
+def test_punctured_tail_bound_carries_the_series_bounds(monkeypatch):
+    # stated series errors of 1e-12 widen the reported tail bound by their
+    # image in S1 = Im psi / (2 pi c) at least, c = 1 - log|a|, on both sides
+    dom, a, z = PlaneDomain("punctured"), 0.4 + 0.2j, -0.3 + 0.1j
+    value, bound = green_plane(dom, a, z)
+    for name in ("_digamma_complex", "_trigamma_complex"):
+        fn = getattr(cd, name)
+        monkeypatch.setattr(cd, name, lambda w, fn=fn: (fn(w)[0], 1e-12, 1e-12))
+    value_wide, bound_wide = green_plane(dom, a, z)
+    cover = build_cover(dom, z)
+    c = 1.0 - math.log(abs(a))
+    M_eff = cover._c0 * 4.0 * (c - 1.0) / abs(1.0 - np.conj(cover.base_lift)) ** 2
+    assert value_wide == pytest.approx(value, rel=1e-15)
+    assert bound_wide - bound >= 2.0 * M_eff * 1e-12 / (2.0 * np.pi * c) * (1.0 - 1e-6)
 
 
 def test_find_pole_rejects_bad_level():

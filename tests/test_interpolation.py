@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lempertpoles
 from lempertpoles.complex_kernel import solve_node_quadratic
 from lempertpoles.covering_domains import PlaneDomain, lempert_poleset_plane
 from lempertpoles.disc_domain import MoebiusExpr, PoleSet
@@ -366,6 +370,53 @@ def test_batch_nodes_are_the_scalar_roots():
         for eta, m in zip(sol.eta, mu_red):
             root = solve_node_quadratic(sol.a, m)[sol.branch == "large"]
             assert abs(eta - root) <= 1e-12
+
+
+def test_conjugate_ties_follow_the_structure_not_the_rounded_moduli():
+    # real targets with a(1+mu) < 2 sqrt(mu) have conjugate roots; their
+    # rounded moduli differ in the last bit one way or the other, and the
+    # small node is still the one with Im > 0, in the scalar and batch code
+    import lempertpoles.interpolation as itp
+
+    rng = np.random.default_rng(5)
+    mus = rng.uniform(0.05, 0.95, 400).astype(complex)
+    a = rng.uniform(0.0, 1.0, 400) * 2.0 * np.sqrt(mus.real) / (1.0 + mus.real)
+    small, big = itp._roots_grid(mus[:, None], a)
+    az, ab = np.hypot(small.real, small.imag), np.hypot(big.real, big.imag)
+    assert (az < ab).any() and (az > ab).any()  # the rounding goes both ways
+    for large in (False, True):
+        nodes = itp._nodes(small, big, np.full(400, large), a, mus[:, None])[:, 0]
+        assert np.all(nodes.imag < 0.0 if large else nodes.imag > 0.0)
+    for m, x in zip(mus, a):
+        z, w = solve_node_quadratic(x, m)
+        assert z.imag > 0.0 > w.imag and abs(z - w.conjugate()) <= 1e-15
+
+
+SIMD_FALLBACK = {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4",
+                 "OPENBLAS_CORETYPE": "Haswell"}
+
+
+def test_certify_roots_do_not_depend_on_the_simd_path(tmp_path):
+    # the certify seed-1 dump in child processes with numpy's default SIMD
+    # kernels and with its AVX2 ones, whose np.abs and np.hypot round
+    # differently in the last bit: no node may move to the conjugate root
+    src = Path(lempertpoles.__file__).resolve().parents[1]
+    dump = src.parent / "scripts" / "dump_outputs.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                                     os.environ.get("PYTHONPATH")])))
+    if subprocess.run([sys.executable, "-c", "import numpy"], env=dict(env, **SIMD_FALLBACK),
+                      capture_output=True).returncode:
+        pytest.skip("this numpy does not accept the SIMD fallback setting")
+    paths = [tmp_path / "default.txt", tmp_path / "fallback.txt"]
+    for path, extra in zip(paths, ({}, SIMD_FALLBACK)):
+        subprocess.run([sys.executable, str(dump), "--workload", "certify", "--seed", "1",
+                        "--out", str(path)], env=dict(env, **extra), capture_output=True,
+                       check=True)
+    assert len(paths[0].read_text().splitlines()) == 43
+    report = subprocess.run([sys.executable, str(dump), "--compare", *map(str, paths)],
+                            capture_output=True, text=True).stdout
+    summary = [line for line in report.splitlines() if line.startswith("43 lines")]
+    assert summary and summary[0].endswith(", 0 to a different root")
 
 
 @pytest.mark.parametrize("mu", [(0j, 0.4j), (0.3, 0j)])
