@@ -69,6 +69,8 @@ def describe(obj, points=(0j,)) -> str:
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 NODE_FIELDS = ("certificate_nodes", "nodes")
+# numpy 2's scalar repr, np.complex128(...) or np.float64(...), around a literal
+NUMPY_SCALAR = re.compile(r"np\.\w+\(([^()]*)\)")
 ROOT_MOVE = 1e-12
 EPS = 2.0 ** -52
 
@@ -94,8 +96,16 @@ def _split_top(text: str, sep: str = ",") -> list:
 
 def fields(text: str) -> dict:
     """The named fields of one dumped output: name=value of a dataclass, and
-    each entry of a dict-valued field as field.key; other outputs are one
+    each entry of a dict-valued field as field.key; a list that starts with a
+    dataclass, such as a bidisc (config, value), gives the fields of its
+    dataclasses and output[i] for its other items; other outputs are one
     field, "output"."""
+    if re.match(r"\[\w+\(", text):
+        out = {}
+        for i, item in enumerate(_split_top(text[1:-1])):
+            out.update(fields(item) if re.fullmatch(r"\w+\(.*\)", item, re.S)
+                       else {f"output[{i}]": item})
+        return out
     m = re.fullmatch(r"\w+\((.*)\)", text, re.S)
     if not m:
         return {"output": text}
@@ -129,7 +139,7 @@ def node_moves(old: str, new: str) -> tuple:
     """Largest move of a node between two field texts, absolute and relative
     to the node's modulus; infinite when they do not pair up."""
     try:
-        a, b = ast.literal_eval(old), ast.literal_eval(new)
+        a, b = (ast.literal_eval(NUMPY_SCALAR.sub(r"\1", text)) for text in (old, new))
     except (ValueError, SyntaxError):
         return math.inf, math.inf
     if len(a) != len(b):

@@ -25,7 +25,7 @@ from lempertpoles.acceptance import (
     c10_determinism,
     winding_rate_deviation,
 )
-from lempertpoles import node_optimizer
+from lempertpoles import acceptance, node_optimizer
 from lempertpoles.covering_domains import PlaneDomain, lempert_N_plane
 
 def test_c1_lemma4_roundtrip():
@@ -129,23 +129,25 @@ def test_c9_prop10_construction(session_cache):
 
 def test_c10_determinism():
     r = c10_determinism()
-    assert r.details["restarts"] == 500
-    assert len(r.details["subsets"]) == 6
+    assert r.details["restarts"] == 500 and r.details["prefix"] == 48
+    assert len(r.details["subsets"]) == 6 and min(r.details["prefix_rows"]) > 0
     assert r.details["first_differing"] is None
     assert r.passed, r.details
 
 
 def test_c10_negative_control_shared_generator(monkeypatch):
-    # every restart drawing from one shared generator makes a trajectory
-    # depend on the subsets that share its batch, which c10 must catch
-    shared = np.random.default_rng(0)
+    # restarts drawing from one shared generator, all radii of a run before
+    # all angles, make a start depend on the restart count, which c10 must
+    # catch
     restart_starts = node_optimizer._restart_starts
 
-    def shared_starts(*args):
-        gens, lam0 = restart_starts(*args)
-        return [shared] * len(gens), lam0
+    def shared_starts(subset, coords, settings, key):
+        shape = restart_starts(subset, coords, settings, key).shape
+        shared = np.random.default_rng(settings.seed)
+        radii = 0.99 * shared.random(shape)
+        return radii * np.exp(2j * np.pi * shared.random(shape))
 
-    monkeypatch.setattr(node_optimizer, "_restart_starts", shared_starts)
-    r = c10_determinism(restarts=4)
+    monkeypatch.setattr(acceptance, "_restart_starts", shared_starts)
+    r = c10_determinism(restarts=64, prefix=8)
     assert not r.passed
     assert r.details["first_differing"] in r.details["subsets"]

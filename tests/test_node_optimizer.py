@@ -17,31 +17,25 @@ from lempertpoles.disc_domain import PoleSet
 from lempertpoles import node_optimizer
 from lempertpoles.node_optimizer import (
     BARRIER_MU,
-    DIRECTION_BLOCK,
     LB_SKIP_MARGIN,
+    NODE_CAP,
     OptimizerSettings,
-    _compass,
-    _compass_chunk,
-    _compass_item,
     _barrier_derivatives,
     _barrier_value,
+    _certified_starts,
     _Coord,
     _finish,
     _margins,
     _one_minus_outer,
-    _pair_level,
-    _penalized,
-    _pick_violation,
     _polish,
     _repair,
     _restart_starts,
-    _Rows,
     bidisc_lempert,
     mixed_product_upper,
 )
 from lempertpoles.product_engine import theorem5_bounds
 
-FAST = OptimizerSettings(restarts=48, seed=0, max_iterations=1200)
+FAST = OptimizerSettings(restarts=48, seed=0)
 FAILURE_A = PoleSet(points=(0.5, 0.5j))
 FAILURE_B = PoleSet(points=(0.5, -0.5))
 
@@ -124,8 +118,8 @@ def test_restart_starts_are_prefix_stable():
     coords = [_fixed(ta), _fixed(tb)]
     subset = ((0, 0), (0, 1), (1, 0), (1, 1))
     key = (0, 1, 64, 65)
-    _, small = _restart_starts(subset, coords, OptimizerSettings(restarts=20, seed=3), key)
-    _, big = _restart_starts(subset, coords, OptimizerSettings(restarts=70, seed=3), key)
+    small = _restart_starts(subset, coords, OptimizerSettings(restarts=20, seed=3), key)
+    big = _restart_starts(subset, coords, OptimizerSettings(restarts=70, seed=3), key)
     assert np.array_equal(small, big[:20])
     assert np.all(np.abs(big) < 1.0)
 
@@ -167,12 +161,6 @@ def _fixed(targets, err=0.0):
     """A coordinate whose poles have one target each, as on the disc."""
     t = np.asarray(targets, dtype=complex)
     return _Coord(t[:, None], np.broadcast_to(err, t.shape)[:, None])
-
-
-def _lifted(lifts):
-    """A coordinate whose poles have several lift candidates, exact data."""
-    lifts = np.array(lifts, dtype=complex)
-    return _Coord(lifts, np.zeros(lifts.shape))
 
 
 def _disc_coords(ta, tb, err_a=0.0, err_b=0.0):
@@ -387,14 +375,14 @@ def test_barrier_derivatives_check_rejects_a_dropped_conjugate():
 
 
 def _c8_polish_calls():
-    """(starts, coords, polished) of every polish call of criterion 8 at 48
-    restarts, recorded around `_polish`."""
+    """(lam, nums, mus, polished) of every `_polish` call of criterion 8 at 48
+    restarts: per searched subset, its screen, then its top rows."""
     calls = []
     polish = node_optimizer._polish
 
-    def recording(starts, coords):
-        out = polish(starts, coords)
-        calls.append((starts, coords, out))
+    def recording(lam, nums, mus, steps):
+        out = polish(lam, nums, mus, steps)
+        calls.append((lam, nums, mus, out[0]))
         return out
 
     node_optimizer._polish = recording
@@ -417,38 +405,46 @@ def _last_stage_decrement(lam, nums):
 
 
 def test_polish_converges_on_criterion8(session_cache):
-    # every polished row ends its last stage on the decrement test, not on
-    # the step cap or a failed line search
+    # every subset screens all 48 restarts through the first two stages, and
+    # its two rows of least product end the last stage on the decrement
+    # test, not on the step cap or a failed line search
+    calls = session_cache("c8_polish_48", _c8_polish_calls)
+    assert [mus for _, _, mus, _ in calls] == [BARRIER_MU[:2], BARRIER_MU[2:]] * 7
     decrements = []
-    for starts, coords, out in session_cache("c8_polish_48", _c8_polish_calls):
-        nums = np.stack([_one_minus_outer(c.batch_targets(starts)) for c in coords], axis=1)
-        assert len(out) == len(starts) == 2
+    for (lam, _, _, screened), (top, nums, _, out) in zip(calls[::2], calls[1::2]):
+        assert len(lam) == len(screened) == 48 and len(top) == len(out) == 2
+        products = np.prod(np.abs(screened), axis=1)
+        assert np.array_equal(np.sort(products)[:2], np.prod(np.abs(top), axis=1))
         decrements.extend(_last_stage_decrement(out, nums))
     assert len(decrements) == 14 and max(decrements) < 1e-14
 
 
 def test_polish_row_has_the_same_bits_alone_and_in_a_batch(session_cache):
-    for starts, coords, out in session_cache("c8_polish_48", _c8_polish_calls):
-        assert np.array_equal(_polish(starts, coords), out)
-        swapped = _polish(starts[::-1].copy(), coords)
-        for r in range(2):
-            alone = _polish(starts[r:r + 1].copy(), coords)
-            assert np.array_equal(alone[0], out[r]) and np.array_equal(swapped[1 - r], out[r])
+    for lam, nums, mus, out in session_cache("c8_polish_48", _c8_polish_calls):
+        assert np.array_equal(_polish(lam, nums, mus, 40)[0], out)
+        swapped = _polish(lam[::-1].copy(), nums[::-1].copy(), mus, 40)[0]
+        assert np.array_equal(swapped[::-1], out)
+        for r in (0, len(lam) - 1):
+            alone = _polish(lam[r:r + 1].copy(), nums[r:r + 1].copy(), mus, 40)[0]
+            assert np.array_equal(alone[0], out[r])
 
 
 def test_polish_starts_only_inside_the_feasible_set(monkeypatch, session_cache):
-    # candidates up to NEAR_FEASIBLE_TOL = 1e-6 outside the feasible set (a
-    # polished criterion-8 row scaled inward) are scaled back to strict
-    # feasibility by the repair, or skipped, before the Newton iteration
-    # evaluates any derivative
-    starts, coords, out = session_cache("c8_polish_48", _c8_polish_calls)[-1]
+    # starts just outside the feasible set (a polished criterion-8 row
+    # scaled inward) are pushed outward until both Pick problems certify
+    # before the Newton iteration evaluates any derivative
+    _, _, _, out = session_cache("c8_polish_48", _c8_polish_calls)[-1]
+    disc = PlaneDomain("disc")
+    ca, cb = (node_optimizer._factor_coord(disc, poles, 0.0) for poles in (FAILURE_A, FAILURE_B))
+    subset = ((0, 0), (0, 1), (1, 0), (1, 1))
+    coords, _ = node_optimizer._subset_coords(ca, cb, subset)
     raw = np.array([out[0] * (1.0 - e) for e in (1e-10, 1e-8, 3e-7)])
-    den = _one_minus_outer(raw)
-    viol = np.maximum(*(_pick_violation(c.pick_num(raw), den) for c in coords))
-    assert np.all((viol > 0.0) & (viol <= node_optimizer.NEAR_FEASIBLE_TOL))
+    assert not np.any(_margins(raw, coords).all(axis=1))
     nums = np.stack([_one_minus_outer(c.batch_targets(raw)) for c in coords], axis=1)
     assert np.all(np.isinf(_barrier_value(raw, nums, BARRIER_MU[0])))
-    assert _polish(raw, coords).shape == (0, 4)
+    pushed = _certified_starts(raw, coords)
+    assert len(pushed) == 3 and np.all(_margins(pushed, coords) > 0.0)
+    assert np.all(np.abs(pushed) > np.abs(raw)) and np.all(np.abs(pushed) <= NODE_CAP)
 
     seen, derivatives = [], node_optimizer._barrier_derivatives
 
@@ -458,333 +454,83 @@ def test_polish_starts_only_inside_the_feasible_set(monkeypatch, session_cache):
         return derivatives(lam, nums, mu)
 
     monkeypatch.setattr(node_optimizer, "_barrier_derivatives", checked)
-    cfg = _finish(((0, 0), (0, 1), (1, 0), (1, 1)), coords, raw)
+    cfg = _finish(subset, coords, raw, 40)
     assert sum(seen) > 0 and min(cfg.margins) > 0.0
     assert cfg.value <= np.prod(np.abs(out[0])) * (1.0 + 1e-9)
+
+
+def test_certified_starts_drop_a_start_that_cannot_certify():
+    # two nodes at one point cannot go to two distinct targets, however far
+    # out they are pushed; the other start certifies and keeps its place
+    coords = [_fixed([0.3, -0.3]), _fixed([0.3j, -0.3j])]
+    starts = np.array([[0.5 + 0.1j, 0.5 + 0.1j], [0.6, -0.6]])
+    pushed = _certified_starts(starts, coords)
+    assert len(pushed) == 1 and np.all(_margins(pushed, coords) > 0.0)
+    assert np.allclose(pushed[0] / np.abs(pushed[0]), [1.0, -1.0])
+
+
+def _searched_subsets(monkeypatch):
+    """The subsets that reach the barrier search, recorded around `_finish`."""
+    searched = []
+    finish = node_optimizer._finish
+
+    def counting_finish(subset, *args):
+        searched.append(subset)
+        return finish(subset, *args)
+
+    monkeypatch.setattr(node_optimizer, "_finish", counting_finish)
+    return searched
 
 
 @pytest.mark.parametrize("restarts", [4, 24, 96])
 def test_rotation_congruent_moved_instance_prunes_after_first_subset(monkeypatch, restarts):
     # the first pair subset must land within LB_SKIP_MARGIN of |a1 a2|, so
-    # every other subset is pruned by its lower bound before it enters the
-    # compass, also where the rest of its size level would run in one batch
+    # every other subset is pruned by its lower bound before its search
     A0 = np.array([-0.146574 - 0.417096j, -0.165564 + 0.601919j])
     B0 = np.exp(-3.036411j) * A0
     z, w = -0.147264 - 0.089353j, 0.284063 - 0.080081j
     A = PoleSet(points=tuple(complex(moebius(z, a)) for a in A0))
     B = PoleSet(points=tuple(complex(moebius(w, b)) for b in B0))
-    compassed = []
-    compass = node_optimizer._compass
-
-    def counting_compass(items, settings):
-        compassed.extend(item[0] for item in items)
-        return compass(items, settings)
-
-    monkeypatch.setattr(node_optimizer, "_compass", counting_compass)
+    searched = _searched_subsets(monkeypatch)
     _, v = bidisc_lempert(A, B, z, w, OptimizerSettings(restarts=restarts, seed=1))
     a1, a2 = (complex(moebius(z, a)) for a in A)
     exact = abs(a1 * a2)
     assert abs(v - exact) <= LB_SKIP_MARGIN
     assert v >= exact - 1e-12
-    assert len(compassed) == 1
-
-
-def test_compass_hands_off_to_the_polish(monkeypatch):
-    # the compass stops at a coarse step and leaves the last digits to the
-    # polish: the result matches a compass refined to 1e-9 at a fraction of
-    # its penalty calls
-    calls = []
-    penalized = node_optimizer._penalized
-
-    def counting_penalized(*args, **kwargs):
-        calls.append(1)
-        return penalized(*args, **kwargs)
-
-    monkeypatch.setattr(node_optimizer, "_penalized", counting_penalized)
-    settings = OptimizerSettings(restarts=48, seed=0)
-    cfg, v = bidisc_lempert(FAILURE_A, FAILURE_B, 0, 0, settings)
-    shipped = len(calls)
-    monkeypatch.setattr(node_optimizer, "TOLERANCE", 1e-9)
-    ref_cfg, ref_v = bidisc_lempert(FAILURE_A, FAILURE_B, 0, 0, settings)
-    reference = len(calls) - shipped
-    assert cfg.subset == ref_cfg.subset and len(cfg.subset) == 4
-    assert v == pytest.approx(ref_v, rel=1e-9, abs=0.0)
-    assert len(cfg.margins) == len(ref_cfg.margins) == 2
-    assert min(cfg.margins) > 0.0 and min(ref_cfg.margins) > 0.0
-    assert shipped <= 0.6 * reference
+    assert len(searched) == 1
 
 
 def test_pruned_subsets_build_no_coordinates(monkeypatch):
     # on criterion 8's instance the singletons give 0.5, which prunes the
     # four pair subsets of size 2 that repeat a pole in one coordinate; only
-    # the subsets that enter the compass get their two coordinates built
-    built, compassed = [], []
-    post_init, compass = _Coord.__post_init__, node_optimizer._compass
+    # the subsets that reach the barrier search get their two coordinates built
+    built = []
+    post_init = _Coord.__post_init__
 
     def counting_post_init(self):
         built.append(self.lifts.shape[0])
         post_init(self)
 
-    def counting_compass(items, settings):
-        compassed.extend(item[0] for item in items)
-        return compass(items, settings)
-
     monkeypatch.setattr(_Coord, "__post_init__", counting_post_init)
-    monkeypatch.setattr(node_optimizer, "_compass", counting_compass)
-    bidisc_lempert(FAILURE_A, FAILURE_B, 0, 0,
-                   OptimizerSettings(restarts=4, seed=0, max_iterations=200))
+    searched = _searched_subsets(monkeypatch)
+    bidisc_lempert(FAILURE_A, FAILURE_B, 0, 0, OptimizerSettings(restarts=4, seed=0))
     pruned = {((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1))}
-    assert len(compassed) == 7 and not pruned & set(compassed)
-    # the two factor coordinates, then two per compassed subset
-    assert built == [2, 2] + [len(subset) for subset in compassed for _ in range(2)]
+    assert len(searched) == 7 and not pruned & set(searched)
+    # the two factor coordinates, then two per searched subset
+    assert built == [2, 2] + [len(subset) for subset in searched for _ in range(2)]
 
 
-def _assert_bit_identical(num, den):
-    got = _pick_violation(num, den)
-    want = np.maximum(0.0, -np.linalg.eigvalsh(num / den)[:, 0])
-    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    return got
-
-
-def _kernel_coords(rng, m):
-    # disc targets, and plane lifts assigned per row by nearest lift
-    cover = build_cover(PlaneDomain("annulus", R=0.1), 0.45)
-    disc = 0.6 * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
-    poles = (0.2 + 0.7 * rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
-    lifts = [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in poles]
-    return [_fixed(disc), _lifted(lifts)]
-
-
-def test_pick_violation_equals_eigvalsh_on_random_configurations():
-    rng = np.random.default_rng(23)
-    screened = violated = 0
-    for m in range(1, 9):
-        for radius in (0.7, 0.95, 1.01):
-            lam = radius * np.sqrt(rng.random((300, m))) * np.exp(2j * np.pi * rng.random((300, m)))
-            for coord in _kernel_coords(rng, m):
-                got = _assert_bit_identical(coord.pick_num(lam), _one_minus_outer(lam))
-                screened += np.count_nonzero(got == 0.0)
-                violated += np.count_nonzero(got > 0.0)
-    # both branches of the kernel are exercised
-    assert screened > 1000 and violated > 1000
-
-
-def test_pick_violation_equals_eigvalsh_at_modulus_cap():
-    rng = np.random.default_rng(29)
-    for m in range(1, 9):
-        theta = np.sort(rng.random((200, m)), axis=1) + np.arange(m) / m
-        lam = 0.9999995 * np.exp(2j * np.pi * theta)
-        lam[:100, 0] *= 0.5  # one node moved inward
-        for coord in _kernel_coords(rng, m):
-            _assert_bit_identical(coord.pick_num(lam), _one_minus_outer(lam))
-
-
-def _hermitian_with_min_eig(rng, n, rel):
-    """Hermitian matrix whose smallest eigenvalue is rel * max_i H_ii."""
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    mu = np.concatenate([[0.0], 0.5 + rng.random(n - 1)])
-    scale = np.max(np.real(np.einsum("ik,k,ik->i", Q, mu, np.conj(Q))))
-    mu[0] = rel * scale
-    return (Q * mu) @ np.conj(Q).T
-
-
-def test_pick_violation_equals_eigvalsh_near_singular():
-    rng = np.random.default_rng(31)
-    for n in range(2, 10):
-        rel = np.concatenate([-(10.0 ** rng.uniform(-16, -9, 60)),
-                              10.0 ** rng.uniform(-16, -9, 60), [0.0]])
-        H = np.array([_hermitian_with_min_eig(rng, n, r) for r in rel])
-        _assert_bit_identical(H, np.ones_like(H))
-
-
-def test_pick_violation_never_screens_an_indefinite_matrix():
-    # negative control: lambda_min = -1e-13 max H_ii lies far inside the
-    # screen margin, so the factorization must fail and eigvalsh must report it
-    rng = np.random.default_rng(37)
-    for n in range(2, 10):
-        H = np.array([_hermitian_with_min_eig(rng, n, -1e-13) for _ in range(50)])
-        got = _pick_violation(H, np.ones_like(H))
-        assert np.all(got > 0.0)
-        assert np.allclose(got / H.diagonal(axis1=1, axis2=2).real.max(axis=1), 1e-13,
-                           rtol=1e-2)
-
-
-@pytest.mark.parametrize("m", [2, 5])
-def test_compass_directions_are_per_iteration_draws(monkeypatch, m):
-    # with x = 0 and power-of-two steps every probe is its direction times the
-    # step exactly, so the directions can be read back from the penalty calls
-    n = 3
-    d, ndir = 2 * m, 4 * m + 2
-    iterations = 3 * DIRECTION_BLOCK + 1
-    step0 = np.array([1.0, 2.0 ** -20, 2.0 ** -27])  # two drop out mid-block
-    monkeypatch.setattr(node_optimizer, "TOLERANCE", 2.0 ** -30)
-    monkeypatch.setattr(node_optimizer, "STEP_DECAY", 0.5)
-    settings = OptimizerSettings(max_iterations=iterations)
-    calls = []
-
-    def spy(lam, rows, weight, thr=None):
-        calls.append(lam.copy())
-        return np.zeros(len(lam))  # no probe is ever accepted
-
-    monkeypatch.setattr(node_optimizer, "_penalized", spy)
-    gens = [np.random.default_rng(100 + r) for r in range(n)]
-    _compass_chunk(np.zeros((n, d)), step0.copy(), np.ones(n), gens, _Rows([[]], np.array([0, n])),
-                   settings)
-
-    ref_gens = [np.random.default_rng(100 + r) for r in range(n)]
-    for it, lam in enumerate(calls[1:]):
-        steps = step0 * 0.5 ** it
-        active = np.nonzero(steps >= node_optimizer.TOLERANCE)[0]
-        lam = lam.reshape(len(active), ndir + 1, m)[:, :ndir]
-        for i, r in enumerate(active):
-            got = np.empty((ndir, d))
-            got[:, 0::2] = lam[i].real / steps[r]
-            got[:, 1::2] = lam[i].imag / steps[r]
-            v = ref_gens[r].standard_normal((ndir, d))
-            assert np.array_equal(got, v / np.linalg.norm(v, axis=1, keepdims=True))
-    assert len(calls) == 1 + iterations
-
-
-def _level_items(kind):
-    # the six pair subsets of size 2 of a 2 x 2 instance, disc x disc or
-    # disc x annulus, from the level builder of the entry points
-    rng = np.random.default_rng(41)
-    ta = 0.6 * np.sqrt(rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
-    tb = 0.6 * np.sqrt(rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
-    cover = build_cover(PlaneDomain("annulus", R=0.1), 0.45)
-    lifts = [np.asarray(cover.lifts(p, 6).eta[:6], dtype=complex) for p in (0.4j, -0.3 + 0.2j)]
-    cb = _fixed(tb) if kind == "disc" else _lifted(lifts)
-    ca = _fixed(ta)
-    return [_compass_item(ca, cb, subset) for subset, _ in _pair_level(ca, cb, 2)]
-
-
-@pytest.mark.parametrize("kind", ["disc", "annulus"])
-def test_lockstep_batch_reproduces_each_solo_run(monkeypatch, kind):
-    # the ramp is brought forward so that the re-evaluation after it runs too
-    monkeypatch.setattr(node_optimizer, "PENALTY_RAMP_EVERY", 60)
-    settings = OptimizerSettings(restarts=6, seed=5, max_iterations=160)
-    items = _level_items(kind)
-    batch = _compass(items, settings)
-    for item, got in zip(items, batch):
-        solo = _compass([item], settings)[0]
-        assert got.shape == solo.shape == (6, 2)
-        assert np.array_equal(got, solo)
-
-
-def _penalty_by_eigvalsh(lam, slices, weight):
-    # the penalized objective with every Pick matrix given to eigvalsh, its
-    # value at zero penalty, and whether all Pick matrices pass the screen
-    N, m = lam.shape
-    am = np.abs(lam)
-    obj = np.prod(am, axis=1)
-    outside = np.maximum(0.0, am.max(axis=1) - 0.9999995)
-    coll = np.zeros(N)
-    for i in range(m):
-        for j in range(i + 1, m):
-            coll += np.maximum(0.0, 1e-8 - np.abs(lam[:, i] - lam[:, j]))
-    pen = np.zeros(N)
-    passed = np.ones(N, dtype=bool)
-    den = _one_minus_outer(lam)
-    for c in range(2):
-        H = np.concatenate([coords[c].pick_num(lam[lo:hi]) / den[lo:hi]
-                            for coords, lo, hi in slices])
-        pen += np.maximum(0.0, -np.linalg.eigvalsh(H)[:, 0])
-        passed &= ~node_optimizer._screen_fails(H)
-    return (obj + weight * (pen + coll) + 1e7 * outside, obj + weight * coll + 1e7 * outside,
-            passed)
-
-
-def test_loser_proof_drops_only_rows_that_cannot_be_accepted():
-    rng = np.random.default_rng(43)
-    restarts, probes = 40, 9
-    proved = 0
-    for kind in ("disc", "annulus"):
-        items = _level_items(kind)[:3]
-        rows = _Rows([item[1] for item in items], np.array([0, 10, 30, 40]) * probes)
-        for _ in range(4):
-            # probes scattered around a centre per restart, some outside the disc
-            centre = 0.8 * np.sqrt(rng.random((restarts, 1, 2))) * np.exp(
-                2j * np.pi * rng.random((restarts, 1, 2)))
-            spread = 10.0 ** rng.uniform(-4, -0.5, (restarts, 1, 1))
-            lam = (centre + spread * (rng.standard_normal((restarts, probes, 2))
-                                      + 1j * rng.standard_normal((restarts, probes, 2))))
-            lam = lam.reshape(restarts * probes, 2)
-            weight = np.repeat(rng.choice([0.0, 1e4, 1e6, 1e8], restarts), probes)
-            want, base, passed = _penalty_by_eigvalsh(lam, list(rows.slices()), weight)
-            # thresholds at random quantiles of each restart's probe values,
-            # and for a few restarts below all of them
-            w2 = want.reshape(restarts, probes)
-            thr = np.array([np.quantile(row, u) for row, u in zip(w2, rng.random(restarts))])
-            thr[:6] = w2[:6].min(axis=1) - 1e-3
-            got = _penalized(lam, rows, weight, thr)
-            kept = np.isfinite(got)
-            assert np.array_equal(got[kept], want[kept])
-            # a dropped row is beaten by the threshold, or by a probe of its
-            # restart whose Pick matrices all pass the screen
-            cut = np.minimum(thr, np.where(passed, want, np.inf).reshape(restarts, probes).min(1))
-            thr_r, cut_r = np.repeat(thr, probes), np.repeat(cut, probes)
-            assert np.all((want[~kept] >= thr_r[~kept]) | (want[~kept] > cut_r[~kept]))
-            # so every restart accepts the same probe with the same value
-            accept = w2.min(axis=1) < thr
-            g2 = got.reshape(restarts, probes)
-            assert np.array_equal(g2.min(axis=1) < thr, accept)
-            assert np.array_equal(g2.argmin(axis=1)[accept], w2.argmin(axis=1)[accept])
-            proved += np.count_nonzero(~kept & (base < thr_r) & (base <= cut_r))
-    # the shifted-Cholesky proof, not only the comparisons of base, drops rows
-    assert proved > 100
-
-
-def test_loser_proof_keeps_a_probe_tied_with_the_cut():
-    # probe 0 sits just inside the feasibility boundary of coordinate B
-    # (lambda_min = 1.3e-11): it fails the screen, but eigvalsh gives it
-    # pen = 0.  Probe 1 multiplies its first node by i, keeping every
-    # modulus, and passes the screen, so the cut is probe 0's own value.
-    # Probe 0 is the first least probe of its restart and must stay.
-    ta = np.array([0.46307792222749516 + 0.12192229238818252j,
-                   0.30996708954909524 + 0.032305113394886564j])
-    tb = np.array([-0.42411312080413976 - 0.3360139087506219j,
-                   -0.07364328054252924 - 0.5684792652779115j])
-    row0 = np.array([-0.8022087690197053 - 0.22556620798239496j,
-                     0.5929179532418191 - 0.25625823946186904j])
-    lam = np.array([row0, row0 * np.array([1j, 1])])
-    rows = _Rows([_disc_coords(ta, tb)], np.array([0, 2]))
-    weight = np.full(2, 1e4)
-    want, base, passed = _penalty_by_eigvalsh(lam, list(rows.slices()), weight)
-    assert list(passed) == [False, True] and want[0] == want[1] == base[0]
-    got = _penalized(lam, rows, weight, np.array([1.0]))
-    assert np.array_equal(got, want)
-
-
-def _spectrum_matrix(rng, n, lam_min):
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    mu = np.concatenate([[lam_min], 0.5 + rng.random(n - 1)])
-    return (Q * mu) @ np.conj(Q).T
-
-
-def _split_pair_matrix(rng, n, b):
-    # I + b (e_i e_j^T + e_j e_i^T), b real: eigenvalues 1 - b, 1 + b and 1, exactly
-    i, j = rng.choice(n, 2, replace=False)
-    H = np.eye(n, dtype=complex)
-    H[i, j] = H[j, i] = b
-    return H
-
-
-def test_loser_proof_never_drops_a_violation_below_its_cut():
-    rng = np.random.default_rng(47)
-    for n in range(2, 10):
-        # lambda_min = -t (1 - 1e-9) with t from 1e-14 to 0.4 max_i H_ii
-        t = 10.0 ** rng.uniform(-14, -0.4, 80)
-        H = np.array([_spectrum_matrix(rng, n, -s * (1 - 1e-9)) for s in t])
-        assert not np.any(node_optimizer._proves_violation(H, t))
-        # a violation of t (1 + 1e-5) + 1e-9 max_i H_ii lies beyond the slack
-        H = np.array([_spectrum_matrix(rng, n, -s * (1 + 1e-5) - 1e-9 * 1.5) for s in t])
-        assert np.all(node_optimizer._proves_violation(H, t))
-        # violations b - 1 far above max_i H_ii = 1, exact in floats, with t
-        # one part in 1e9, or one ulp, above them
-        b = 1.0 + 10.0 ** rng.uniform(0, 12, 80)
-        H = np.array([_split_pair_matrix(rng, n, s) for s in b])
-        for t in ((b - 1.0) * (1 + 1e-9), np.nextafter(b - 1.0, np.inf)):
-            assert not np.any(node_optimizer._proves_violation(H.copy(), t))
+def test_three_pole_coordinate_reaches_a_five_pair_subset(pick_oracle):
+    # A = (1/2, i/2), B = (0.6, -0.6, 0.6i) at the origin: a 5-pair subset
+    # reaches about 0.2834, below 0.291, where a search that ends on a 4-pair
+    # subset stops
+    A, B = PoleSet(points=(0.5, 0.5j)), PoleSet(points=(0.6, -0.6, 0.6j))
+    cfg, v = bidisc_lempert(A, B, 0, 0, OptimizerSettings(restarts=32, seed=3))
+    assert v < 0.29 and len(cfg.margins) == 2 and min(cfg.margins) > 0.0
+    nodes = [0j, *cfg.nodes]
+    for coord, poles in enumerate((A, B)):
+        targets = [0j] + [pick_oracle.moebius(0, poles.points[pair[coord]]) for pair in cfg.subset]
+        assert pick_oracle.min_eig(nodes, targets) > 0.0
 
 
 C8_AT_48 = ("from lempertpoles.acceptance import c8_theorem7_failure\n"
@@ -806,3 +552,21 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
                                      [sys.executable, str(dump), "--workload", "bidisc_failure",
                                       "--seed", "1"])])
     assert all(outputs[0]) and outputs[0] == outputs[1]
+
+
+def test_dump_compare_reads_numpy_scalar_nodes(tmp_path):
+    # a bidisc dump writes its nodes with numpy 2's scalar repr; a node whose
+    # real part moved by 2 ulps is a last-bits move, not a different root
+    dump = Path(lempertpoles.__file__).resolve().parents[2] / "scripts" / "dump_outputs.py"
+    x = 0.6577377488508837
+    line = ("0 bidisc_lempert [NodeConfig(subset=[[0, 0], [1, 1]], nodes=[np.complex128({!r}"
+            "-0.26631177689179863j), np.complex128(-0.6697180251524897+0.3004992053129278j)], "
+            "value=0.2713188796693957, coord_targets=[], margins=[2.6e-14, 3.1e-14]), "
+            "0.2713188796693957]\n")
+    paths = [tmp_path / "old.txt", tmp_path / "new.txt"]
+    for path, real in zip(paths, (x, math.nextafter(math.nextafter(x, 1.0), 1.0))):
+        path.write_text(line.format(real))
+    report = subprocess.run([sys.executable, str(dump), "--compare", *map(str, paths)],
+                            capture_output=True, text=True).stdout.splitlines()
+    assert report[0] == "0 bidisc_lempert: nodes (2 ulps), moved 2.22e-16 = 1.41 ulps of |node|"
+    assert report[1].endswith("nodes moved on 1, at most 1.41 ulps of |node|, 0 to a different root")
