@@ -21,10 +21,7 @@ from .covering_domains import (
 from .interpolation import (
     Lemma4Problem,
     Lemma4Solution,
-    curves_gh,
     lemma4_solve,
-    lemma4_solve_batch,
-    theorem5_certificate,
 )
 from .node_optimizer import NodeConfig, OptimizerSettings, bidisc_lempert, mixed_product_upper
 from .product_engine import (
@@ -57,19 +54,16 @@ __all__ = [
     "PlaneDomain",
     "PoleSet",
     "build_cover",
-    "curves_gh",
     "find_pole_with_value",
     "green_plane",
     "lempert_N_plane",
     "lempert_poleset_plane",
     "lemma4_solve",
-    "lemma4_solve_batch",
     "moebius",
     "parse_domain",
     "pick_margin",
     "preimage_moduli",
     "solve_node_quadratic",
-    "theorem5_certificate",
 ]
 
 __version__ = "0.1.0"

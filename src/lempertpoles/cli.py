@@ -30,9 +30,10 @@ from .covering_domains import (
     parse_domain,
 )
 from .disc_domain import PoleSet
-from .interpolation import Lemma4Problem, lemma4_solve
+from .interpolation import BISECT_RTOL, RESIDUAL_TOL, Lemma4Problem, lemma4_solve
 from .node_optimizer import OptimizerSettings, bidisc_lempert
 from .product_engine import (
+    EQUALITY_TOL,
     corollary8_sample,
     prop9_extend,
     prop10_construct,
@@ -217,7 +218,7 @@ def _cmd_lemma4(args) -> tuple:
                   residual=sol.residual, product_error=sol.product_error,
                   certificate={"expression": sol.f.describe(),
                                "nodes": _nodes_json(sol.eta)},
-                  tolerances={"residual": 1e-9, "product": 1e-9})
+                  tolerances={"residual": RESIDUAL_TOL, "product": BISECT_RTOL})
     return rep, 0, False
 
 
@@ -267,7 +268,7 @@ def _cmd_bounds(args) -> tuple:
                       {"expression": rep.certificate.describe(),
                        "nodes": _nodes_json(rep.certificate_nodes)}
                       if rep.certificate is not None else None),
-                  tolerances={"equality": 1e-10})
+                  tolerances={"equality": EQUALITY_TOL})
     return out, 0, False
 
 

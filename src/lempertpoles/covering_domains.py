@@ -656,9 +656,9 @@ def green_plane(domain: PlaneDomain, a: complex, z: complex,
     z = domain.require_interior(z, "z")
     if a == z:
         return 0.0, 0.0
-    cover = build_cover(domain, z)
     if domain.kind == "disc":
         return abs(moebius(a, z)), 0.0
+    cover = build_cover(domain, z)
     if domain.kind == "punctured":
         return _punctured_green(cover, a, tol_tail)
     return _annulus_green(cover, a, tol_tail)

@@ -19,27 +19,26 @@ first by pulling every target back through one more map z*Phi_alpha(z) (the
 nonzero preimage of 0 is alpha itself), solving the reduced problem and
 composing.
 
-`lemma4_solve_batch` solves several problems in one array pass, and
-`lemma4_solve` is a batch of one.  Theorem 5's certificate is built at a
-ladder of values q that share one target list (`theorem5_ladder`), so the
-batch scans the curve g or h once per distinct target list and branch,
-since the curves do not depend on q, and every problem reuses that scan:
-the first bracket of every row is found at once, as arrays over rows x
-grid.  The Newton iterations then run in lockstep: each step is one
-root-kernel call over the rows still live, and a row leaves as soon as
-|prod|rho_j| - q| <= min(1e-11, 1e-9 q), so that a small q is met to a
-relative 1e-9 too.  From the scan's bracket this usually takes two steps.
-The nodes are the roots of the step at which a row left, the roots whose
-product passed that test, in the order solve_node_quadratic gives them.
-Residuals, product errors and the Newton refinement of composed solutions
-are arrays over rows x targets.
+`_solve_rows` solves one target list at several values q in one array
+pass, one row per q, and `lemma4_solve` is a pass with one q.  Theorem 5's
+certificate is built at a ladder of values q (`theorem5_ladder`).  The
+curves g and h do not depend on q, so the pass scans the curve once per
+distinct target list and branch, and every row reuses that scan: the first
+bracket of every row is found at once, as arrays over rows x grid.  With
+zero targets each row solves its reduced list, one per alpha, and the list
+gets one alpha search for all rows.  The Newton iterations then run in
+lockstep: each step is one root-kernel call over the rows still live, and a
+row leaves as soon as |prod|rho_j| - q| <= min(1e-11, 1e-9 q), so that a
+small q is met to a relative 1e-9 too.  From the scan's bracket this
+usually takes two steps.  The nodes are the roots of the step at which a
+row left, the roots whose product passed that test, in the order
+solve_node_quadratic gives them.  Residuals, product errors and the Newton
+refinement of composed solutions are arrays over rows x targets.
 Every row gets the bits of its solo run: the scan is the same computation,
 each row of a step applies the same elementwise operations to its own
 targets and iterate, and a row's log terms are added one target at a time
-in target order (numpy's add-reduction is pairwise from 8 entries on);
-shorter target lists are padded with terms that add exactly 0.0.
-Zero-target problems share one alpha search per distinct target list.  The
-ladder builds one certificate, for the rung it reports.
+in target order.  The ladder builds one certificate, for the rung it
+reports.
 """
 
 from __future__ import annotations
@@ -168,49 +167,35 @@ def _nodes(small: np.ndarray, big: np.ndarray, large, a: np.ndarray, mus: np.nda
     return np.where(swap == np.asarray(large)[:, None], small, big)
 
 
-def curves_gh(mu, a: float) -> tuple:
-    """g(a) = prod |z_j(a)|, h(a) = prod |w_j(a)| for nonzero targets."""
-    mus = np.asarray([complex(m) for m in mu])
-    if np.any(mus == 0):
-        raise ValueError("zero entries are handled upstream by the reduction")
-    small, large = _roots_grid(mus, np.asarray([float(a)]))
-    return float(np.prod(np.abs(small[0]))), float(np.prod(np.abs(large[0])))
-
-
 def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Row sums added column by column in target order: numpy's
-    add-reduction is pairwise from 8 entries on, and a padded row must get
-    the bits of its unpadded run."""
+    """Row sums added column by column, in target order whatever the list
+    length: numpy's add-reduction is pairwise from 8 entries on."""
     out = np.zeros(len(terms))
     for j in range(terms.shape[1]):
         out += terms[:, j]
     return out
 
 
-def _log_curve(mus: np.ndarray, a: np.ndarray, large, pad=None) -> tuple:
+def _log_curve(mus: np.ndarray, a: np.ndarray, large) -> tuple:
     """S(a) = sum_j log|rho_j(a)|, the roots rho_j and the root pairs
     (small, large), one row per entry of a.
 
     rho_j is the large root where `large` holds, else the small one (large
-    is one bool, or one per row as shape (rows, 1)).  Entries where the mask
-    pad holds add exactly 0.0."""
+    is one bool, or one per row as shape (rows, 1))."""
     small, big = _roots_grid(mus, a)
     rho = np.where(large, big, small) if np.ndim(large) else (big if large else small)
-    logs = np.log(np.abs(rho))
-    if pad is not None:
-        logs = np.where(pad, 0.0, logs)
-    return _row_sums(logs), rho, small, big
+    return _row_sums(np.log(np.abs(rho))), rho, small, big
 
 
-def _log_slope(mus: np.ndarray, a: np.ndarray, rho: np.ndarray, pad: np.ndarray) -> np.ndarray:
+def _log_slope(mus: np.ndarray, a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """S'(a) at the roots rho of `_log_curve`.
 
     Implicit differentiation of rho^2 - a(1+mu)rho + mu = 0 gives
-    d log|rho| / da = Re((1+mu) / (2 rho - a(1+mu))); entries where pad holds
-    add exactly 0.0.  Where the two roots meet, it is infinite or nan."""
+    d log|rho| / da = Re((1+mu) / (2 rho - a(1+mu))).  Where the two roots
+    meet, it is infinite or nan."""
     one_mu = 1.0 + mus
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _row_sums(np.where(pad, 0.0, (one_mu / (2.0 * rho - a[:, None] * one_mu)).real))
+        return _row_sums((one_mu / (2.0 * rho - a[:, None] * one_mu)).real)
 
 
 def _newton_step(x, F, dF, lo, hi):
@@ -227,26 +212,26 @@ def _newton_step(x, F, dF, lo, hi):
     return np.where(inside, xn, mid)
 
 
-def _crossing_lockstep(mus: np.ndarray, pad: np.ndarray, large: np.ndarray,
-                       log_q: np.ndarray, rtol: np.ndarray, lo: np.ndarray,
-                       hi: np.ndarray, sign_lo: np.ndarray, x: np.ndarray) -> tuple:
+def _crossing_lockstep(mus: np.ndarray, large: np.ndarray, log_q: np.ndarray,
+                       rtol: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                       sign_lo: np.ndarray, x: np.ndarray) -> tuple:
     """Solve F(a) = S(a) - log q = 0 for every row together, by Newton steps
     safeguarded by each row's bracket [lo, hi].
 
-    Row r follows the small or large root (large[r]) of the targets mus[r],
-    whose padding entries pad[r] add nothing; sign_lo is the sign of F at lo
-    and x the first iterate.  A row stops once |expm1(F)| <= rtol, that is
-    |prod|rho_j| - q| <= rtol q.  Returns the crossings and the nodes, the
-    roots of the stopping step in the order of solve_node_quadratic; a row
-    that has not stopped after BISECT_STEPS steps gets nan.  Each step is
-    one root-kernel call over all rows, until every row has stopped, and
-    applies the same elementwise operations to every row, so each row's
-    bits are its solo run's; a stopped row keeps its iterate."""
+    Row r follows the small or large root (large[r]) of the targets mus[r];
+    sign_lo is the sign of F at lo and x the first iterate.  A row stops
+    once |expm1(F)| <= rtol, that is |prod|rho_j| - q| <= rtol q.  Returns
+    the crossings and the nodes, the roots of the stopping step in the order
+    of solve_node_quadratic; a row that has not stopped after BISECT_STEPS
+    steps gets nan.  Each step is one root-kernel call over all rows, until
+    every row has stopped, and applies the same elementwise operations to
+    every row, so each row's bits are its solo run's; a stopped row keeps
+    its iterate."""
     a_star = np.full(len(x), np.nan)
     eta = np.full(mus.shape, np.nan, dtype=complex)
     live, large_rows = np.ones(len(x), dtype=bool), large[:, None]
     for _ in range(BISECT_STEPS):
-        F, rho, small, big = _log_curve(mus, x, large_rows, pad)
+        F, rho, small, big = _log_curve(mus, x, large_rows)
         F -= log_q
         done = live & (np.abs(np.expm1(F)) <= rtol)
         if done.any():
@@ -257,45 +242,33 @@ def _crossing_lockstep(mus: np.ndarray, pad: np.ndarray, large: np.ndarray,
                 break
         below = np.sign(F) * sign_lo <= 0.0  # the crossing lies in [lo, x]
         lo, hi = np.where(below, lo, x), np.where(below, x, hi)
-        x = np.where(live, _newton_step(x, F, _log_slope(mus, x, rho, pad), lo, hi), x)
+        x = np.where(live, _newton_step(x, F, _log_slope(mus, x, rho), lo, hi), x)
     return a_star, eta
 
 
-def _padded(targets: list) -> tuple:
-    """The target lists as one array padded with a harmless 0.5, and the mask
-    of the padding."""
-    shape = len(targets), max(map(len, targets), default=1)
-    mus = [tuple(t) + (0.5,) * (shape[1] - len(t)) for t in targets]
-    pad = [(False,) * len(t) + (True,) * (shape[1] - len(t)) for t in targets]
-    return (np.array(mus, dtype=complex).reshape(shape),
-            np.array(pad, dtype=bool).reshape(shape))
+def _crossings(targets: list, q: np.ndarray) -> tuple:
+    """Crossing parameter, branch and nodes of the rows (targets[r], q[r]),
+    whose targets are nonzero tuples of one length.
 
-
-def _crossings(targets: list, q: np.ndarray, mus: np.ndarray, pad: np.ndarray) -> tuple:
-    """Crossing parameter, branch and nodes of problems with nonzero targets,
-    given also as the padded array mus with its padding mask pad.
-
-    Returns a (nan where the problem failed), large (the branch), the nodes
-    (rows x longest list) and, per row, None or the RuntimeError raised when
-    no bracket exists or the iteration does not meet q."""
-    lists, scans, keys = {}, {}, []
-    large = np.empty(len(targets), dtype=bool)
-    for r, t in enumerate(targets):
-        if id(t) not in lists:
-            arr = np.asarray(t)
-            lists[id(t)] = arr, arr.tobytes(), math.sqrt(float(np.prod(np.abs(arr))))
-        arr, raw, sqrt_p = lists[id(t)]
-        large[r] = q[r] > sqrt_p
-        keys.append((raw, bool(large[r])))
-        if keys[-1] not in scans:  # one scan per list and branch
-            scans[keys[-1]] = _log_curve(arr, BRACKET_GRID, large[r])
+    The curve is scanned on BRACKET_GRID once per distinct target list and
+    branch.  Returns a (nan where the row failed), large (the branch), the
+    nodes (rows x targets) and, per row, None or the RuntimeError raised
+    when no bracket exists or the iteration does not meet q."""
+    lists = dict.fromkeys(targets)
+    for t in lists:
+        arr = np.asarray(t)
+        lists[t] = arr, math.sqrt(float(np.prod(np.abs(arr))))
+    large = np.array([v > lists[t][1] for t, v in zip(targets, q)], dtype=bool)
+    keys = list(zip(targets, large.tolist()))
+    scans = dict.fromkeys(keys)  # one scan per distinct list and branch
+    for t, branch in scans:
+        scans[t, branch] = _log_curve(lists[t][0], BRACKET_GRID, branch)
+    mus = np.array(targets, dtype=complex)
     log_q = np.array([math.log(v) for v in q])
     rtol = np.minimum(BISECT_TOL / q, BISECT_RTOL)
     # the first sign change of F on the grid, for every row at once; signs,
     # not the product F[:-1] * F[1:], which underflows to 0.0
-    S = (np.stack([scans[k][0] for k in keys]) if len(scans) > 1
-         else next(iter(scans.values()))[0][None, :])
-    F = S - log_q[:, None]
+    F = np.stack([scans[k][0] for k in keys]) - log_q[:, None]
     sign = np.sign(F)
     cross = sign[:, :-1] * sign[:, 1:] <= 0.0
     bracketed = cross.any(axis=1)
@@ -307,8 +280,8 @@ def _crossings(targets: list, q: np.ndarray, mus: np.ndarray, pad: np.ndarray) -
         if abs(math.expm1(F[r, k])) <= rtol[r]:
             _, _, small, big = scans[keys[r]]
             a[r] = BRACKET_GRID[k]
-            eta[r, :len(targets[r])] = _nodes(small[k:k + 1], big[k:k + 1], large[r:r + 1],
-                                              BRACKET_GRID[k:k + 1], lists[id(targets[r])][0])[0]
+            eta[r] = _nodes(small[k:k + 1], big[k:k + 1], large[r:r + 1],
+                            BRACKET_GRID[k:k + 1], mus[r])[0]
         else:
             errors[r] = RuntimeError("no bracket found for the Lemma 4 curve; should not occur")
     rows = np.nonzero(bracketed)[0]
@@ -316,13 +289,11 @@ def _crossings(targets: list, q: np.ndarray, mus: np.ndarray, pad: np.ndarray) -
         j = cross[rows].argmax(axis=1)
         Fj, Fj1 = F[rows, j], F[rows, j + 1]
         e = np.where(np.abs(Fj) <= np.abs(Fj1), j, j + 1)  # Newton from the nearer end
-        rho_e = np.full((len(rows), mus.shape[1]), 0.5 + 0j)  # the scan's roots at e
-        for i, r in enumerate(rows):
-            rho_e[i, :len(targets[r])] = scans[keys[r]][1][e[i]]
-        dS = _log_slope(mus[rows], BRACKET_GRID[e], rho_e, pad[rows])
+        rho_e = np.stack([scans[keys[r]][1][i] for r, i in zip(rows, e)])  # the scan's roots at e
+        dS = _log_slope(mus[rows], BRACKET_GRID[e], rho_e)
         lo, hi = BRACKET_GRID[j], BRACKET_GRID[j + 1]
         x0 = _newton_step(BRACKET_GRID[e], np.where(e == j, Fj, Fj1), dS, lo, hi)
-        a[rows], eta[rows] = _crossing_lockstep(mus[rows], pad[rows], large[rows], log_q[rows],
+        a[rows], eta[rows] = _crossing_lockstep(mus[rows], large[rows], log_q[rows],
                                                 rtol[rows], lo, hi, np.sign(Fj), x0)
         for r in rows[np.isnan(a[rows])]:
             errors[r] = RuntimeError(f"the Lemma 4 iteration did not meet q in {BISECT_STEPS} steps")
@@ -384,10 +355,9 @@ def _reduction_alphas(mu: tuple, q: np.ndarray) -> list:
 
 @dataclass
 class Lemma4Rows:
-    """Solutions of a batch as arrays, one row per problem: row k's first
-    n[k] nodes are its own, the rest padding.  reduction_alpha is nan where
-    no target is zero; errors[k] is None or the exception of problem k."""
-    n: list
+    """Solutions of one target list at several q as arrays, one row per q.
+    reduction_alpha is nan where no target is zero; errors[k] is None or the
+    exception of row k."""
     a: np.ndarray
     large: np.ndarray
     eta: np.ndarray
@@ -397,7 +367,7 @@ class Lemma4Rows:
     errors: list
 
     def solution(self, k: int):
-        """Problem k's Lemma4Solution, or its exception."""
+        """Row k's Lemma4Solution, or its exception."""
         if self.errors[k] is not None:
             return self.errors[k]
         a = float(self.a[k])
@@ -406,62 +376,55 @@ class Lemma4Rows:
         if alpha is not None:
             f = ComposeExpr(BlaschkeExpr(BlaschkeDisc(phase=math.pi, zeros=(0.0, alpha))), f)
         return Lemma4Solution(a=a, branch="large" if self.large[k] else "small",
-                              eta=tuple(complex(e) for e in self.eta[k, :self.n[k]]), f=f,
+                              eta=tuple(complex(e) for e in self.eta[k]), f=f,
                               residual=float(self.residual[k]),
                               product_error=float(self.product_error[k]),
                               reduction_alpha=alpha)
 
 
-def _solve_rows(targets: list, q, errors=None) -> Lemma4Rows:
-    """Solve the problems (targets[k], q[k]) in one array pass; rows whose
-    errors[k] is already set are skipped and keep it.
+def _solve_rows(mu: tuple, q, errors=None) -> Lemma4Rows:
+    """Solve the problems (mu, q[k]) in one array pass, one row per q; rows
+    whose errors[k] is already set are skipped and keep it.
 
     Zero targets: every mu_j is replaced by a preimage under g_alpha(z) =
     z*Phi_alpha(z) (zeros become alpha, the nonzero preimage of 0; nonzero
-    targets use their small-root preimage), the reduced problems are solved
-    with the others, and f = g_alpha o f' is composed.  The derivative of
-    g_alpha at the replaced zeros is O(1/(1 - alpha^2)), which amplifies the
-    inner root error; two Newton steps on the composed map bring the residual
-    back to evaluation-noise level.  A solution whose residual exceeds
-    RESIDUAL_TOL is refused with a RuntimeError."""
+    targets use their small-root preimage), the reduced problem is solved
+    and f = g_alpha o f' is composed.  The derivative of g_alpha at the
+    replaced zeros is O(1/(1 - alpha^2)), which amplifies the inner root
+    error; two Newton steps on the composed map bring the residual back to
+    evaluation-noise level.  A solution whose residual max_j |f(eta_j) -
+    mu_j| exceeds RESIDUAL_TOL is refused with a RuntimeError: near q = 1
+    the nodes crowd the circle, where the root quadratic loses digits."""
     q = np.asarray(q, dtype=float)
-    errors = [None] * len(targets) if errors is None else list(errors)
-    alpha = np.full(len(targets), np.nan)
-    solved = list(targets)  # the targets whose crossing is solved
-    groups = {}
-    for k, t in enumerate(targets):
-        if errors[k] is None and any(m == 0 for m in t):
-            groups.setdefault(np.asarray(t).tobytes(), []).append(k)
-    for ks in groups.values():
-        for k, res in zip(ks, _reduction_alphas(targets[ks[0]], q[ks])):
+    errors = [None] * len(q) if errors is None else list(errors)
+    alpha = np.full(len(q), np.nan)
+    solved = [mu] * len(q)  # the targets whose crossing is solved
+    open_ = [k for k, e in enumerate(errors) if e is None]
+    if open_ and any(m == 0 for m in mu):
+        for k, res in zip(open_, _reduction_alphas(mu, q[open_])):
             if isinstance(res, Exception):
                 errors[k] = res
             else:
                 alpha[k], solved[k] = res
-    mus, pad = _padded(targets)
-    a = np.full(len(targets), np.nan)
-    large = np.zeros(len(targets), dtype=bool)
-    eta = np.full(mus.shape, np.nan, dtype=complex)
+    mus = np.asarray(mu)
+    a = np.full(len(q), np.nan)
+    large = np.zeros(len(q), dtype=bool)
+    eta = np.full((len(q), len(mu)), np.nan, dtype=complex)
     live = np.array([k for k, e in enumerate(errors) if e is None], dtype=np.intp)
     if live.size:
-        solved_mus = mus[live]
-        for r, k in enumerate(live):
-            if solved[k] is not targets[k]:
-                solved_mus[r, :len(solved[k])] = solved[k]
-        a[live], large[live], eta[live], errs = _crossings([solved[k] for k in live], q[live],
-                                                           solved_mus, pad[live])
+        a[live], large[live], eta[live], errs = _crossings([solved[k] for k in live], q[live])
         for k, e in zip(live, errs):
             errors[k] = e
     ok = np.array([e is None for e in errors], dtype=bool)
     comp = ok & ~np.isnan(alpha)
     if comp.any():
-        ac, al, ec, mc = a[comp, None], alpha[comp, None], eta[comp], mus[comp]
-        move = ~pad[comp]
+        ac, al, ec = a[comp, None], alpha[comp, None], eta[comp]
+        move = np.ones(ec.shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(2):
                 inner, d_inner = _f_and_slope(ac, ec)
                 outer, d_outer = _f_and_slope(al, inner)
-                val, der = outer - mc, d_outer * d_inner
+                val, der = outer - mus, d_outer * d_inner
                 move &= (np.abs(der) >= 1e-8) & (np.abs(val) >= 1e-14)
                 ec = np.where(move, ec - val / der, ec)
         eta[comp] = ec
@@ -469,35 +432,18 @@ def _solve_rows(targets: list, q, errors=None) -> Lemma4Rows:
         values = _eval_f(a[:, None], eta)
     if comp.any():
         values[comp] = _eval_f(alpha[comp, None], values[comp])
-    residual = np.where(pad, 0.0, np.abs(values - mus)).max(axis=1)
-    moduli, prod = np.where(pad, 1.0, np.abs(eta)), np.ones(len(targets))
-    for j in range(mus.shape[1]):  # in target order, so padding leaves the bits
-        prod *= moduli[:, j]
+    residual = np.abs(values - mus).max(axis=1)
     for k in np.nonzero(ok & ~(residual <= RESIDUAL_TOL))[0]:
         errors[k] = RuntimeError(f"Lemma 4 residual {residual[k]:.3g} exceeds {RESIDUAL_TOL}")
-    return Lemma4Rows(n=[len(t) for t in targets], a=a, large=large, eta=eta,
-                      residual=residual, product_error=np.abs(prod - q),
+    return Lemma4Rows(a=a, large=large, eta=eta, residual=residual,
+                      product_error=np.abs(np.abs(eta).prod(axis=1) - q),
                       reduction_alpha=alpha, errors=errors)
 
 
-def lemma4_solve_batch(problems) -> list:
-    """Solve several interpolation problems of the lemma at once.
-
-    Entry k is problem k's Lemma4Solution, bit for bit what solving it alone
-    gives, or the RuntimeError its solve raised.  A solution whose residual
-    max_j |f(eta_j) - mu_j| exceeds RESIDUAL_TOL is refused with one: near
-    q = 1 the nodes crowd the circle, where the root quadratic loses
-    digits.  Zero targets are removed by the reduction of `_solve_rows`.
-    """
-    problems = list(problems)
-    rows = _solve_rows([pr.mu for pr in problems], [pr.q for pr in problems])
-    return [rows.solution(k) for k in range(len(problems))]
-
-
 def lemma4_solve(problem: Lemma4Problem) -> Lemma4Solution:
-    """Solve the interpolation problem of the lemma for finite target lists
-    (a batch of one; see `lemma4_solve_batch`)."""
-    (sol,) = lemma4_solve_batch([problem])
+    """Solve the interpolation problem of the lemma for a finite target list
+    (one row of `_solve_rows`), or raise the RuntimeError of its failure."""
+    sol = _solve_rows(problem.mu, [problem.q]).solution(0)
     if isinstance(sol, Exception):
         raise sol
     return sol
@@ -515,7 +461,7 @@ def _ladder_rows(lam, zeta: complex, alphas) -> Lemma4Rows:
     errors = [None if lo < alpha < 1.0 else
               ValueError(f"alpha={alpha} must lie in (max(prod|lam|, |zeta|), 1) = ({lo}, 1)")
               for alpha in alphas]
-    rows = _solve_rows([lam] * len(alphas), alphas, errors)
+    rows = _solve_rows(lam, alphas, errors)
     for k in np.nonzero(np.abs(rows.eta).max(axis=1) >= 1.0)[0]:
         if rows.errors[k] is None:
             rows.errors[k] = ValueError(f"a node of {rows.eta[k].tolist()} is not inside the disc")
@@ -529,31 +475,21 @@ def _certificate(phi, psi, zeta, alpha, sol: Lemma4Solution) -> tuple:
     return PairExpr(ComposeExpr(phi, sol.f), second), list(sol.eta)
 
 
-def theorem5_certificate(phi: DiscExpr, lam, psi: DiscExpr, zeta: complex,
-                         alpha: float) -> tuple:
-    """Disc into the product domain certifying the upper bound alpha.
+def theorem5_ladder(phi: DiscExpr, lam, psi: DiscExpr, zeta: complex, alphas) -> tuple:
+    """Theorem 5's ladder of upper bounds alphas, tried in order: the number
+    of rungs certified before the first that fails, and for the last of them
+    the disc into the product domain that certifies it with its nodes,
+    (xi, eta), or None when there is none.
 
     phi hits the poles at nodes lam with prod|lam| < alpha, psi hits the
     second-factor pole at zeta with |zeta| < alpha.  The interpolating f and
     nodes eta come from the lemma with q = alpha; B is the normalized
     Blaschke product over eta with B(0) = alpha, and
         xi = (phi o f, psi((zeta/alpha) Phi_alpha(B(.)))).
-    Then xi(0) = (z, w), xi(eta_j) = (a_j, b) and prod|eta_j| = alpha.
-    Returns (xi, eta); raises ValueError (alpha out of range) or
-    RuntimeError (lemma failed).
-    """
-    rows = _ladder_rows(lam, zeta, [alpha])
-    if rows.errors[0] is not None:
-        raise rows.errors[0]
-    return _certificate(phi, psi, zeta, alpha, rows.solution(0))
-
-
-def theorem5_ladder(phi: DiscExpr, lam, psi: DiscExpr, zeta: complex, alphas) -> tuple:
-    """Theorem 5's ladder of upper bounds alphas, tried in order: the number
-    of rungs certified before the first that fails, and the certificate
-    (xi, eta) of `theorem5_certificate` for the last of them, or None when
-    there is none.  All rungs are solved in one batch, and one certificate
-    is built."""
+    Then xi(0) = (z, w), xi(eta_j) = (a_j, b) and prod|eta_j| = alpha.  A
+    rung fails where alpha lies outside (max(prod|lam|, |zeta|), 1) or the
+    lemma fails.  All rungs are solved in one pass of `_solve_rows`, and one
+    certificate is built."""
     try:
         rows = _ladder_rows(lam, zeta, alphas)
     except ValueError:

@@ -125,9 +125,10 @@ class _Coord:
         """The coordinate of the poles idx."""
         return _Coord(self.lifts[idx], self.lift_err[idx])
 
-    def _choice(self, lam: np.ndarray):
-        """Index into lifts of the target of each node of lam (B, m): the
-        nearest candidate of its pole not larger than the node (greedy)."""
+    def batch_targets(self, lam: np.ndarray) -> tuple:
+        """Targets per configuration of lam (B, m) and the bounds on their
+        rounding.  The target of a node is the nearest candidate of its pole
+        not larger than the node (greedy)."""
         B, m = lam.shape
         idx = np.zeros((B, m), dtype=np.intp)
         if self.lifts.shape[1] > 1:
@@ -139,15 +140,8 @@ class _Coord:
                 bad = np.abs(nu)[None, :] > np.abs(lam[:, j, None]) + 1e-12
                 d = np.where(bad, d + 10.0, d)
                 idx[:, j] = np.argmin(d, axis=1)
-        return np.arange(m), idx
-
-    def batch_targets(self, lam: np.ndarray) -> np.ndarray:
-        """Targets per configuration of lam (B, m)."""
-        return self.lifts[self._choice(lam)]
-
-    def target_err(self, lam: np.ndarray) -> np.ndarray:
-        """Rounding bounds of batch_targets(lam)."""
-        return self.lift_err[self._choice(lam)]
+        choice = np.arange(m), idx
+        return self.lifts[choice], self.lift_err[choice]
 
 
 def _margins(nodes: np.ndarray, coords: list) -> np.ndarray:
@@ -157,8 +151,9 @@ def _margins(nodes: np.ndarray, coords: list) -> np.ndarray:
     lam = np.atleast_2d(nodes)
     pad = lambda X: np.concatenate([np.zeros((len(X), 1), dtype=X.dtype), X], axis=1)
     n = lam.shape[1] + 1
-    targets = np.stack([pad(c.batch_targets(lam)) for c in coords], axis=1)
-    errors = np.stack([pad(c.target_err(lam)) for c in coords], axis=1)
+    pairs = [c.batch_targets(lam) for c in coords]
+    targets = np.stack([pad(t) for t, _ in pairs], axis=1)
+    errors = np.stack([pad(e) for _, e in pairs], axis=1)
     margins = pick_margin(np.repeat(pad(lam), len(coords), axis=0), targets.reshape(-1, n),
                           errors.reshape(-1, n))
     return margins.reshape(np.shape(nodes)[:-1] + (len(coords),))
@@ -393,7 +388,7 @@ def _screen(starts: np.ndarray, coords: list, steps: int):
     SCREEN_STAGES barrier stages, all in one batch, with their Pick
     numerators, frozen at the certified starts; rows keep their order."""
     lam = _certified_starts(starts, coords)
-    nums = np.stack([_one_minus_outer(c.batch_targets(lam)) for c in coords], axis=1)
+    nums = np.stack([_one_minus_outer(c.batch_targets(lam)[0]) for c in coords], axis=1)
     return _polish(lam, nums, BARRIER_MU[:SCREEN_STAGES], steps)
 
 
@@ -411,7 +406,7 @@ def _finish(subset, coords, starts: np.ndarray, steps: int):
     best_nodes, margins = min(repaired, key=lambda r: np.prod(np.abs(r[0])))
     return NodeConfig(subset=tuple(subset), nodes=tuple(best_nodes),
                       value=float(np.prod(np.abs(best_nodes))),
-                      coord_targets=tuple(tuple(c.batch_targets(best_nodes[None, :])[0])
+                      coord_targets=tuple(tuple(c.batch_targets(best_nodes[None, :])[0][0])
                                           for c in coords),
                       margins=tuple(float(c) for c in margins))
 

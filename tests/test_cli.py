@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from lempertpoles.cli import parse_complex, run
+from lempertpoles.interpolation import BISECT_RTOL, RESIDUAL_TOL
+from lempertpoles.product_engine import EQUALITY_TOL
 
 
 def run_cli(argv):
@@ -123,6 +125,16 @@ def test_bounds_command():
     # the slack ladder's outcome: every rung certified, the bound the last
     meta = doc["meta"]
     assert meta["rungs_tried"] >= 1 and meta["rungs_certified"] == meta["rungs_tried"]
+
+
+def test_reported_tolerances_are_the_solver_constants():
+    code, out = run_cli(["lemma4", "--mu", "0.3+0i,0+0.4i", "--q", "0.9"])
+    assert code == 0
+    assert json.loads(out)["tolerances"] == {"residual": RESIDUAL_TOL, "product": BISECT_RTOL}
+    code, out = run_cli(["bounds", "--D", "disc", "--G", "disc", "--A", "0.5+0i,0+0.5i",
+                         "--b", "0.3-0.2i", "--z", "0.1+0.05i", "--w", "-0.2+0.1i"])
+    assert code == 0
+    assert json.loads(out)["tolerances"] == {"equality": EQUALITY_TOL}
 
 
 def test_counterexample_cor8():

@@ -9,26 +9,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lempertpoles
+import lempertpoles.interpolation as itp
 from lempertpoles.complex_kernel import solve_node_quadratic
 from lempertpoles.covering_domains import PlaneDomain, lempert_poleset_plane
 from lempertpoles.disc_domain import MoebiusExpr, PoleSet
 from lempertpoles.interpolation import (
     RESIDUAL_TOL,
     Lemma4Problem,
-    curves_gh,
     lemma4_solve,
-    lemma4_solve_batch,
-    theorem5_certificate,
+    theorem5_ladder,
 )
 
 nonzero_targets = st.complex_numbers(min_magnitude=0.05, max_magnitude=0.9,
                                      allow_nan=False, allow_infinity=False)
 
 
+def _curves(mu, a: float) -> tuple:
+    """g(a) = prod |z_j(a)|, h(a) = prod |w_j(a)| for nonzero targets mu."""
+    small, large = itp._roots_grid(np.asarray(mu, dtype=complex), np.asarray([float(a)]))
+    return float(np.prod(np.abs(small[0]))), float(np.prod(np.abs(large[0])))
+
+
 def test_curves_anchors_at_zero():
     mu = (0.3, 0.4j, -0.2 + 0.35j)
     p = np.prod([abs(m) for m in mu])
-    g0, h0 = curves_gh(mu, 0.0)
+    g0, h0 = _curves(mu, 0.0)
     assert abs(g0 - math.sqrt(p)) < 1e-12
     assert abs(h0 - math.sqrt(p)) < 1e-12
 
@@ -36,7 +41,7 @@ def test_curves_anchors_at_zero():
 def test_curves_endpoint_limits():
     mu = (0.3, 0.4j, -0.2 + 0.35j)
     p = np.prod([abs(m) for m in mu])
-    g, h = curves_gh(mu, 1 - 1e-6)
+    g, h = _curves(mu, 1 - 1e-6)
     assert abs(g - p) < 1e-3
     assert abs(h - 1.0) < 1e-3
 
@@ -47,19 +52,14 @@ def test_curves_endpoint_limits():
 def test_curves_vieta_product(mu, a):
     mu = tuple(mu)
     p = np.prod([abs(m) for m in mu])
-    g, h = curves_gh(mu, a)
+    g, h = _curves(mu, a)
     assert abs(g * h - p) < 1e-12
-
-
-def test_curves_reject_zero_entries():
-    with pytest.raises(ValueError):
-        curves_gh((0.3, 0j), 0.5)
 
 
 def test_g_continuity_envelope():
     mu = tuple(0.5 * np.exp(1j * k) for k in range(4))
     grid = np.linspace(0, 1 - 1e-6, 4097)
-    vals = np.array([curves_gh(mu, a)[0] for a in grid])
+    vals = np.array([_curves(mu, a)[0] for a in grid])
     assert np.max(np.abs(np.diff(vals))) < 1e-2 * len(mu)
 
 
@@ -157,7 +157,8 @@ def test_residual_above_tol_is_refused():
     assert sol.residual <= RESIDUAL_TOL
     with pytest.raises(RuntimeError, match="residual"):
         lemma4_solve(nearer)
-    refused, kept = lemma4_solve_batch([nearer, near])
+    rows = itp._solve_rows(near.mu, [nearer.q, near.q])
+    refused, kept = rows.solution(0), rows.solution(1)
     assert isinstance(refused, RuntimeError)
     assert (kept.a, kept.eta, kept.residual) == (sol.a, sol.eta, sol.residual)
 
@@ -190,19 +191,6 @@ def _c1_problems():
     return problems
 
 
-def test_batch_reproduces_each_solo_solve():
-    problems = _c1_problems()
-    assert len({len(pr.mu) for pr in problems}) == 6
-    assert sum(any(m == 0 for m in pr.mu) for pr in problems) > 100
-    batch = lemma4_solve_batch(problems)
-    for pr, got in zip(problems, batch):
-        solo = lemma4_solve(pr)
-        assert (got.a, got.branch, got.eta, got.residual, got.product_error,
-                got.reduction_alpha) == (solo.a, solo.branch, solo.eta, solo.residual,
-                                         solo.product_error, solo.reduction_alpha)
-        assert type(got.a) is float
-
-
 @pytest.mark.parametrize("mu,q,branch,alpha", [
     ((0.3, 0.4j), 0.9, "large", None),
     ((0.2 + 0.1j, -0.4j, 0.6), 0.2, "small", None),
@@ -213,8 +201,6 @@ def test_crossing_meets_q_at_50_digits(mu, q, branch, alpha, node_product):
     # the node product of the returned a, computed apart from the package,
     # meets q to the solver's stop; zero targets are checked on the reduced
     # problem, whose crossing the returned a is
-    import lempertpoles.interpolation as itp
-
     sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
     assert (sol.branch, sol.reduction_alpha) == (branch, alpha)
     targets = mu if alpha is None else itp._reduction_alphas(mu, np.array([q]))[0][1]
@@ -223,8 +209,6 @@ def test_crossing_meets_q_at_50_digits(mu, q, branch, alpha, node_product):
 
 def _scalar_crossing(mu, q):
     """The scan and safeguarded Newton iteration for one problem, one a at a time."""
-    import lempertpoles.interpolation as itp
-
     mus = np.asarray(mu)
     large = q > math.sqrt(float(np.prod(np.abs(mus))))
 
@@ -267,40 +251,14 @@ def _scalar_crossing(mu, q):
 
 def test_lockstep_newton_matches_scalar_loop():
     # zero-target problems are checked on their reduced problem
-    import lempertpoles.interpolation as itp
-
-    problems = _c1_problems()
-    batch = lemma4_solve_batch(problems)
-    for pr, sol in zip(problems, batch):
+    for pr in _c1_problems():
+        sol = lemma4_solve(pr)
         targets = (pr.mu if sol.reduction_alpha is None
                    else itp._reduction_alphas(pr.mu, np.array([pr.q]))[0][1])
         assert sol.a == _scalar_crossing(targets, pr.q)
 
 
-def test_mixed_length_batch_keeps_solo_bits():
-    # rows padded to 12 targets: numpy's pairwise add-reduction, used from 8
-    # entries on, would sum a padded 5-target row as (l0 + l1) + (l2 + l3)
-    # + l4, not in target order, so the terms are added one target at a time
-    rng = np.random.default_rng(3)
-    problems = []
-    for n in (3, 12, 5, 12, 3, 5):
-        mu = tuple((0.3 + 0.65 * rng.random()) * np.exp(2j * np.pi * rng.random())
-                   for _ in range(n))
-        p = float(np.prod(np.abs(mu)))
-        for t in (0.1, 0.9):
-            problems.append(Lemma4Problem(mu=mu, q=p + (1.0 - p) * t * rng.random()))
-    assert {len(pr.mu) for pr in problems} == {3, 5, 12}
-    batch = lemma4_solve_batch(problems)
-    assert {s.branch for s in batch} == {"small", "large"}
-    for pr, got in zip(problems, batch):
-        solo = lemma4_solve(pr)
-        assert (got.a, got.branch, got.eta, got.residual, got.product_error) == (
-            solo.a, solo.branch, solo.eta, solo.residual, solo.product_error)
-
-
 def test_batch_shares_one_scan_per_target_list(monkeypatch):
-    import lempertpoles.interpolation as itp
-
     calls = []
     real = itp._roots_grid
     monkeypatch.setattr(itp, "_roots_grid",
@@ -314,7 +272,7 @@ def test_batch_shares_one_scan_per_target_list(monkeypatch):
         assert calls[0] == len(itp.BRACKET_GRID)
         steps.append(len(calls) - 1)
     calls.clear()
-    lemma4_solve_batch(problems)
+    itp._solve_rows(mu, [pr.q for pr in problems])
     # one scan for the shared targets, then one kernel call per lockstep step
     assert calls[0] == len(itp.BRACKET_GRID)
     assert calls[1:] == sorted(calls[1:], reverse=True)
@@ -322,13 +280,11 @@ def test_batch_shares_one_scan_per_target_list(monkeypatch):
 
 
 def test_mixed_batch_makes_one_scan_per_list_and_one_lockstep(monkeypatch):
-    # plain and zero-target lists share the lockstep; each zero-target list
-    # gets one alpha search, and the nodes need no scalar root solve
-    import lempertpoles.interpolation as itp
-
-    plain, zero = (0.3, 0.4j, -0.2 + 0.35j), (0j, 0.5, 0.3j)
-    problems = ([Lemma4Problem(mu=plain, q=0.9 + 1e-6 / 8 ** k) for k in range(3)]
-                + [Lemma4Problem(mu=zero, q=0.4 + 1e-6 / 8 ** k) for k in range(3)])
+    # the rows of a zero-target list share one alpha search, one scan of
+    # their reduced list and one lockstep, and the nodes need no scalar
+    # root solve
+    zero, plain = (0j, 0.5, 0.3j), (0.3, 0.4j, -0.2 + 0.35j)
+    qs = [0.4 + 1e-6 / 8 ** k for k in range(3)]
     kernel, searches, scalar = [], [], []
     real_roots, real_search, real_scalar = (itp._roots_grid, itp._reduction_alphas,
                                             itp.solve_node_quadratic)
@@ -338,22 +294,50 @@ def test_mixed_batch_makes_one_scan_per_list_and_one_lockstep(monkeypatch):
     monkeypatch.setattr(itp, "solve_node_quadratic",
                         lambda a, m: scalar.append(m) or real_scalar(a, m))
     steps = []
-    for pr in problems:
+    for q in qs:
         kernel.clear()
-        lemma4_solve(pr)
+        lemma4_solve(Lemma4Problem(mu=zero, q=q))
         steps.append(len(kernel) - 1)
     for calls in (kernel, searches, scalar):
         calls.clear()
-    batch = lemma4_solve_batch(problems)
-    assert [s.reduction_alpha is None for s in batch] == [True] * 3 + [False] * 3
-    assert kernel[:2] == [len(itp.BRACKET_GRID)] * 2
-    assert len(kernel) - 2 == max(steps) and max(kernel[2:]) <= len(problems)
+    rows = itp._solve_rows(zero, qs)
+    assert not np.isnan(rows.reduction_alpha).any()
+    assert len(set(rows.reduction_alpha.tolist())) == 1
+    assert kernel[0] == len(itp.BRACKET_GRID)
+    assert len(kernel) - 1 == max(steps) and max(kernel[1:]) <= len(qs)
     assert searches == [3]
     # the alpha search solves the nonzero targets once per alpha it tries
     assert scalar and all(m != 0 for m in scalar) and len(scalar) % 2 == 0
     scalar.clear()
-    lemma4_solve_batch(problems[:3])
+    itp._solve_rows(plain, qs)
     assert not scalar
+
+
+def test_ladder_with_a_zero_target_scans_each_reduced_list_once(monkeypatch):
+    # six rungs of one zero-target list: each rung has its reduced list, one
+    # per alpha, and the scan runs once per distinct reduced list and
+    # branch, not once per rung
+    lam, zeta = (0j, 0.5), 0.3
+    alphas = [zeta + 1e-6 / 8 ** k for k in range(6)]
+    scans, reduced = [], []
+    real_roots, real_search = itp._roots_grid, itp._reduction_alphas
+
+    def roots(mus, a):
+        if len(a) == len(itp.BRACKET_GRID):
+            scans.append(tuple(np.ravel(mus).tolist()))
+        return real_roots(mus, a)
+
+    def search(mu, q):
+        out = real_search(mu, q)
+        for (_, t), v in zip(out, q):  # the reduced list and its branch
+            reduced.append((t, bool(v > math.sqrt(float(np.prod(np.abs(t)))))))
+        return out
+
+    monkeypatch.setattr(itp, "_roots_grid", roots)
+    monkeypatch.setattr(itp, "_reduction_alphas", search)
+    certified, _ = theorem5_ladder(MoebiusExpr(0), lam, MoebiusExpr(0), zeta, alphas)
+    assert certified == 6 and len(reduced) == 6
+    assert len(scans) == len(set(scans)) == len(set(reduced)) < 6
 
 
 def test_batch_nodes_are_the_scalar_roots():
@@ -361,11 +345,10 @@ def test_batch_nodes_are_the_scalar_roots():
     # conjugates of equal modulus up to rounding; np.abs of an array rounds
     # differently from the scalar abs, and without solve_node_quadratic's
     # order a batch node can be the conjugate of the scalar one
-    import lempertpoles.interpolation as itp
-
     problems = [pr for pr in _c1_problems() if any(m == 0 for m in pr.mu)]
     assert len(problems) > 100
-    for pr, sol in zip(problems, lemma4_solve_batch(problems)):
+    for pr in problems:
+        sol = lemma4_solve(pr)
         ((_, mu_red),) = itp._reduction_alphas(pr.mu, np.array([pr.q]))
         for eta, m in zip(sol.eta, mu_red):
             root = solve_node_quadratic(sol.a, m)[sol.branch == "large"]
@@ -376,8 +359,6 @@ def test_conjugate_ties_follow_the_structure_not_the_rounded_moduli():
     # real targets with a(1+mu) < 2 sqrt(mu) have conjugate roots; their
     # rounded moduli differ in the last bit one way or the other, and the
     # small node is still the one with Im > 0, in the scalar and batch code
-    import lempertpoles.interpolation as itp
-
     rng = np.random.default_rng(5)
     mus = rng.uniform(0.05, 0.95, 400).astype(complex)
     a = rng.uniform(0.0, 1.0, 400) * 2.0 * np.sqrt(mus.real) / (1.0 + mus.real)
@@ -433,8 +414,6 @@ def test_zero_targets_too_near_q_one_are_refused_by_cause(mu, gap):
 @pytest.mark.parametrize("mu", [(0j, 0.4j), (0.3, 0j)])
 @pytest.mark.parametrize("gap,alpha", [(3e-7, 1.0 - 2.0 ** -22), (2e-6, 1.0 - 2.0 ** -20)])
 def test_zero_targets_near_q_one_start_alpha_nearer_the_circle(mu, gap, alpha, node_product):
-    import lempertpoles.interpolation as itp
-
     q = 1.0 - gap
     sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
     assert sol.reduction_alpha == alpha
@@ -447,18 +426,19 @@ def test_batch_scans_each_branch_of_shared_targets():
     # one target list on both branches: g for q <= sqrt(p), h above it
     mu = (0.3, 0.4j, -0.2 + 0.35j)
     problems = [Lemma4Problem(mu=mu, q=q) for q in (0.9, 0.1, 0.95, 0.06)]
-    batch = lemma4_solve_batch(problems)
+    rows = itp._solve_rows(mu, [pr.q for pr in problems])
+    batch = [rows.solution(k) for k in range(len(problems))]
     assert [s.branch for s in batch] == ["large", "small", "large", "small"]
     for pr, got in zip(problems, batch):
         solo = lemma4_solve(pr)
         assert (got.a, got.eta) == (solo.a, solo.eta)
+        assert type(got.a) is float
         assert got.product_error <= 1e-9
 
 
 def test_batch_reports_each_failure_in_its_own_slot():
-    sols = lemma4_solve_batch([Lemma4Problem(mu=(0.3, 0.4j), q=0.9),
-                               Lemma4Problem(mu=(0j, 0.5), q=5e-324),
-                               Lemma4Problem(mu=(0j, 0.5), q=0.3)])
+    rows = itp._solve_rows((0j, 0.5), [0.3, 5e-324, 0.4])
+    sols = [rows.solution(k) for k in range(3)]
     assert sols[0].residual <= 1e-9 and sols[2].residual <= 1e-9
     assert isinstance(sols[1], RuntimeError)
     with pytest.raises(RuntimeError, match="zero-value reduction"):
@@ -493,7 +473,9 @@ def test_theorem5_certificate_bidisc():
     from lempertpoles.complex_kernel import moebius
     zeta = complex(moebius(w, b))
     alpha = max(lA.value, abs(zeta)) + 1e-6
-    xi, eta = theorem5_certificate(MoebiusExpr(z), lA.nodes, MoebiusExpr(w), zeta, alpha)
+    certified, (xi, eta) = theorem5_ladder(MoebiusExpr(z), lA.nodes, MoebiusExpr(w), zeta,
+                                           [alpha])
+    assert certified == 1
     v0 = xi.eval(0.0)
     assert abs(complex(v0[0]) - z) < 1e-9 and abs(complex(v0[1]) - w) < 1e-9
     for e, a in zip(eta, A):
@@ -513,7 +495,7 @@ def test_certificate_tightens_with_alpha():
     prev = None
     for slack in (1e-2, 1e-4, 1e-6):
         alpha = max(lA.value, abs(zeta)) + slack
-        _, eta = theorem5_certificate(MoebiusExpr(0), lA.nodes, MoebiusExpr(0), zeta, alpha)
+        _, (_, eta) = theorem5_ladder(MoebiusExpr(0), lA.nodes, MoebiusExpr(0), zeta, [alpha])
         prod = float(np.prod([abs(e) for e in eta]))
         if prev is not None:
             assert prod < prev
@@ -523,5 +505,5 @@ def test_certificate_tightens_with_alpha():
 def test_certificate_alpha_validation():
     A = PoleSet(points=(0.5,))
     lA = lempert_poleset_plane(PlaneDomain("disc"), A, 0.0)
-    with pytest.raises(ValueError):
-        theorem5_certificate(MoebiusExpr(0), lA.nodes, MoebiusExpr(0), 0.3, 0.2)
+    # alpha = 0.2 lies below |zeta| = 0.3: the one rung fails
+    assert theorem5_ladder(MoebiusExpr(0), lA.nodes, MoebiusExpr(0), 0.3, [0.2]) == (0, None)

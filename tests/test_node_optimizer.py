@@ -440,7 +440,7 @@ def test_polish_starts_only_inside_the_feasible_set(monkeypatch, session_cache):
     coords, _ = node_optimizer._subset_coords(ca, cb, subset)
     raw = np.array([out[0] * (1.0 - e) for e in (1e-10, 1e-8, 3e-7)])
     assert not np.any(_margins(raw, coords).all(axis=1))
-    nums = np.stack([_one_minus_outer(c.batch_targets(raw)) for c in coords], axis=1)
+    nums = np.stack([_one_minus_outer(c.batch_targets(raw)[0]) for c in coords], axis=1)
     assert np.all(np.isinf(_barrier_value(raw, nums, BARRIER_MU[0])))
     pushed = _certified_starts(raw, coords)
     assert len(pushed) == 3 and np.all(_margins(pushed, coords) > 0.0)

@@ -10,7 +10,7 @@ from lempertpoles.covering_domains import (
     lempert_poleset_plane,
 )
 from lempertpoles.disc_domain import PoleSet
-from lempertpoles.interpolation import theorem5_certificate
+from lempertpoles.interpolation import theorem5_ladder
 from lempertpoles.product_engine import (
     BoundsReport,
     corollary8_sample,
@@ -67,8 +67,8 @@ def test_theorem5_pole_through_base():
 
 
 def _sequential_ladder(D, G, A, b, z, w):
-    """Theorem 5's slack ladder built one rung at a time through
-    theorem5_certificate, stopping at the first rung that raises: the loop
+    """Theorem 5's slack ladder built one rung at a time, each a ladder of one
+    rung, stopping at the first rung that fails: the loop
     that theorem5_bounds's one batch must reproduce.  Returns the repr of the
     upper bound, the nodes, the certificate at 0 and at every node, and the
     certificate residual."""
@@ -83,10 +83,10 @@ def _sequential_ladder(D, G, A, b, z, w):
         cand = upper0 + s
         if cand >= 1.0 or cand <= max(lD, abs(zeta)):
             break
-        try:
-            xi, eta = theorem5_certificate(phi, lam, psi, zeta, cand)
-        except (ValueError, RuntimeError):
+        certified, cert = theorem5_ladder(phi, lam, psi, zeta, [cand])
+        if not certified:
             break
+        xi, eta = cert
         alpha = cand
         s /= 8.0
     upper = alpha if alpha is not None else upper0
@@ -157,8 +157,8 @@ def _failing_rungs(monkeypatch, failing):
     """Make the ladder's batch report a RuntimeError for every q in failing."""
     real = itp._solve_rows
 
-    def solve_rows(targets, q, errors=None):
-        rows = real(targets, q, errors)
+    def solve_rows(mu, q, errors=None):
+        rows = real(mu, q, errors)
         for k, v in enumerate(q):
             if v in failing:
                 rows.errors[k] = RuntimeError("rung failed")
