@@ -214,7 +214,6 @@ def _cmd_lemma4(args) -> tuple:
     rep = _report("lemma4", {"mu": args.mu, "q": args.q}, t0, seed=args.seed,
                   value=product,
                   a=sol.a, branch=sol.branch,
-                  reduction_alpha=sol.reduction_alpha,
                   residual=sol.residual, product_error=sol.product_error,
                   certificate={"expression": sol.f.describe(),
                                "nodes": _nodes_json(sol.eta)},

@@ -69,18 +69,19 @@ class BlaschkeDisc:
 
 def equal_root_moduli(a, mu):
     """Whether the two roots of z^2 - a(1+mu)z + mu = 0 (a real, |mu| < 1)
-    have equal moduli, read from the coefficients: a = 0, or mu real with
-    b^2 <= 4 mu for b = a(1+mu), where the roots are conjugate.
+    have equal moduli, read from the coefficients: a = 0, or mu real and
+    nonzero with b^2 <= 4 mu for b = a(1+mu), where the roots are conjugate.
 
     |z| = |w| exactly when b^2/mu = z/w + w/z + 2 lies in [0, 4], and
     b^2/mu = a^2 (2 + mu + 1/mu) is real for a > 0 only if mu is (|mu| < 1).
     For real mu, b^2 is rounded as the root formulas round it, so the test
     holds exactly where their discriminant is <= 0 and the computed roots
-    are conjugate too.  Takes Python scalars or numpy arrays, which
-    broadcast.
+    are conjugate too.  mu = 0 has the roots 0 and a, unequal for a > 0,
+    although b^2 underflows to 0 below a = 1e-154.  Takes Python scalars or
+    numpy arrays, which broadcast.
     """
     b = a * (1.0 + mu.real)
-    return (a == 0.0) | ((mu.imag == 0.0) & (b * b <= 4.0 * mu.real))
+    return (a == 0.0) | ((mu.imag == 0.0) & (mu.real != 0.0) & (b * b <= 4.0 * mu.real))
 
 
 def solve_node_quadratic(a: float, mu: complex) -> tuple:

@@ -6,7 +6,9 @@ The solver works inside the family f_a(z) = z*Phi_a(z), a in [0,1).  Each
 target mu_j has two preimages z_j(a), w_j(a) with |z_j| <= sqrt|mu_j| <= |w_j|;
 the curves g(a) = prod|z_j(a)| and h(a) = prod|w_j(a)| run continuously from
 the common value sqrt(p) at a=0 to p and 1 respectively, so one of them
-crosses q.  The crossing is found on the log product F(a) = sum_j
+crosses q.  A zero target's preimages are 0 and a itself: with a zero
+target p = 0, h runs from 0 to 1 and meets every q in (0, 1), and the
+zero's node is a.  The crossing is found on the log product F(a) = sum_j
 log|rho_j(a)| - log q of the curve's roots rho_j: a grid scan brackets the
 first sign change of F, and Newton steps, with F' from implicit
 differentiation of the quadratic, run inside the bracket, which the sign of
@@ -14,31 +16,25 @@ F shrinks at every step; a step that is not finite or leaves the bracket is
 replaced by the bracket midpoint (Brent, Algorithms for Minimization without
 Derivatives, 1973), a geometric one inside the first scan cell [0, 1/1024]
 so that crossings far below it are reached.  Log products do not underflow,
-so every q > 0 that normal floats resolve is met.  Zero targets are removed
-first by pulling every target back through one more map z*Phi_alpha(z) (the
-nonzero preimage of 0 is alpha itself), solving the reduced problem and
-composing.
+so every q > 0 that normal floats resolve is met.
 
 `_solve_rows` solves one target list at several values q in one array
 pass, one row per q, and `lemma4_solve` is a pass with one q.  Theorem 5's
 certificate is built at a ladder of values q (`theorem5_ladder`).  The
-curves g and h do not depend on q, so the pass scans the curve once per
-distinct target list and branch, and every row reuses that scan: the first
-bracket of every row is found at once, as arrays over rows x grid.  With
-zero targets each row solves its reduced list, one per alpha, and the list
-gets one alpha search for all rows.  The Newton iterations then run in
-lockstep: each step is one root-kernel call over the rows still live, and a
-row leaves as soon as |prod|rho_j| - q| <= min(1e-11, 1e-9 q), so that a
-small q is met to a relative 1e-9 too.  From the scan's bracket this
-usually takes two steps.  The nodes are the roots of the step at which a
-row left, the roots whose product passed that test, in the order
-solve_node_quadratic gives them.  Residuals, product errors and the Newton
-refinement of composed solutions are arrays over rows x targets.
-Every row gets the bits of its solo run: the scan is the same computation,
-each row of a step applies the same elementwise operations to its own
-targets and iterate, and a row's log terms are added one target at a time
-in target order.  The ladder builds one certificate, for the rung it
-reports.
+curves g and h do not depend on q, so the pass scans each branch that some
+row takes once, and every row reuses that scan: the first bracket of every
+row is found at once, as arrays over rows x grid.  The Newton iterations
+then run in lockstep: each step is one root-kernel call over the rows still
+live, and a row leaves as soon as |prod|rho_j| - q| <= min(1e-11, 1e-9 q),
+so that a small q is met to a relative 1e-9 too.  From the scan's bracket
+this usually takes two steps.  The nodes are the roots of the step at which
+a row left, the roots whose product passed that test, in the order
+solve_node_quadratic gives them.  Residuals and product errors are arrays
+over rows x targets.  Every row gets the bits of its solo run: the scan is
+the same computation, each row of a step applies the same elementwise
+operations to the targets and its own iterate, and a row's log terms are
+added one target at a time in target order.  The ladder builds one
+certificate, for the rung it reports.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_kernel import BlaschkeDisc, equal_root_moduli, solve_node_quadratic
+from .complex_kernel import BlaschkeDisc, equal_root_moduli
 from .disc_domain import (
     BlaschkeExpr,
     ComposeExpr,
@@ -77,11 +73,6 @@ BRACKET_GRID.flags.writeable = False
 # smallest normal float up: halvings of [0, 1/1024] reach only 2^-210 in
 # BISECT_STEPS steps
 FIRST_CELL = float(BRACKET_GRID[1])
-# zero-value reduction: alpha starts ALPHA_GAP below 1, or ALPHA_GAP_MIN
-# below where q is nearer 1; from a nearer start the composed residual
-# exceeds RESIDUAL_TOL
-ALPHA_GAP = 2.0 ** -20
-ALPHA_GAP_MIN = 2.0 ** -22
 
 
 def _checked_targets(mu) -> tuple:
@@ -123,27 +114,28 @@ class Lemma4Solution:
     f: DiscExpr
     residual: float
     product_error: float
-    reduction_alpha: float | None = None
 
 
 def _roots_grid(mus: np.ndarray, a: np.ndarray):
     """Both roots (small, large) of z^2 - a(1+mu)z + mu = 0, one row per entry
     of a, ordered by modulus.
 
-    mus is one target list shared by every row, shape (N,), or one list per
-    row, shape (len(a), N).  Vectorized version of solve_node_quadratic (all
-    mu nonzero here); the moduli are np.abs's, which `_nodes` refines to
-    the scalar order."""
+    mus is the target list shared by every row, shape (N,), or anything that
+    broadcasts against a[:, None].  Vectorized version of
+    solve_node_quadratic; the moduli are np.abs's, which `_nodes` refines to
+    the scalar order.  A zero mu has the roots 0 and a, taken as they are:
+    b*b underflows below a = 1e-154."""
     a = np.asarray(a)[:, None]
     b = a * (1.0 + mus)
     sq = np.sqrt(b * b - 4.0 * mus)
     flip = (np.conj(b) * sq).real < 0.0
     sq = np.where(flip, -sq, sq)
-    w = (b + sq) / 2.0
+    w = np.where(mus == 0, b, (b + sq) / 2.0)
     hit = w == 0  # a == 0 and the sqrt branch hit zero; roots are +-i sqrt(mu)
     if hit.any():
         w = np.where(hit, 1j * np.sqrt(mus * np.ones_like(a)), w)
-    zs = mus / w
+    with np.errstate(invalid="ignore"):  # 0/0 at a zero mu and a = 0
+        zs = np.where(mus == 0, 0j, mus / w)
     swap = np.abs(zs) > np.abs(w)
     return np.where(swap, w, zs), np.where(swap, zs, w)
 
@@ -184,7 +176,8 @@ def _log_curve(mus: np.ndarray, a: np.ndarray, large) -> tuple:
     is one bool, or one per row as shape (rows, 1))."""
     small, big = _roots_grid(mus, a)
     rho = np.where(large, big, small) if np.ndim(large) else (big if large else small)
-    return _row_sums(np.log(np.abs(rho))), rho, small, big
+    with np.errstate(divide="ignore"):  # log 0 of a zero mu's roots at a = 0
+        return _row_sums(np.log(np.abs(rho))), rho, small, big
 
 
 def _log_slope(mus: np.ndarray, a: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -218,7 +211,7 @@ def _crossing_lockstep(mus: np.ndarray, large: np.ndarray, log_q: np.ndarray,
     """Solve F(a) = S(a) - log q = 0 for every row together, by Newton steps
     safeguarded by each row's bracket [lo, hi].
 
-    Row r follows the small or large root (large[r]) of the targets mus[r];
+    Row r follows the small or large root (large[r]) of the targets mus;
     sign_lo is the sign of F at lo and x the first iterate.  A row stops
     once |expm1(F)| <= rtol, that is |prod|rho_j| - q| <= rtol q.  Returns
     the crossings and the nodes, the roots of the stopping step in the order
@@ -228,7 +221,7 @@ def _crossing_lockstep(mus: np.ndarray, large: np.ndarray, log_q: np.ndarray,
     every row, so each row's bits are its solo run's; a stopped row keeps
     its iterate."""
     a_star = np.full(len(x), np.nan)
-    eta = np.full(mus.shape, np.nan, dtype=complex)
+    eta = np.full((len(x), len(mus)), np.nan, dtype=complex)
     live, large_rows = np.ones(len(x), dtype=bool), large[:, None]
     for _ in range(BISECT_STEPS):
         F, rho, small, big = _log_curve(mus, x, large_rows)
@@ -236,7 +229,7 @@ def _crossing_lockstep(mus: np.ndarray, large: np.ndarray, log_q: np.ndarray,
         done = live & (np.abs(np.expm1(F)) <= rtol)
         if done.any():
             a_star[done] = x[done]
-            eta[done] = _nodes(small[done], big[done], large[done], x[done], mus[done])
+            eta[done] = _nodes(small[done], big[done], large[done], x[done], mus)
             live &= ~done
             if not live.any():
                 break
@@ -246,42 +239,34 @@ def _crossing_lockstep(mus: np.ndarray, large: np.ndarray, log_q: np.ndarray,
     return a_star, eta
 
 
-def _crossings(targets: list, q: np.ndarray) -> tuple:
-    """Crossing parameter, branch and nodes of the rows (targets[r], q[r]),
-    whose targets are nonzero tuples of one length.
+def _crossings(mus: np.ndarray, q: np.ndarray) -> tuple:
+    """Crossing parameter, branch and nodes of the targets mus at every q.
 
-    The curve is scanned on BRACKET_GRID once per distinct target list and
-    branch.  Returns a (nan where the row failed), large (the branch), the
-    nodes (rows x targets) and, per row, None or the RuntimeError raised
-    when no bracket exists or the iteration does not meet q."""
-    lists = dict.fromkeys(targets)
-    for t in lists:
-        arr = np.asarray(t)
-        lists[t] = arr, math.sqrt(float(np.prod(np.abs(arr))))
-    large = np.array([v > lists[t][1] for t, v in zip(targets, q)], dtype=bool)
-    keys = list(zip(targets, large.tolist()))
-    scans = dict.fromkeys(keys)  # one scan per distinct list and branch
-    for t, branch in scans:
-        scans[t, branch] = _log_curve(lists[t][0], BRACKET_GRID, branch)
-    mus = np.array(targets, dtype=complex)
+    The curve is scanned on BRACKET_GRID once per branch that some q takes.
+    Returns a (nan where the row failed), large (the branch), the nodes
+    (rows x targets) and, per row, None or the RuntimeError raised when no
+    bracket exists or the iteration does not meet q."""
+    large = q > math.sqrt(float(np.prod(np.abs(mus))))
+    scans = {branch: _log_curve(mus, BRACKET_GRID, branch) for branch in set(large.tolist())}
     log_q = np.array([math.log(v) for v in q])
-    rtol = np.minimum(BISECT_TOL / q, BISECT_RTOL)
+    with np.errstate(over="ignore"):  # a subnormal q
+        rtol = np.minimum(BISECT_TOL / q, BISECT_RTOL)
     # the first sign change of F on the grid, for every row at once; signs,
     # not the product F[:-1] * F[1:], which underflows to 0.0
-    F = np.stack([scans[k][0] for k in keys]) - log_q[:, None]
+    F = np.stack([scans[branch][0] for branch in large.tolist()]) - log_q[:, None]
     sign = np.sign(F)
     cross = sign[:, :-1] * sign[:, 1:] <= 0.0
     bracketed = cross.any(axis=1)
-    a = np.full(len(targets), np.nan)
-    eta = np.full(mus.shape, np.nan, dtype=complex)
-    errors = [None] * len(targets)
+    a = np.full(len(q), np.nan)
+    eta = np.full((len(q), len(mus)), np.nan, dtype=complex)
+    errors = [None] * len(q)
     for r in np.nonzero(~bracketed)[0]:
         k = int(np.argmin(np.abs(F[r])))
         if abs(math.expm1(F[r, k])) <= rtol[r]:
-            _, _, small, big = scans[keys[r]]
+            _, _, small, big = scans[bool(large[r])]
             a[r] = BRACKET_GRID[k]
             eta[r] = _nodes(small[k:k + 1], big[k:k + 1], large[r:r + 1],
-                            BRACKET_GRID[k:k + 1], mus[r])[0]
+                            BRACKET_GRID[k:k + 1], mus)[0]
         else:
             errors[r] = RuntimeError("no bracket found for the Lemma 4 curve; should not occur")
     rows = np.nonzero(bracketed)[0]
@@ -289,11 +274,11 @@ def _crossings(targets: list, q: np.ndarray) -> tuple:
         j = cross[rows].argmax(axis=1)
         Fj, Fj1 = F[rows, j], F[rows, j + 1]
         e = np.where(np.abs(Fj) <= np.abs(Fj1), j, j + 1)  # Newton from the nearer end
-        rho_e = np.stack([scans[keys[r]][1][i] for r, i in zip(rows, e)])  # the scan's roots at e
-        dS = _log_slope(mus[rows], BRACKET_GRID[e], rho_e)
+        rho_e = np.stack([scans[bool(large[r])][1][i] for r, i in zip(rows, e)])  # the scan's roots at e
+        dS = _log_slope(mus, BRACKET_GRID[e], rho_e)
         lo, hi = BRACKET_GRID[j], BRACKET_GRID[j + 1]
         x0 = _newton_step(BRACKET_GRID[e], np.where(e == j, Fj, Fj1), dS, lo, hi)
-        a[rows], eta[rows] = _crossing_lockstep(mus[rows], large[rows], log_q[rows],
+        a[rows], eta[rows] = _crossing_lockstep(mus, large[rows], log_q[rows],
                                                 rtol[rows], lo, hi, np.sign(Fj), x0)
         for r in rows[np.isnan(a[rows])]:
             errors[r] = RuntimeError(f"the Lemma 4 iteration did not meet q in {BISECT_STEPS} steps")
@@ -304,66 +289,15 @@ def _eval_f(a, z):
     return z * (a - z) / (1.0 - a * z)
 
 
-def _f_and_slope(a, z) -> tuple:
-    """`_eval_f` and d/dz [z Phi_a(z)] = Phi_a(z) + z (a^2 - 1)/(1 - a z)^2
-    for real a, sharing their common terms."""
-    u, d = a - z, 1.0 - a * z
-    return z * u / d, u / d + z * (a * a - 1.0) / d ** 2
-
-
-def _reduction_alphas(mu: tuple, q: np.ndarray) -> list:
-    """alpha and the reduced targets of the zero-value reduction for each q
-    of one target list, or the RuntimeError of a q it cannot serve.
-
-    alpha starts ALPHA_GAP below 1 and decreases geometrically until the
-    reduced product drops below q.  The zero replacements equal alpha, so the
-    product is at most alpha and the search ends for every q; it gives up
-    only once alpha leaves the normal floats, where it is no longer resolved.
-    The reduced problem's roots at a replaced zero lie on |z| = sqrt(alpha)
-    up to within (1 - alpha)^2 / 8 of a = 1, beyond the floats' resolution,
-    so its product must cross q before that: with m zero targets, 1 - q must
-    exceed m (1 - alpha).  A q nearer 1 than m ALPHA_GAP starts at
-    ALPHA_GAP_MIN, and one nearer than m ALPHA_GAP_MIN is refused.  The gap
-    1 - alpha grows by 4 up to 1/2, then alpha halves, so the sequence from
-    ALPHA_GAP_MIN runs through ALPHA_GAP: it is computed once, and each q
-    takes the first alpha below its start that serves it, the alpha of its
-    own search."""
-    zeros = sum(m == 0 for m in mu)
-    start = np.where(zeros * ALPHA_GAP < 1.0 - q, 1.0 - ALPHA_GAP, 1.0 - ALPHA_GAP_MIN)
-    out = [RuntimeError(f"zero-value reduction: q = {float(v)!r} lies within {zeros} * 2^-22 of 1; "
-                        f"the reduced problem needs 1 - q > {zeros} (1 - alpha), and alpha "
-                        f"above 1 - 2^-22 puts the residual above {RESIDUAL_TOL}")
-           if not zeros * ALPHA_GAP_MIN < 1.0 - v else None for v in q]
-    open_ = np.array([o is None for o in out])
-    alpha = float(start[open_].max()) if open_.any() else 0.0
-    while open_.any():
-        if alpha < sys.float_info.min:
-            for k in np.nonzero(open_)[0]:
-                out[k] = RuntimeError("zero-value reduction failed to find alpha")
-            break
-        mu_red = tuple(
-            complex(alpha) if m == 0 else solve_node_quadratic(alpha, m)[0]
-            for m in mu
-        )
-        p_red = float(np.prod(np.abs(np.asarray(mu_red))))
-        for k in np.nonzero(open_ & (alpha <= start) & (p_red < q * (1.0 - 1e-9)))[0]:
-            out[k] = (alpha, mu_red)
-            open_[k] = False
-        alpha = 1.0 - min((1.0 - alpha) * 4.0, 0.5) if alpha > 0.5 else alpha * 0.5
-    return out
-
-
 @dataclass
 class Lemma4Rows:
-    """Solutions of one target list at several q as arrays, one row per q.
-    reduction_alpha is nan where no target is zero; errors[k] is None or the
-    exception of row k."""
+    """Solutions of one target list at several q as arrays, one row per q;
+    errors[k] is None or the exception of row k."""
     a: np.ndarray
     large: np.ndarray
     eta: np.ndarray
     residual: np.ndarray
     product_error: np.ndarray
-    reduction_alpha: np.ndarray
     errors: list
 
     def solution(self, k: int):
@@ -371,73 +305,38 @@ class Lemma4Rows:
         if self.errors[k] is not None:
             return self.errors[k]
         a = float(self.a[k])
-        alpha = None if np.isnan(self.reduction_alpha[k]) else float(self.reduction_alpha[k])
-        f = BlaschkeExpr(BlaschkeDisc(phase=math.pi, zeros=(0.0, a)))
-        if alpha is not None:
-            f = ComposeExpr(BlaschkeExpr(BlaschkeDisc(phase=math.pi, zeros=(0.0, alpha))), f)
         return Lemma4Solution(a=a, branch="large" if self.large[k] else "small",
-                              eta=tuple(complex(e) for e in self.eta[k]), f=f,
+                              eta=tuple(complex(e) for e in self.eta[k]),
+                              f=BlaschkeExpr(BlaschkeDisc(phase=math.pi, zeros=(0.0, a))),
                               residual=float(self.residual[k]),
-                              product_error=float(self.product_error[k]),
-                              reduction_alpha=alpha)
+                              product_error=float(self.product_error[k]))
 
 
 def _solve_rows(mu: tuple, q, errors=None) -> Lemma4Rows:
     """Solve the problems (mu, q[k]) in one array pass, one row per q; rows
     whose errors[k] is already set are skipped and keep it.
 
-    Zero targets: every mu_j is replaced by a preimage under g_alpha(z) =
-    z*Phi_alpha(z) (zeros become alpha, the nonzero preimage of 0; nonzero
-    targets use their small-root preimage), the reduced problem is solved
-    and f = g_alpha o f' is composed.  The derivative of g_alpha at the
-    replaced zeros is O(1/(1 - alpha^2)), which amplifies the inner root
-    error; two Newton steps on the composed map bring the residual back to
-    evaluation-noise level.  A solution whose residual max_j |f(eta_j) -
-    mu_j| exceeds RESIDUAL_TOL is refused with a RuntimeError: near q = 1
-    the nodes crowd the circle, where the root quadratic loses digits."""
+    A solution whose residual max_j |f(eta_j) - mu_j| exceeds RESIDUAL_TOL
+    is refused with a RuntimeError: near q = 1 the nodes crowd the circle,
+    where the root quadratic loses digits."""
     q = np.asarray(q, dtype=float)
     errors = [None] * len(q) if errors is None else list(errors)
-    alpha = np.full(len(q), np.nan)
-    solved = [mu] * len(q)  # the targets whose crossing is solved
-    open_ = [k for k, e in enumerate(errors) if e is None]
-    if open_ and any(m == 0 for m in mu):
-        for k, res in zip(open_, _reduction_alphas(mu, q[open_])):
-            if isinstance(res, Exception):
-                errors[k] = res
-            else:
-                alpha[k], solved[k] = res
     mus = np.asarray(mu)
     a = np.full(len(q), np.nan)
     large = np.zeros(len(q), dtype=bool)
     eta = np.full((len(q), len(mu)), np.nan, dtype=complex)
     live = np.array([k for k, e in enumerate(errors) if e is None], dtype=np.intp)
     if live.size:
-        a[live], large[live], eta[live], errs = _crossings([solved[k] for k in live], q[live])
+        a[live], large[live], eta[live], errs = _crossings(mus, q[live])
         for k, e in zip(live, errs):
             errors[k] = e
     ok = np.array([e is None for e in errors], dtype=bool)
-    comp = ok & ~np.isnan(alpha)
-    if comp.any():
-        ac, al, ec = a[comp, None], alpha[comp, None], eta[comp]
-        move = np.ones(ec.shape, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(2):
-                inner, d_inner = _f_and_slope(ac, ec)
-                outer, d_outer = _f_and_slope(al, inner)
-                val, der = outer - mus, d_outer * d_inner
-                move &= (np.abs(der) >= 1e-8) & (np.abs(val) >= 1e-14)
-                ec = np.where(move, ec - val / der, ec)
-        eta[comp] = ec
     with np.errstate(invalid="ignore"):  # rows that failed hold nan
-        values = _eval_f(a[:, None], eta)
-    if comp.any():
-        values[comp] = _eval_f(alpha[comp, None], values[comp])
-    residual = np.abs(values - mus).max(axis=1)
+        residual = np.abs(_eval_f(a[:, None], eta) - mus).max(axis=1)
     for k in np.nonzero(ok & ~(residual <= RESIDUAL_TOL))[0]:
         errors[k] = RuntimeError(f"Lemma 4 residual {residual[k]:.3g} exceeds {RESIDUAL_TOL}")
     return Lemma4Rows(a=a, large=large, eta=eta, residual=residual,
-                      product_error=np.abs(np.abs(eta).prod(axis=1) - q),
-                      reduction_alpha=alpha, errors=errors)
+                      product_error=np.abs(np.abs(eta).prod(axis=1) - q), errors=errors)
 
 
 def lemma4_solve(problem: Lemma4Problem) -> Lemma4Solution:

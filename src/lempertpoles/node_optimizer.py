@@ -7,17 +7,20 @@ coordinate asks the node to be sent to some lift of the pole through the
 normalized cover, which is a Pick problem once the lift assignment is chosen
 (a sufficient family of maps cover o h with h(0) = 0).  On the disc the
 cover is Phi_base and each pole has the one lift Phi_base(p), so its targets
-are fixed; a pruned subset costs only its lower bound, read from the
-projected poles.
+are fixed; a pruned subset costs only its lower bound, read from the lifts.
 
 Subsets.  One search, `mixed_product_upper`, serves every pair of factor
 domains; `bidisc_lempert` is that search on disc x disc.  Each factor's poles
 are moved to base point 0 once, and each pole projected into the disc by its
 smallest lift.  A single pair has the exact value max(|t_A|, |t_B|) of its
-projected poles by the Schwarz lemma, which is also its closed-form lower
-bound, so no single pair is searched.  The subsets of 2 to MAX_SUBSET_SIZE
-pairs are searched one by one in size order, and a subset whose closed-form
-lower bound sits within LB_SKIP_MARGIN of the best value so far is skipped.
+projected poles by the Schwarz lemma, so no single pair is searched.  The
+subsets of 2 to MAX_SUBSET_SIZE pairs are searched one by one in size
+order, and a subset whose lower bound sits within LB_SKIP_MARGIN of the
+best value so far is skipped.  The bound is the larger over coordinates of
+the product, per pole used k times, of its k smallest lifts, since the nodes
+of one pole may go to different lifts of it; on the disc it is the product
+of the projected poles.  Over the subsets searched, pruning forgoes
+improvements of at most LB_SKIP_MARGIN.
 
 Search.  A subset's restarts start from seeded nodes, each pushed outward,
 every node's deficit 1 - |lambda| halved (at most to NODE_CAP), until both
@@ -41,6 +44,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +65,7 @@ POLISH_TOP = 2
 STRUCTURED_ANGLES = 8
 
 logger = logging.getLogger(__name__)
-# subsets whose closed-form lower bound sits within this margin of the best
+# subsets whose lower bound (`_pair_level`) sits within this margin of the best
 # value found so far cannot improve it meaningfully and are skipped
 LB_SKIP_MARGIN = 1e-9
 
@@ -437,15 +441,6 @@ def _search_levels(ca: _Coord, cb: _Coord, best_val: float, best_cfg,
 # ---------------------------------------------------------------------------
 
 
-def _subset_lower_bound(reduced_targets) -> float:
-    """max over coordinates of the disc Lempert value of the projected poles."""
-    lb = 0.0
-    for targets in reduced_targets:
-        distinct = dict.fromkeys(complex(t) for t in targets)
-        lb = max(lb, float(np.prod([abs(t) for t in distinct])))
-    return lb
-
-
 def _factor_coord(domain: PlaneDomain, poles: PoleSet, base: complex) -> _Coord:
     """The coordinate of all poles of one factor, moved to base point 0: the
     6 smallest lifts of each pole through the normalized cover, with their
@@ -457,11 +452,21 @@ def _factor_coord(domain: PlaneDomain, poles: PoleSet, base: complex) -> _Coord:
 
 def _pair_level(ca: _Coord, cb: _Coord, size: int):
     """The pole-pair subsets of one size of the factor coordinates ca, cb, in
-    subset order, as (subset, lower bound); the bound reads only the
-    projected poles, so no coordinate is built."""
-    pa, pb = ca.proj.tolist(), cb.proj.tolist()
-    for subset in itertools.combinations(itertools.product(range(len(pa)), range(len(pb))), size):
-        yield subset, _subset_lower_bound(([pa[k] for k, _ in subset], [pb[l] for _, l in subset]))
+    subset order, as (subset, lower bound), without building a coordinate.
+
+    The bound is the larger over coordinates of the product, per pole used k
+    times, of its k smallest lifts: the nodes of one pole may go to
+    different lifts of it, and the disc Lempert value of the targets hit is
+    at least that product (l_G^k of Theorem 5).  On the disc it is the
+    product of the projected poles."""
+    moduli = [[[abs(t) for t in row] for row in c.lifts.tolist()] for c in (ca, cb)]
+    for subset in itertools.combinations(itertools.product(range(len(ca.proj)),
+                                                           range(len(cb.proj))), size):
+        floors = []
+        for mods, poles in zip(moduli, zip(*subset)):
+            used = Counter(poles)  # in order of first use
+            floors.append(float(np.prod([m for p, k in used.items() for m in mods[p][:k]])))
+        yield subset, max(floors)
 
 
 def _subset_coords(ca: _Coord, cb: _Coord, subset) -> tuple:
@@ -482,7 +487,7 @@ def mixed_product_upper(D: PlaneDomain, G: PlaneDomain, A: PoleSet, B: PoleSet,
     Phi_z(a) or Phi_w(b)).  A single pair has the exact value
     max(|t_A|, |t_B|) of its projected poles t, by the Schwarz lemma; subsets
     of 2 to MAX_SUBSET_SIZE pairs run the barrier search and the repair, and
-    those whose closed-form lower bound cannot beat the best value so far are
+    those whose lower bound cannot beat the best value so far are
     skipped.  The value is a certified upper bound on the Lempert function;
     it is not claimed minimal.
     """

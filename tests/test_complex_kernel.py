@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from lempertpoles.complex_kernel import (
     BlaschkeDisc,
+    equal_root_moduli,
     moebius,
     moebius_error,
     pick_margin,
@@ -102,6 +103,14 @@ def test_root_moduli_continuous_in_a(a, mu):
     # finite differences stay bounded away from jumps
     assert abs(abs(z2) - abs(z1)) < 1e-3
     assert abs(abs(w2) - abs(w1)) < 1e-3
+
+
+@pytest.mark.parametrize("a", [0.5, 1e-160, 1e-300])
+def test_zero_target_roots_are_0_and_a_below_the_underflow(a):
+    # b*b = a^2 underflows to 0 below a = 1e-154, so the discriminant test
+    # b^2 <= 4 mu alone would call the roots 0 and a equal
+    assert not equal_root_moduli(a, 0j) and equal_root_moduli(0.0, 0j)
+    assert solve_node_quadratic(a, 0j) == (0j, complex(a))
 
 
 def test_quadratic_rejects_bad_inputs():

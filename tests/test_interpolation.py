@@ -92,30 +92,6 @@ def test_reference_instance():
     assert sol.product_error < 1e-9
 
 
-def test_zero_entry_reduction():
-    sol = lemma4_solve(Lemma4Problem(mu=(0j, 0.5), q=0.3))
-    assert sol.reduction_alpha is not None
-    assert sol.residual < 1e-9
-    assert sol.product_error < 1e-9
-    assert abs(complex(sol.f.eval(0.0))) < 1e-14
-
-
-@pytest.mark.parametrize("mu,q", [
-    ((0j, 0.5), 1e-12),
-    ((0j, 0.5), 1e-15),
-    ((0j, 0.5, 0.3j), 1e-12),
-    ((0j, 0j, 0.7), 1e-9),
-])
-def test_zero_entry_reduction_below_old_alpha_floor(mu, q):
-    # 0 = p < q < 1 is a valid problem however small q is; the reduction
-    # must push alpha below q instead of stopping at a fixed floor
-    sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
-    assert sol.reduction_alpha is not None
-    assert sol.residual <= RESIDUAL_TOL
-    assert sol.product_error <= RESIDUAL_TOL
-    assert abs(complex(sol.f.eval(0.0))) < 1e-14
-
-
 @pytest.mark.parametrize("q", [1e-12, 1e-100])
 def test_small_q_product_is_met_relatively(q):
     # below q = 0.01 the bisection stop is relative, so the node product
@@ -127,7 +103,7 @@ def test_small_q_product_is_met_relatively(q):
 
 @pytest.mark.parametrize("mu,q", [((0j, 0.5), 1e-300), ((0j, 0j, 0.7), 1e-200)])
 def test_tiny_q_product_is_met_relatively(mu, q):
-    # the reduced products near q are far below the square of the smallest
+    # the node products near q are far below the square of the smallest
     # normal float, so the bracket test compares signs and the iteration
     # works on log products
     sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
@@ -191,20 +167,19 @@ def _c1_problems():
     return problems
 
 
-@pytest.mark.parametrize("mu,q,branch,alpha", [
-    ((0.3, 0.4j), 0.9, "large", None),
-    ((0.2 + 0.1j, -0.4j, 0.6), 0.2, "small", None),
-    ((0j, 0.5), 0.3, "small", 0.25),
-    ((0.7j, 0j, -0.5 + 0.1j, 0.25), 0.05, "small", 0.125),
+@pytest.mark.parametrize("mu,q,branch", [
+    ((0.3, 0.4j), 0.9, "large"),
+    ((0.2 + 0.1j, -0.4j, 0.6), 0.2, "small"),
+    ((0j, 0.5), 0.3, "large"),
+    ((0.7j, 0j, -0.5 + 0.1j, 0.25), 0.05, "large"),
 ])
-def test_crossing_meets_q_at_50_digits(mu, q, branch, alpha, node_product):
+def test_crossing_meets_q_at_50_digits(mu, q, branch, node_product):
     # the node product of the returned a, computed apart from the package,
-    # meets q to the solver's stop; zero targets are checked on the reduced
-    # problem, whose crossing the returned a is
+    # meets q to the solver's stop; a zero target's node is a itself, on h
     sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
-    assert (sol.branch, sol.reduction_alpha) == (branch, alpha)
-    targets = mu if alpha is None else itp._reduction_alphas(mu, np.array([q]))[0][1]
-    assert abs(node_product(targets, sol.a, branch) - q) <= min(1e-11, 1e-9 * q)
+    assert sol.branch == branch
+    assert all(e == sol.a for e, m in zip(sol.eta, mu) if m == 0)
+    assert abs(node_product(mu, sol.a, branch) - q) <= min(1e-11, 1e-9 * q)
 
 
 def _scalar_crossing(mu, q):
@@ -215,8 +190,8 @@ def _scalar_crossing(mu, q):
     def log_curve(a):
         small, big = itp._roots_grid(mus, np.asarray(a))
         rho = big if large else small
-        logs = np.log(np.abs(rho))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero target at a = 0
+            logs = np.log(np.abs(rho))
             ders = ((1.0 + mus) / (2.0 * rho - np.asarray(a)[:, None] * (1.0 + mus))).real
         return ([sum(row, 0.0) - math.log(q) for row in logs.tolist()],
                 [sum(row, 0.0) for row in ders.tolist()])
@@ -250,12 +225,8 @@ def _scalar_crossing(mu, q):
 
 
 def test_lockstep_newton_matches_scalar_loop():
-    # zero-target problems are checked on their reduced problem
     for pr in _c1_problems():
-        sol = lemma4_solve(pr)
-        targets = (pr.mu if sol.reduction_alpha is None
-                   else itp._reduction_alphas(pr.mu, np.array([pr.q]))[0][1])
-        assert sol.a == _scalar_crossing(targets, pr.q)
+        assert lemma4_solve(pr).a == _scalar_crossing(pr.mu, pr.q)
 
 
 def test_batch_shares_one_scan_per_target_list(monkeypatch):
@@ -279,78 +250,31 @@ def test_batch_shares_one_scan_per_target_list(monkeypatch):
     assert len(calls) - 1 == max(steps) < sum(steps)
 
 
-def test_mixed_batch_makes_one_scan_per_list_and_one_lockstep(monkeypatch):
-    # the rows of a zero-target list share one alpha search, one scan of
-    # their reduced list and one lockstep, and the nodes need no scalar
-    # root solve
-    zero, plain = (0j, 0.5, 0.3j), (0.3, 0.4j, -0.2 + 0.35j)
-    qs = [0.4 + 1e-6 / 8 ** k for k in range(3)]
-    kernel, searches, scalar = [], [], []
-    real_roots, real_search, real_scalar = (itp._roots_grid, itp._reduction_alphas,
-                                            itp.solve_node_quadratic)
-    monkeypatch.setattr(itp, "_roots_grid", lambda mus, a: kernel.append(len(a)) or real_roots(mus, a))
-    monkeypatch.setattr(itp, "_reduction_alphas",
-                        lambda mu, q: searches.append(len(q)) or real_search(mu, q))
-    monkeypatch.setattr(itp, "solve_node_quadratic",
-                        lambda a, m: scalar.append(m) or real_scalar(a, m))
-    steps = []
-    for q in qs:
-        kernel.clear()
-        lemma4_solve(Lemma4Problem(mu=zero, q=q))
-        steps.append(len(kernel) - 1)
-    for calls in (kernel, searches, scalar):
-        calls.clear()
-    rows = itp._solve_rows(zero, qs)
-    assert not np.isnan(rows.reduction_alpha).any()
-    assert len(set(rows.reduction_alpha.tolist())) == 1
-    assert kernel[0] == len(itp.BRACKET_GRID)
-    assert len(kernel) - 1 == max(steps) and max(kernel[1:]) <= len(qs)
-    assert searches == [3]
-    # the alpha search solves the nonzero targets once per alpha it tries
-    assert scalar and all(m != 0 for m in scalar) and len(scalar) % 2 == 0
-    scalar.clear()
-    itp._solve_rows(plain, qs)
-    assert not scalar
-
-
-def test_ladder_with_a_zero_target_scans_each_reduced_list_once(monkeypatch):
-    # six rungs of one zero-target list: each rung has its reduced list, one
-    # per alpha, and the scan runs once per distinct reduced list and
-    # branch, not once per rung
+def test_ladder_with_a_zero_target_makes_one_scan(monkeypatch):
+    # six rungs of one zero-target list all lie on h, so the ladder scans
+    # the curve once and runs one lockstep for every rung
     lam, zeta = (0j, 0.5), 0.3
     alphas = [zeta + 1e-6 / 8 ** k for k in range(6)]
-    scans, reduced = [], []
-    real_roots, real_search = itp._roots_grid, itp._reduction_alphas
-
-    def roots(mus, a):
-        if len(a) == len(itp.BRACKET_GRID):
-            scans.append(tuple(np.ravel(mus).tolist()))
-        return real_roots(mus, a)
-
-    def search(mu, q):
-        out = real_search(mu, q)
-        for (_, t), v in zip(out, q):  # the reduced list and its branch
-            reduced.append((t, bool(v > math.sqrt(float(np.prod(np.abs(t)))))))
-        return out
-
-    monkeypatch.setattr(itp, "_roots_grid", roots)
-    monkeypatch.setattr(itp, "_reduction_alphas", search)
+    calls = []
+    real = itp._roots_grid
+    monkeypatch.setattr(itp, "_roots_grid", lambda mus, a: calls.append(len(a)) or real(mus, a))
     certified, _ = theorem5_ladder(MoebiusExpr(0), lam, MoebiusExpr(0), zeta, alphas)
-    assert certified == 6 and len(reduced) == 6
-    assert len(scans) == len(set(scans)) == len(set(reduced)) < 6
+    assert certified == 6
+    assert calls[0] == len(itp.BRACKET_GRID) and len(itp.BRACKET_GRID) not in calls[1:]
+    assert calls[1:] == sorted(calls[1:], reverse=True) and calls[1] == 6
 
 
 def test_batch_nodes_are_the_scalar_roots():
-    # the reduced target of a zero, alpha, is real, so its two roots are
-    # conjugates of equal modulus up to rounding; np.abs of an array rounds
-    # differently from the scalar abs, and without solve_node_quadratic's
-    # order a batch node can be the conjugate of the scalar one
+    # a zero target's roots are 0 and a, and b*b = a^2 underflows below
+    # a = 1e-154, where the batch must not take the root formula's tie for
+    # equal moduli; np.abs of an array rounds differently from the scalar
+    # abs, and without solve_node_quadratic's order a batch node can be the
+    # conjugate of the scalar one
     problems = [pr for pr in _c1_problems() if any(m == 0 for m in pr.mu)]
     assert len(problems) > 100
     for pr in problems:
         sol = lemma4_solve(pr)
-        ((_, mu_red),) = itp._reduction_alphas(pr.mu, np.array([pr.q]))
-        for eta, m in zip(sol.eta, mu_red):
+        for eta, m in zip(sol.eta, pr.mu):
             root = solve_node_quadratic(sol.a, m)[sol.branch == "large"]
             assert abs(eta - root) <= 1e-12
 
@@ -401,25 +325,28 @@ def test_certify_roots_do_not_depend_on_the_simd_path(tmp_path):
 
 
 @pytest.mark.parametrize("mu", [(0j, 0.4j), (0.3, 0j)])
-@pytest.mark.parametrize("gap", [1e-9, 1e-7])
-def test_zero_targets_too_near_q_one_are_refused_by_cause(mu, gap):
-    # the reduced problem's roots at alpha leave the circle |z| = sqrt(alpha)
-    # within (1 - alpha)^2 / 8 of a = 1, which floats do not resolve, so its
-    # crossing must come first: 1 - q > 1 - alpha, while alpha nearer 1 than
-    # 1 - 2^-22 puts the composed residual above RESIDUAL_TOL
-    with pytest.raises(RuntimeError, match="zero-value reduction: q = .* lies within"):
-        lemma4_solve(Lemma4Problem(mu=mu, q=1.0 - gap))
-
-
-@pytest.mark.parametrize("mu", [(0j, 0.4j), (0.3, 0j)])
-@pytest.mark.parametrize("gap,alpha", [(3e-7, 1.0 - 2.0 ** -22), (2e-6, 1.0 - 2.0 ** -20)])
-def test_zero_targets_near_q_one_start_alpha_nearer_the_circle(mu, gap, alpha, node_product):
+@pytest.mark.parametrize("gap", [3e-7, 2e-6])
+def test_zero_targets_near_q_one_are_met_at_50_digits(mu, gap, node_product):
     q = 1.0 - gap
     sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
-    assert sol.reduction_alpha == alpha
     assert sol.residual <= RESIDUAL_TOL
-    ((_, mu_red),) = itp._reduction_alphas(mu, np.array([q]))
-    assert abs(node_product(mu_red, sol.a, sol.branch) - q) <= 1e-9 * q
+    assert abs(node_product(mu, sol.a, sol.branch) - q) <= 1e-9 * q
+
+
+def _zero_target_problems():
+    # three zeros up to q = 1 - 1e-9, where the curve h(a) = a^3 is steep;
+    # one zero at q down to 1e-300, where the crossing a lies below 1e-154
+    # and b*b underflows in the root formula
+    gaps = np.logspace(-9, -3, 300)
+    return ([((0j, 0j, 0j), 1.0 - g) for g in gaps]
+            + [(mu, q) for mu in ((0j,), (0j, 0.5)) for q in (1e-20, 1e-200, 1e-300)])
+
+
+def test_zero_targets_are_met_near_q_one_and_below_the_underflow(node_product):
+    for mu, q in _zero_target_problems():
+        sol = lemma4_solve(Lemma4Problem(mu=mu, q=q))
+        assert sol.residual <= RESIDUAL_TOL, (mu, q)
+        assert abs(node_product(mu, sol.a, sol.branch) - q) <= min(1e-11, 1e-9 * q), (mu, q)
 
 
 def test_batch_scans_each_branch_of_shared_targets():
@@ -437,11 +364,13 @@ def test_batch_scans_each_branch_of_shared_targets():
 
 
 def test_batch_reports_each_failure_in_its_own_slot():
+    # a subnormal q lies below the geometric midpoints of the first scan
+    # cell, which start at the smallest normal float
     rows = itp._solve_rows((0j, 0.5), [0.3, 5e-324, 0.4])
     sols = [rows.solution(k) for k in range(3)]
     assert sols[0].residual <= 1e-9 and sols[2].residual <= 1e-9
     assert isinstance(sols[1], RuntimeError)
-    with pytest.raises(RuntimeError, match="zero-value reduction"):
+    with pytest.raises(RuntimeError, match="did not meet q"):
         lemma4_solve(Lemma4Problem(mu=(0j, 0.5), q=5e-324))
 
 

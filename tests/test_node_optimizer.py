@@ -33,7 +33,7 @@ from lempertpoles.node_optimizer import (
     bidisc_lempert,
     mixed_product_upper,
 )
-from lempertpoles.product_engine import theorem5_bounds
+from lempertpoles.product_engine import prop10_construct, theorem5_bounds
 
 FAST = OptimizerSettings(restarts=48, seed=0)
 FAILURE_A = PoleSet(points=(0.5, 0.5j))
@@ -310,6 +310,60 @@ def test_mixed_upper_plane_pair_is_pick_certified(pick_oracle):
     nodes = [0j, *cfg.nodes]
     for targets in cfg.coord_targets:
         assert pick_oracle.min_eig(nodes, [0j, *targets]) > 0.0
+
+
+def test_prop10_instance_certifies_that_the_product_property_fails(pick_oracle):
+    # the best subset has two pairs that share the pole b, and their nodes go
+    # to two different lifts of b; a subset floor that takes b's smallest
+    # lift twice over prunes it and returns the singleton l_G(b, w)
+    D, G, z, w, b = PlaneDomain("disc"), PlaneDomain("annulus", R=0.05), 0.0, 0.3, -0.25 + 0.05j
+    A, _ = prop10_construct(D, G, z, w, b, N=2, seed=0)
+    rep = theorem5_bounds(D, G, A, b, z, w)
+    cfg, v = mixed_product_upper(D, G, A, PoleSet(points=(b,), domain=G), z, w, FAST)
+    assert v < max(rep.meta["l_D_A"], rep.meta["l_G_1"])
+    assert rep.lower <= v <= rep.upper
+    assert len(cfg.subset) == 2 and len(set(cfg.coord_targets[1])) == 2
+    # the float lifts are taken as exact data
+    nodes = [0j, *cfg.nodes]
+    for targets in cfg.coord_targets:
+        assert pick_oracle.min_eig(nodes, [0j, *targets]) > 0.0
+
+
+def _plane_point(rng, domain) -> complex:
+    inner = domain.R if domain.kind == "annulus" else 0.0
+    return complex((inner + (1.0 - inner) * rng.uniform(0.1, 0.9)) * np.exp(2j * np.pi * rng.random()))
+
+
+def _plane_domain(rng, kinds) -> PlaneDomain:
+    kind = kinds[rng.integers(len(kinds))]
+    return PlaneDomain(kind, R=float(rng.uniform(0.05, 0.5))) if kind == "annulus" else PlaneDomain(kind)
+
+
+def _pruning_panel(count=30, seed=1):
+    """Seeded D x G instances (D, G, A, b, z, w): D a disc, punctured disc or
+    annulus, G a punctured disc or annulus, |A| = 2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        D = _plane_domain(rng, ("disc", "punctured", "annulus"))
+        G = _plane_domain(rng, ("punctured", "annulus"))
+        z, w = _plane_point(rng, D), _plane_point(rng, G)
+        A = PoleSet(points=(_plane_point(rng, D), _plane_point(rng, D)), domain=D)
+        yield D, G, A, _plane_point(rng, G), z, w
+
+
+def test_subset_pruning_keeps_every_improvement_on_plane_panels(monkeypatch):
+    # every value lies above Theorem 5's lower bound and at most 1e-9
+    # relative above the search with no subset pruned; a floor that takes a
+    # pole's smallest lift in place of its k smallest keeps 5 of these 30
+    # 0.4-17 % above the unpruned value
+    for D, G, A, b, z, w in _pruning_panel():
+        B = PoleSet(points=(b,), domain=G)
+        lower = theorem5_bounds(D, G, A, b, z, w).lower
+        _, v = mixed_product_upper(D, G, A, B, z, w, FAST)
+        with monkeypatch.context() as m:
+            m.setattr(node_optimizer, "LB_SKIP_MARGIN", -math.inf)
+            _, unpruned = mixed_product_upper(D, G, A, B, z, w, FAST)
+        assert lower * (1.0 - 1e-12) <= v <= unpruned * (1.0 + 1e-9), (D, G, A, b, z, w)
 
 
 def _central_differences(fun, lam, h=1e-6):

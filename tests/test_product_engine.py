@@ -57,8 +57,8 @@ def test_theorem5_annulus_strict_gap():
 
 
 def test_theorem5_pole_through_base():
-    # z in A forces l_D(A, z) = 0; the certificate runs through the
-    # zero-value reduction of the interpolation lemma
+    # z in A forces l_D(A, z) = 0: the interpolation lemma meets a zero
+    # target, whose node is the crossing parameter a itself
     A = PoleSet(points=(0.2, 0.5j))
     rep = theorem5_bounds(DISC, DISC, A, 0.3, 0.2, 0.0)
     assert rep.lower == pytest.approx(0.3)
