@@ -14,12 +14,18 @@ domains; `bidisc_lempert` is that search on disc x disc.  Each factor's poles
 are moved to base point 0 once, and each pole projected into the disc by its
 smallest lift.  A single pair has the exact value max(|t_A|, |t_B|) of its
 projected poles by the Schwarz lemma, so no single pair is searched.  The
-subsets of 2 to MAX_SUBSET_SIZE pairs are searched one by one in size
-order, and a subset whose lower bound sits within LB_SKIP_MARGIN of the
-best value so far is skipped.  The bound is the larger over coordinates of
-the product, per pole used k times, of its k smallest lifts, since the nodes
-of one pole may go to different lifts of it; on the disc it is the product
-of the projected poles.  Over the subsets searched, pruning forgoes
+subsets of 2 to MAX_SUBSET_SIZE pairs are searched one size at a time, in
+subset order, and a subset whose lower bound sits within LB_SKIP_MARGIN of
+the best value so far is skipped.  The bound is the larger over coordinates
+of the product, per pole used k times, of its k smallest lifts, since the
+nodes of one pole may go to different lifts of it; on the disc it is the
+product of the projected poles.  A subset not skipped first tries a closed
+form: one coordinate's projected targets as the nodes (that map the
+identity), scaled outward until both Pick problems certify.  Within
+LB_SKIP_MARGIN of the subset's bound it closes the subset.  The subsets of
+a size left open run the search below in one batch (split under
+BATCH_BYTES), and are repaired in subset order, each skipped as above by
+the best value before it.  Over the subsets searched, pruning forgoes
 improvements of at most LB_SKIP_MARGIN.
 
 Search.  A subset's restarts start from seeded nodes, each pushed outward,
@@ -29,14 +35,15 @@ certify is dropped.  From there a Newton iteration on the log barrier
 sum_k log|lambda_k| - mu sum_c log det H_c - mu sum_k log(NODE_CAP^2 -
 |lambda_k|^2), which is smooth where two Pick eigenvalues meet near 0 as
 lambda_min is not (Overton 1992), runs the first SCREEN_STAGES weights mu of
-BARRIER_MU on all restarts in one batch.  The POLISH_TOP rows of least node
-product continue through the remaining weights, are scaled outward until
-both Pick problems certify again (`_repair`), and the least certified
-product is reported.  Restart r draws its start from its own RNG stream
-(seed, subset, r), and every test of the iteration reads only its own row,
-so a row has the same bits in any batch, and the rows of a smaller run are
-a prefix of those of a larger one.  `OptimizerSettings` sets only the
-restart count, the seed and the Newton-step cap per stage.
+BARRIER_MU on all restarts of the batch.  The POLISH_TOP rows of least node
+product of each subset continue through the remaining weights, are scaled
+outward until both Pick problems certify again (`_repair`), and the least
+certified product is reported.  Restart r draws its start from its own RNG
+stream (seed, subset, r), each row carries the index of its subset, and
+every test of the iteration reads only its own row, so a row has the same
+bits in any batch, and the rows of a smaller run are a prefix of those of a
+larger one.  `OptimizerSettings` sets only the restart count, the seed and
+the Newton-step cap per stage.
 """
 
 from __future__ import annotations
@@ -61,6 +68,13 @@ NODE_CAP = 0.9999999
 BARRIER_MU = tuple(10.0 ** -k for k in range(3, 14))
 SCREEN_STAGES = 2
 POLISH_TOP = 2
+# the Pick stacks of a barrier batch, (rows, 2, m+1, m+1) complex, stay
+# under these bytes: a level is split in subset order, and a subset whose
+# restarts alone reach them runs alone.  From 256 KiB on, numpy reuses an
+# unnamed temporary in place, which turns KT * (...) of `_barrier_derivatives`
+# into (...) * KT, and a complex a*b and b*a round apart; under it a row has
+# the same bits in any batch.
+BATCH_BYTES = 2 ** 18
 # rotation angles e^{i theta} of the structured starts
 STRUCTURED_ANGLES = 8
 
@@ -117,45 +131,58 @@ class _Coord:
     """One coordinate of the product: per pole its candidate targets, the
     smallest lifts through the normalized cover in ascending modulus (one on
     the disc), with a rounding bound per candidate.  Each pole is projected
-    into the disc by its smallest lift."""
+    into the disc by its smallest lift.  `_stack` stacks the coordinates of
+    several subsets of one size, a leading subset axis on both arrays."""
 
-    lifts: np.ndarray     # (m, n) candidate targets per pole
-    lift_err: np.ndarray  # (m, n) bounds on their rounding
+    lifts: np.ndarray     # (m, n) candidate targets per pole, or (S, m, n)
+    lift_err: np.ndarray  # bounds on their rounding, the same shape
 
     def __post_init__(self):
-        self.proj = self.lifts[:, 0]
+        self.proj = self.lifts[..., 0]
 
     def take(self, idx: list) -> "_Coord":
         """The coordinate of the poles idx."""
         return _Coord(self.lifts[idx], self.lift_err[idx])
 
-    def batch_targets(self, lam: np.ndarray) -> tuple:
+    def batch_targets(self, lam: np.ndarray, owner: np.ndarray | None = None) -> tuple:
         """Targets per configuration of lam (B, m) and the bounds on their
-        rounding.  The target of a node is the nearest candidate of its pole
-        not larger than the node (greedy)."""
-        B, m = lam.shape
-        idx = np.zeros((B, m), dtype=np.intp)
-        if self.lifts.shape[1] > 1:
-            for j in range(m):
-                nu = self.lifts[j]
-                d = np.abs((lam[:, j, None] - nu[None, :])
-                           / (1.0 - np.conj(lam[:, j, None]) * nu[None, :]))
+        rounding; on a stacked coordinate row r reads subset owner[r].  The
+        target of a node is the nearest candidate of its pole not larger
+        than the node (greedy)."""
+        lifts, err = self.lifts, self.lift_err
+        if owner is not None:
+            lifts, err = lifts[owner], err[owner]
+        shape = lam.shape + lifts.shape[-1:]
+        lifts, err = np.broadcast_to(lifts, shape), np.broadcast_to(err, shape)
+        idx = np.zeros(lam.shape + (1,), dtype=np.intp)
+        if shape[-1] > 1:
+            for j in range(lam.shape[1]):
+                nu = lifts[:, j]
+                d = np.abs((lam[:, j, None] - nu) / (1.0 - np.conj(lam[:, j, None]) * nu))
                 # lifts larger than the node cannot be hit by a map fixing 0
-                bad = np.abs(nu)[None, :] > np.abs(lam[:, j, None]) + 1e-12
+                bad = np.abs(nu) > np.abs(lam[:, j, None]) + 1e-12
                 d = np.where(bad, d + 10.0, d)
-                idx[:, j] = np.argmin(d, axis=1)
-        choice = np.arange(m), idx
-        return self.lifts[choice], self.lift_err[choice]
+                idx[:, j, 0] = np.argmin(d, axis=1)
+        return (np.take_along_axis(lifts, idx, axis=2)[..., 0],
+                np.take_along_axis(err, idx, axis=2)[..., 0])
 
 
-def _margins(nodes: np.ndarray, coords: list) -> np.ndarray:
+def _stack(coord_sets: list) -> list:
+    """The coordinates of several subsets of one size, one stacked `_Coord`
+    per factor, in the order given."""
+    return [_Coord(np.stack([cs[f].lifts for cs in coord_sets]),
+                   np.stack([cs[f].lift_err for cs in coord_sets])) for f in range(2)]
+
+
+def _margins(nodes: np.ndarray, coords: list, owner: np.ndarray | None = None) -> np.ndarray:
     """Certified Pick margin per coordinate (0.0 where not proven) of each
     configuration of nodes (..., m), shape (..., len(coords)), with the base
-    pair 0 -> 0 prepended to the nodes and targets."""
+    pair 0 -> 0 prepended to the nodes and targets; on stacked coordinates
+    row r reads subset owner[r]."""
     lam = np.atleast_2d(nodes)
     pad = lambda X: np.concatenate([np.zeros((len(X), 1), dtype=X.dtype), X], axis=1)
     n = lam.shape[1] + 1
-    pairs = [c.batch_targets(lam) for c in coords]
+    pairs = [c.batch_targets(lam, owner) for c in coords]
     targets = np.stack([pad(t) for t, _ in pairs], axis=1)
     errors = np.stack([pad(e) for _, e in pairs], axis=1)
     margins = pick_margin(np.repeat(pad(lam), len(coords), axis=0), targets.reshape(-1, n),
@@ -163,13 +190,15 @@ def _margins(nodes: np.ndarray, coords: list) -> np.ndarray:
     return margins.reshape(np.shape(nodes)[:-1] + (len(coords),))
 
 
-def _certified_starts(starts: np.ndarray, coords: list) -> np.ndarray:
+def _certified_starts(starts: np.ndarray, coords: list, owner: np.ndarray | None = None):
     """The rows of starts (R, m), in order, each pushed outward until both
     Pick problems pass `pick_margin`: every node's deficit 1 - |lambda| is
     halved, at most down to 1 - NODE_CAP, until the row certifies.  A row that
     does not certify with every node at the cap is dropped.  A float
     lambda_min > 0 alone is not enough: a Pick matrix singular to working
-    precision breaks the matrix inverse of `_barrier_derivatives`."""
+    precision breaks the matrix inverse of `_barrier_derivatives`.  On
+    stacked coordinates row r reads subset owner[r].  Returns the pushed
+    rows and the index in starts of each."""
     lam = starts.copy()
     unit = np.exp(1j * np.angle(lam))
     floor = 1.0 - NODE_CAP
@@ -177,12 +206,13 @@ def _certified_starts(starts: np.ndarray, coords: list) -> np.ndarray:
     certified = np.zeros(len(lam), dtype=bool)
     todo = np.arange(len(lam))
     while len(todo):
-        ok = _margins(lam[todo], coords).all(axis=1)
+        ok = _margins(lam[todo], coords, None if owner is None else owner[todo]).all(axis=1)
         certified[todo[ok]] = True
         todo = todo[~ok & (deficit[todo] > floor).any(axis=1)]
         deficit[todo] = np.maximum(0.5 * deficit[todo], floor)
         lam[todo] = (1.0 - deficit[todo]) * unit[todo]
-    return lam[certified]
+    kept = np.flatnonzero(certified)
+    return lam[kept], kept
 
 
 def _repair(nodes: np.ndarray, coords: list):
@@ -318,19 +348,22 @@ def _polish(lam: np.ndarray, nums: np.ndarray, mus: tuple, steps: int):
     """Newton refinement of the rows of lam (B, m) on `_barrier_value`, mu
     running through mus, with the frozen Pick numerators nums (B, c, m+1,
     m+1); rows that are not strictly feasible at mus[0] are dropped.
-    Returns the refined rows and their numerators.  A step is the Newton
-    direction with the Hessian's eigenvalues replaced by their moduli,
-    floored at 1e-12 times the largest (the node product is harmonic and the
-    common rotation flat), with Armijo backtracking from 1, at most 20
-    halvings.  A row leaves a stage when its squared Newton decrement is
-    below mu (1e-14 in the last stage of BARRIER_MU), after `steps` steps, or
-    when its line search fails: its bits do not depend on the batch."""
-    feasible = np.isfinite(_barrier_value(lam, nums, mus[0]))
-    lam, nums = lam[feasible], nums[feasible]
+    Returns the refined rows, their numerators and the index in lam of
+    each.  A step is the Newton direction with the Hessian's eigenvalues
+    replaced by their moduli, floored at 1e-12 times the largest (the node
+    product is harmonic and the common rotation flat), with Armijo
+    backtracking from 1, at most 20 halvings.  A row leaves a stage when its
+    squared Newton decrement is below mu (1e-14 in the last stage of
+    BARRIER_MU), after `steps` steps, or when its line search fails: its bits
+    do not depend on a batch whose numerators stay under BATCH_BYTES."""
+    f = _barrier_value(lam, nums, mus[0])
+    kept = np.flatnonzero(np.isfinite(f))
+    lam, nums, f = lam[kept], nums[kept], f[kept]
     m = lam.shape[1]
-    for mu in mus:
+    for stage, mu in enumerate(mus):
         tol = 1e-14 if mu == BARRIER_MU[-1] else mu
-        f = _barrier_value(lam, nums, mu)
+        if stage:
+            f = _barrier_value(lam, nums, mu)
         live = np.arange(len(lam))
         for _ in range(steps):
             if len(live) == 0:
@@ -357,7 +390,7 @@ def _polish(lam: np.ndarray, nums: np.ndarray, mus: tuple, steps: int):
                 todo, t = todo[~ok], 0.5 * t
             # rows whose line search failed leave the stage
             live = np.delete(live, todo)
-    return lam, nums
+    return lam, nums, kept
 
 
 def _restart_starts(subset, coords, settings: OptimizerSettings, subset_key) -> np.ndarray:
@@ -387,48 +420,116 @@ def _restart_starts(subset, coords, settings: OptimizerSettings, subset_key) -> 
     return lam0
 
 
-def _screen(starts: np.ndarray, coords: list, steps: int):
+def _screen(starts: np.ndarray, coords: list, steps: int, owner: np.ndarray | None = None):
     """The certified starts (`_certified_starts`) after the first
     SCREEN_STAGES barrier stages, all in one batch, with their Pick
-    numerators, frozen at the certified starts; rows keep their order."""
-    lam = _certified_starts(starts, coords)
-    nums = np.stack([_one_minus_outer(c.batch_targets(lam)[0]) for c in coords], axis=1)
-    return _polish(lam, nums, BARRIER_MU[:SCREEN_STAGES], steps)
+    numerators, frozen at the certified starts, and the index in starts of
+    each; rows keep their order.  On stacked coordinates row r reads subset
+    owner[r]."""
+    lam, kept = _certified_starts(starts, coords, owner)
+    owner = None if owner is None else owner[kept]
+    nums = np.stack([_one_minus_outer(c.batch_targets(lam, owner)[0]) for c in coords], axis=1)
+    lam, nums, screened = _polish(lam, nums, BARRIER_MU[:SCREEN_STAGES], steps)
+    return lam, nums, kept[screened]
 
 
-def _finish(subset, coords, starts: np.ndarray, steps: int):
-    """Search one subset from its restart starts (restarts, m): screen them,
-    run the POLISH_TOP rows of least node product through the remaining
-    barrier stages and repair them; returns the best certified NodeConfig,
-    or None."""
-    lam, nums = _screen(starts, coords, steps)
-    top = np.argsort(np.prod(np.abs(lam), axis=1), kind="stable")[:POLISH_TOP]
-    polished, _ = _polish(lam[top], nums[top], BARRIER_MU[SCREEN_STAGES:], steps)
-    repaired = [out for out in (_repair(p, coords) for p in polished) if out is not None]
-    if not repaired:
-        return None
-    best_nodes, margins = min(repaired, key=lambda r: np.prod(np.abs(r[0])))
-    return NodeConfig(subset=tuple(subset), nodes=tuple(best_nodes),
-                      value=float(np.prod(np.abs(best_nodes))),
-                      coord_targets=tuple(tuple(c.batch_targets(best_nodes[None, :])[0][0])
+def _level_tails(batch: list, settings: OptimizerSettings) -> list:
+    """The barrier search of several subsets of one size in one batch, given
+    as (subset, coords, key): all their restarts are screened together, and
+    the POLISH_TOP rows of least node product of each subset run the
+    remaining stages together.  Each row carries the index of its subset,
+    and every test reads only its own row, so under BATCH_BYTES each subset
+    gets the bits it would get alone.  Returns the polished rows of each
+    subset."""
+    starts = np.concatenate([_restart_starts(subset, coords, settings, key)
+                             for subset, coords, key in batch])
+    owner = np.repeat(np.arange(len(batch)), settings.restarts)
+    lam, nums, rows = _screen(starts, _stack([coords for _, coords, _ in batch]),
+                              settings.max_iterations, owner)
+    owner = owner[rows]
+    products = np.prod(np.abs(lam), axis=1)
+    top = np.concatenate([
+        rows[np.argsort(products[rows], kind="stable")[:POLISH_TOP]]
+        for rows in (np.flatnonzero(owner == s) for s in range(len(batch)))])
+    polished, _, rows = _polish(lam[top], nums[top], BARRIER_MU[SCREEN_STAGES:],
+                                settings.max_iterations)
+    owner = owner[top][rows]
+    return [polished[owner == s] for s in range(len(batch))]
+
+
+def _node_config(subset, coords, nodes: np.ndarray, margins: np.ndarray) -> NodeConfig:
+    """The NodeConfig of certified nodes of a subset and their margins."""
+    return NodeConfig(subset=tuple(subset), nodes=tuple(nodes),
+                      value=float(np.prod(np.abs(nodes))),
+                      coord_targets=tuple(tuple(c.batch_targets(nodes[None, :])[0][0])
                                           for c in coords),
                       margins=tuple(float(c) for c in margins))
 
 
+def _best_repaired(subset, coords, polished: np.ndarray):
+    """The least certified product among the polished rows of a subset,
+    each repaired (`_repair`), as a NodeConfig, or None."""
+    repaired = [out for out in (_repair(p, coords) for p in polished) if out is not None]
+    if not repaired:
+        return None
+    return _node_config(subset, coords, *min(repaired, key=lambda r: np.prod(np.abs(r[0]))))
+
+
+def _closing_candidate(subset, coords, lower: float):
+    """The closed-form candidate of a subset where it closes the subset: one
+    coordinate's projected targets taken as the nodes, so that its map is
+    the identity, scaled outward by `_repair` until both Pick problems
+    certify.  It closes the subset when its certified product lies within
+    LB_SKIP_MARGIN of the subset's lower bound, which no search can beat by
+    more; returns its NodeConfig, or None.  Equal nodes cannot go to the
+    different targets of the other coordinate, so those are not tried."""
+    for coord in coords:
+        nodes = coord.proj
+        if (len(set(nodes.tolist())) < len(nodes)
+                or np.prod(np.abs(nodes)) > lower + LB_SKIP_MARGIN):
+            continue
+        out = _repair(nodes, coords)
+        if out is not None and np.prod(np.abs(out[0])) <= lower + LB_SKIP_MARGIN:
+            return _node_config(subset, coords, *out)
+    return None
+
+
 def _search_levels(ca: _Coord, cb: _Coord, best_val: float, best_cfg,
                    settings: OptimizerSettings):
-    """Search the pole-pair subsets of ca, cb of each size from 2 to
-    MAX_SUBSET_SIZE, one by one, and return the best (value, config).  A
-    subset is skipped when its lower bound sits within LB_SKIP_MARGIN of the
-    best value found before it; only the subsets searched have their
-    coordinates built."""
+    """Search the pole-pair subsets of ca, cb one size at a time, from 2 to
+    MAX_SUBSET_SIZE, and return the best (value, config).
+
+    A size's subsets are walked in subset order.  A subset is skipped when
+    its lower bound sits within LB_SKIP_MARGIN of the best value found
+    before it, and otherwise tries its closing candidate
+    (`_closing_candidate`), whose value counts at once.  The subsets left
+    open run the barrier search together (`_level_tails`), in batches under
+    BATCH_BYTES split in subset order, and are then repaired in subset
+    order, each skipped as above by the best value before it.  Only the
+    subsets not skipped have their coordinates built."""
     for size in range(2, min(len(ca.proj) * len(cb.proj), MAX_SUBSET_SIZE) + 1):
+        level, cut = [], best_val
         for subset, lower in _pair_level(ca, cb, size):
-            if lower >= best_val - LB_SKIP_MARGIN:
+            if lower >= cut - LB_SKIP_MARGIN:
                 continue
             coords, key = _subset_coords(ca, cb, subset)
-            cfg = _finish(subset, coords, _restart_starts(subset, coords, settings, key),
-                          settings.max_iterations)
+            closed = _closing_candidate(subset, coords, lower)
+            if closed is not None:
+                cut = min(cut, closed.value)
+            level.append((subset, lower, coords, key, closed))
+        searched = [(subset, coords, key) for subset, _, coords, key, closed in level
+                    if closed is None]
+        # two Pick matrices of size + 1 complex entries squared per row
+        row_bytes = 2 * 16 * (size + 1) ** 2
+        per_batch = max(1, (BATCH_BYTES - 1) // (row_bytes * settings.restarts))
+        polished = iter([rows for i in range(0, len(searched), per_batch)
+                         for rows in _level_tails(searched[i:i + per_batch], settings)])
+        for subset, lower, coords, _, cfg in level:
+            if cfg is None:
+                rows = next(polished)
+                if lower >= best_val - LB_SKIP_MARGIN:
+                    continue
+                cfg = _best_repaired(subset, coords, rows)
             if cfg is None:
                 logger.debug("subset %s: no feasible configuration found", subset)
             elif cfg.value < best_val:

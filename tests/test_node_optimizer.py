@@ -19,12 +19,14 @@ from lempertpoles.node_optimizer import (
     BARRIER_MU,
     LB_SKIP_MARGIN,
     NODE_CAP,
+    POLISH_TOP,
+    SCREEN_STAGES,
+    NodeConfig,
     OptimizerSettings,
     _barrier_derivatives,
     _barrier_value,
     _certified_starts,
     _Coord,
-    _finish,
     _margins,
     _one_minus_outer,
     _polish,
@@ -429,14 +431,15 @@ def test_barrier_derivatives_check_rejects_a_dropped_conjugate():
 
 
 def _c8_polish_calls():
-    """(lam, nums, mus, polished) of every `_polish` call of criterion 8 at 48
-    restarts: per searched subset, its screen, then its top rows."""
+    """(lam, nums, mus, polished, kept) of every `_polish` call of criterion 8
+    at 48 restarts: per subset size, the screen of its searched subsets,
+    then their top rows."""
     calls = []
     polish = node_optimizer._polish
 
     def recording(lam, nums, mus, steps):
         out = polish(lam, nums, mus, steps)
-        calls.append((lam, nums, mus, out[0]))
+        calls.append((lam, nums, mus, out[0], out[2]))
         return out
 
     node_optimizer._polish = recording
@@ -459,22 +462,28 @@ def _last_stage_decrement(lam, nums):
 
 
 def test_polish_converges_on_criterion8(session_cache):
-    # every subset screens all 48 restarts through the first two stages, and
-    # its two rows of least product end the last stage on the decrement
-    # test, not on the step cap or a failed line search
+    # every searched subset screens all 48 restarts through the first two
+    # stages, 2, 4 and 1 subsets per size, and its two rows of least product
+    # end the last stage on the decrement test, not on the step cap or a
+    # failed line search
     calls = session_cache("c8_polish_48", _c8_polish_calls)
-    assert [mus for _, _, mus, _ in calls] == [BARRIER_MU[:2], BARRIER_MU[2:]] * 7
+    assert [mus for _, _, mus, _, _ in calls] == [BARRIER_MU[:2], BARRIER_MU[2:]] * 3
     decrements = []
-    for (lam, _, _, screened), (top, nums, _, out) in zip(calls[::2], calls[1::2]):
-        assert len(lam) == len(screened) == 48 and len(top) == len(out) == 2
+    for count, (lam, _, _, screened, kept), (top, nums, _, out, _) in zip(
+            (2, 4, 1), calls[::2], calls[1::2]):
+        assert len(lam) == len(screened) == 48 * count and len(top) == len(out) == 2 * count
+        # the certified starts keep their order, 48 per subset
+        owner = kept // 48
         products = np.prod(np.abs(screened), axis=1)
-        assert np.array_equal(np.sort(products)[:2], np.prod(np.abs(top), axis=1))
+        for s in range(count):
+            assert np.array_equal(np.sort(products[owner == s])[:2],
+                                  np.prod(np.abs(top[2 * s:2 * s + 2]), axis=1))
         decrements.extend(_last_stage_decrement(out, nums))
     assert len(decrements) == 14 and max(decrements) < 1e-14
 
 
 def test_polish_row_has_the_same_bits_alone_and_in_a_batch(session_cache):
-    for lam, nums, mus, out in session_cache("c8_polish_48", _c8_polish_calls):
+    for lam, nums, mus, out, _ in session_cache("c8_polish_48", _c8_polish_calls):
         assert np.array_equal(_polish(lam, nums, mus, 40)[0], out)
         swapped = _polish(lam[::-1].copy(), nums[::-1].copy(), mus, 40)[0]
         assert np.array_equal(swapped[::-1], out)
@@ -487,7 +496,7 @@ def test_polish_starts_only_inside_the_feasible_set(monkeypatch, session_cache):
     # starts just outside the feasible set (a polished criterion-8 row
     # scaled inward) are pushed outward until both Pick problems certify
     # before the Newton iteration evaluates any derivative
-    _, _, _, out = session_cache("c8_polish_48", _c8_polish_calls)[-1]
+    _, _, _, out, _ = session_cache("c8_polish_48", _c8_polish_calls)[-1]
     disc = PlaneDomain("disc")
     ca, cb = (node_optimizer._factor_coord(disc, poles, 0.0) for poles in (FAILURE_A, FAILURE_B))
     subset = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -496,8 +505,8 @@ def test_polish_starts_only_inside_the_feasible_set(monkeypatch, session_cache):
     assert not np.any(_margins(raw, coords).all(axis=1))
     nums = np.stack([_one_minus_outer(c.batch_targets(raw)[0]) for c in coords], axis=1)
     assert np.all(np.isinf(_barrier_value(raw, nums, BARRIER_MU[0])))
-    pushed = _certified_starts(raw, coords)
-    assert len(pushed) == 3 and np.all(_margins(pushed, coords) > 0.0)
+    pushed, kept = _certified_starts(raw, coords)
+    assert kept.tolist() == [0, 1, 2] and np.all(_margins(pushed, coords) > 0.0)
     assert np.all(np.abs(pushed) > np.abs(raw)) and np.all(np.abs(pushed) <= NODE_CAP)
 
     seen, derivatives = [], node_optimizer._barrier_derivatives
@@ -508,7 +517,10 @@ def test_polish_starts_only_inside_the_feasible_set(monkeypatch, session_cache):
         return derivatives(lam, nums, mu)
 
     monkeypatch.setattr(node_optimizer, "_barrier_derivatives", checked)
-    cfg = _finish(subset, coords, raw, 40)
+    monkeypatch.setattr(node_optimizer, "_restart_starts", lambda *args: raw)
+    (polished,) = node_optimizer._level_tails([(subset, coords, None)],
+                                              OptimizerSettings(restarts=3))
+    cfg = node_optimizer._best_repaired(subset, coords, polished)
     assert sum(seen) > 0 and min(cfg.margins) > 0.0
     assert cfg.value <= np.prod(np.abs(out[0])) * (1.0 + 1e-9)
 
@@ -518,51 +530,55 @@ def test_certified_starts_drop_a_start_that_cannot_certify():
     # out they are pushed; the other start certifies and keeps its place
     coords = [_fixed([0.3, -0.3]), _fixed([0.3j, -0.3j])]
     starts = np.array([[0.5 + 0.1j, 0.5 + 0.1j], [0.6, -0.6]])
-    pushed = _certified_starts(starts, coords)
-    assert len(pushed) == 1 and np.all(_margins(pushed, coords) > 0.0)
+    pushed, kept = _certified_starts(starts, coords)
+    assert kept.tolist() == [1] and np.all(_margins(pushed, coords) > 0.0)
     assert np.allclose(pushed[0] / np.abs(pushed[0]), [1.0, -1.0])
 
 
 def _searched_subsets(monkeypatch):
-    """The subsets that reach the barrier search, recorded around `_finish`."""
+    """The subsets that reach the barrier search, recorded around
+    `_level_tails`."""
     searched = []
-    finish = node_optimizer._finish
+    level_tails = node_optimizer._level_tails
 
-    def counting_finish(subset, *args):
-        searched.append(subset)
-        return finish(subset, *args)
+    def counting_level_tails(batch, settings):
+        searched.extend(subset for subset, _, _ in batch)
+        return level_tails(batch, settings)
 
-    monkeypatch.setattr(node_optimizer, "_finish", counting_finish)
+    monkeypatch.setattr(node_optimizer, "_level_tails", counting_level_tails)
     return searched
 
 
-@pytest.mark.parametrize("restarts", [4, 24, 96])
+@pytest.mark.parametrize("restarts", [1, 4, 24, 96])
 def test_rotation_congruent_moved_instance_prunes_after_first_subset(monkeypatch, restarts):
-    # the first pair subset must land within LB_SKIP_MARGIN of |a1 a2|, so
-    # every other subset is pruned by its lower bound before its search
+    # the first pair subset's closing candidate lands within LB_SKIP_MARGIN of
+    # |a1 a2|, so it closes that subset and every other subset is pruned by
+    # its lower bound: no subset reaches the barrier search
     A0 = np.array([-0.146574 - 0.417096j, -0.165564 + 0.601919j])
     B0 = np.exp(-3.036411j) * A0
     z, w = -0.147264 - 0.089353j, 0.284063 - 0.080081j
     A = PoleSet(points=tuple(complex(moebius(z, a)) for a in A0))
     B = PoleSet(points=tuple(complex(moebius(w, b)) for b in B0))
     searched = _searched_subsets(monkeypatch)
-    _, v = bidisc_lempert(A, B, z, w, OptimizerSettings(restarts=restarts, seed=1))
+    cfg, v = bidisc_lempert(A, B, z, w, OptimizerSettings(restarts=restarts, seed=1))
     a1, a2 = (complex(moebius(z, a)) for a in A)
     exact = abs(a1 * a2)
     assert abs(v - exact) <= LB_SKIP_MARGIN
     assert v >= exact - 1e-12
-    assert len(searched) == 1
+    assert len(cfg.subset) == 2 and min(cfg.margins) > 0.0
+    assert searched == []
 
 
 def test_pruned_subsets_build_no_coordinates(monkeypatch):
     # on criterion 8's instance the singletons give 0.5, which prunes the
     # four pair subsets of size 2 that repeat a pole in one coordinate; only
-    # the subsets that reach the barrier search get their two coordinates built
+    # the subsets that reach the barrier search get their two coordinates
+    # built, and each size's batch stacks them
     built = []
     post_init = _Coord.__post_init__
 
     def counting_post_init(self):
-        built.append(self.lifts.shape[0])
+        built.append(self.lifts.shape[:-1])
         post_init(self)
 
     monkeypatch.setattr(_Coord, "__post_init__", counting_post_init)
@@ -571,7 +587,146 @@ def test_pruned_subsets_build_no_coordinates(monkeypatch):
     pruned = {((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1))}
     assert len(searched) == 7 and not pruned & set(searched)
     # the two factor coordinates, then two per searched subset
-    assert built == [2, 2] + [len(subset) for subset in searched for _ in range(2)]
+    assert [s for s in built if len(s) == 1] == (
+        [(2,), (2,)] + [(len(subset),) for subset in searched for _ in range(2)])
+    assert [s for s in built if len(s) == 2] == [(2, 2)] * 2 + [(4, 3)] * 2 + [(1, 4)] * 2
+
+
+def test_closing_candidate_reaches_the_annulus_pair_subset(pick_oracle):
+    # D = Annulus(0.2), G = Annulus(0.4): the optimum of the pair subset
+    # ((0, 0), (0, 1)) has the second coordinate's map the identity, a
+    # rank-1 Pick matrix that starts pushed outward to certification do not
+    # reach; a search without the candidate reports the singleton
+    # 0.26211168549534175.  0.2621010351395437 is the subset's lower bound.
+    D, G = PlaneDomain("annulus", R=0.2), PlaneDomain("annulus", R=0.4)
+    A, B = PoleSet(points=(0.5, 0.6j), domain=D), PoleSet(points=(0.7, -0.6), domain=G)
+    cfg, v = mixed_product_upper(D, G, A, B, 0.45, 0.6, FAST)
+    assert cfg.subset == ((0, 0), (0, 1))
+    assert v <= 0.2621010351395437 + LB_SKIP_MARGIN and v < 0.26211168549534175
+    assert len(cfg.margins) == 2 and min(cfg.margins) > 0.0
+    # the float lifts are taken as exact data
+    nodes = [0j, *cfg.nodes]
+    for targets in cfg.coord_targets:
+        assert pick_oracle.min_eig(nodes, [0j, *targets]) > 0.0
+
+
+def _one_by_one(ca, cb, best_val, best_cfg, settings, record):
+    """The subset search as it ran before level batches: each subset not
+    pruned by the best value before it is screened, polished and repaired
+    alone, in subset order; appends (subset, repr(config)) to record."""
+    steps = settings.max_iterations
+    for size in range(2, min(len(ca.proj) * len(cb.proj), node_optimizer.MAX_SUBSET_SIZE) + 1):
+        for subset, lower in node_optimizer._pair_level(ca, cb, size):
+            if lower >= best_val - LB_SKIP_MARGIN:
+                continue
+            coords, key = node_optimizer._subset_coords(ca, cb, subset)
+            lam, nums, _ = node_optimizer._screen(_restart_starts(subset, coords, settings, key),
+                                                  coords, steps)
+            top = np.argsort(np.prod(np.abs(lam), axis=1), kind="stable")[:POLISH_TOP]
+            polished = _polish(lam[top], nums[top], BARRIER_MU[SCREEN_STAGES:], steps)[0]
+            repaired = [out for out in (_repair(p, coords) for p in polished) if out is not None]
+            cfg = None
+            if repaired:
+                nodes, margins = min(repaired, key=lambda r: np.prod(np.abs(r[0])))
+                cfg = NodeConfig(subset=tuple(subset), nodes=tuple(nodes),
+                                 value=float(np.prod(np.abs(nodes))),
+                                 coord_targets=tuple(tuple(c.batch_targets(nodes[None, :])[0][0])
+                                                     for c in coords),
+                                 margins=tuple(float(c) for c in margins))
+            record.append((subset, repr(cfg)))
+            if cfg is not None and cfg.value < best_val:
+                best_val, best_cfg = cfg.value, cfg
+    return best_val, best_cfg
+
+
+def _batched_and_one_by_one(monkeypatch, instance, settings):
+    """(per-subset records, repr of the result) of the level-batched search
+    and of `_one_by_one` on instance (D, G, A, B, z, w), closing candidates
+    off on both sides."""
+    runs = []
+    for one_by_one in (False, True):
+        record = []
+        with monkeypatch.context() as m:
+            m.setattr(node_optimizer, "_closing_candidate", lambda *args: None)
+            if one_by_one:
+                m.setattr(node_optimizer, "_search_levels",
+                          lambda *args: _one_by_one(*args, record))
+            else:
+                best_repaired = node_optimizer._best_repaired
+
+                def recording(subset, coords, polished):
+                    cfg = best_repaired(subset, coords, polished)
+                    record.append((subset, repr(cfg)))
+                    return cfg
+
+                m.setattr(node_optimizer, "_best_repaired", recording)
+            runs.append((record, repr(mixed_product_upper(*instance, settings))))
+    return runs
+
+
+DISC = PlaneDomain("disc")
+C8_INSTANCE = (DISC, DISC, FAILURE_A, FAILURE_B, 0, 0)
+
+
+def _plane_oracle_panel():
+    """10 seeded D x G instances with two poles per factor, so that a level
+    stacks plane coordinates."""
+    rng = np.random.default_rng(7)
+    for D, G, A, b, z, w in _pruning_panel(count=10, seed=2):
+        yield D, G, A, PoleSet(points=(b, _plane_point(rng, G)), domain=G), z, w
+
+
+@pytest.mark.parametrize("name", ["criterion8", "three_pole", "plane_panel"])
+def test_level_batches_give_each_subset_its_bits_alone(monkeypatch, name):
+    # oracle: the search of each size's subsets in one batch gives every
+    # subset, and the result, the bits of searching it alone; to bound the
+    # time, the three-pole instance and the plane panel take 10 Newton
+    # steps per stage, and the panel searches its pair subsets only
+    if name == "criterion8":
+        runs = [(C8_INSTANCE, FAST)]
+    elif name == "three_pole":
+        runs = [((DISC, DISC, FAILURE_A, PoleSet(points=(0.6, -0.6, 0.6j)), 0, 0),
+                 OptimizerSettings(restarts=32, seed=3, max_iterations=10))]
+    else:
+        monkeypatch.setattr(node_optimizer, "MAX_SUBSET_SIZE", 2)
+        runs = [(instance, OptimizerSettings(restarts=4, seed=2, max_iterations=10))
+                for instance in _plane_oracle_panel()]
+    searched = 0
+    for instance, settings in runs:
+        batched, alone = _batched_and_one_by_one(monkeypatch, instance, settings)
+        assert batched == alone, instance
+        searched += len(alone[0])
+    assert searched >= 7
+
+
+def test_level_batches_split_by_the_row_budget_give_the_same_bits(monkeypatch):
+    # 60,000 bytes hold the Pick stacks of two subsets of 48 restarts of 3
+    # pairs, so criterion 8's size-3 level runs in two batches
+    sizes = []
+    level_tails = node_optimizer._level_tails
+
+    def sizing(batch, settings):
+        sizes.append(len(batch))
+        return level_tails(batch, settings)
+
+    monkeypatch.setattr(node_optimizer, "BATCH_BYTES", 60000)
+    monkeypatch.setattr(node_optimizer, "_level_tails", sizing)
+    batched, alone = _batched_and_one_by_one(monkeypatch, C8_INSTANCE, FAST)
+    assert sizes == [2, 2, 2, 1] and batched == alone
+
+
+def test_level_batch_oracle_catches_swapped_owners(monkeypatch):
+    # negative control: the rows of a size's first two subsets handed to
+    # each other
+    level_tails = node_optimizer._level_tails
+
+    def swapped(batch, settings):
+        rows = level_tails(batch, settings)
+        return [rows[1], rows[0], *rows[2:]] if len(rows) > 1 else rows
+
+    monkeypatch.setattr(node_optimizer, "_level_tails", swapped)
+    batched, alone = _batched_and_one_by_one(monkeypatch, C8_INSTANCE, FAST)
+    assert batched[0] != alone[0]
 
 
 def test_three_pole_coordinate_reaches_a_five_pair_subset(pick_oracle):
