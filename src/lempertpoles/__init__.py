@@ -4,7 +4,6 @@ from .complex_kernel import (
     BlaschkeDisc,
     moebius,
     pick_margin,
-    solve_node_quadratic,
 )
 from .disc_domain import EvalResult, PoleSet
 from .covering_domains import (
@@ -63,7 +62,6 @@ __all__ = [
     "parse_domain",
     "pick_margin",
     "preimage_moduli",
-    "solve_node_quadratic",
 ]
 
 __version__ = "0.1.0"

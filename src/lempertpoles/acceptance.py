@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_kernel import moebius
+from .complex_kernel import _roots_grid, moebius
 from .covering_domains import PlaneDomain, green_plane, lempert_N_plane
 from .disc_domain import PoleSet
-from .interpolation import Lemma4Problem, _roots_grid, lemma4_solve
+from .interpolation import Lemma4Problem, lemma4_solve
 from .node_optimizer import (OptimizerSettings, _factor_coord, _pair_level, _restart_starts,
                              _screen, _subset_coords, bidisc_lempert)
 from .product_engine import MARGIN_TOL, prop10_construct, theorem5_bounds, theorem7_decide

@@ -190,7 +190,7 @@ def _cmd_eval(args) -> tuple:
             value, tail = green_plane(domain, pole, z)
             rows.append({"at": format_complex(z), "value": value, "tail_bound": tail})
         else:
-            res = lempert_N_plane(domain, pole, z, args.N or 1)
+            res = lempert_N_plane(domain, pole, z, 1 if args.N is None else args.N)
             rows.append({"at": format_complex(z), "value": res.value})
             certificate = res
     if args.csv:

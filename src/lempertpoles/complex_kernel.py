@@ -1,9 +1,11 @@
 """Shared analytic primitives on the unit disc.
 
-Moebius transforms, finite Blaschke products, the quadratic that inverts
-z*Phi_a(z), and a certified Nevanlinna-Pick test: a floating Cholesky of the
-Pick matrix shifted by a margin that covers the rounding of its entries and
-of the factorization.
+Moebius transforms, finite Blaschke products, the root kernel of the
+quadratic that inverts z*Phi_a(z) = mu (`_roots_grid` for both roots over
+arrays of a and mu, `_nodes` for their order; Lemma 4's interpolant and the
+structured starts of the bidisc node search both use it), and a certified
+Nevanlinna-Pick test: a floating Cholesky of the Pick matrix shifted by a
+margin that covers the rounding of its entries and of the factorization.
 """
 
 from __future__ import annotations
@@ -84,39 +86,56 @@ def equal_root_moduli(a, mu):
     return (a == 0.0) | ((mu.imag == 0.0) & (mu.real != 0.0) & (b * b <= 4.0 * mu.real))
 
 
-def solve_node_quadratic(a: float, mu: complex) -> tuple:
-    """Both roots of f_a(z) = z*Phi_a(z) = mu, i.e. of z^2 - a(1+mu)z + mu = 0.
+def _roots_grid(mus: np.ndarray, a: np.ndarray):
+    """Both roots (small, large) of z^2 - a(1+mu)z + mu = 0, i.e. the two
+    solutions of z*Phi_a(z) = mu, one row per entry of a, ordered by np.abs.
 
-    Returns (z_small, w_large) ordered so that |z_small| <= sqrt|mu| <= |w_large|;
-    both roots lie in the open disc.  The larger-magnitude root is computed
+    mus is the target list shared by every row, shape (N,), or anything that
+    broadcasts against a[:, None].  The larger-magnitude root is computed
     first and the other recovered from the constant term mu (Vieta), which
-    avoids cancellation when mu is tiny.  Where the roots have equal moduli
-    (`equal_root_moduli`: a = 0, or conjugate roots of a real mu), the tie
-    is broken from that structure, not from the rounded moduli: z_small is
-    the root of larger imaginary part, then of larger real part.
-    """
-    a = float(a)
-    if not 0.0 <= a < 1.0:
-        raise ValueError(f"a={a} outside [0, 1)")
-    mu = complex(mu)
-    if abs(mu) >= 1.0:
-        raise ValueError(f"|mu|={abs(mu)} not in the open disc")
-    if mu == 0:
-        return 0.0 + 0.0j, complex(a)
-    b = a * (1.0 + mu)
-    sq = np.sqrt(complex(b * b - 4.0 * mu))
-    if (np.conj(b) * sq).real < 0.0:
-        sq = -sq
-    w = (b + sq) / 2.0
-    if w == 0:  # a == 0 and sqrt branch hit zero; roots are +-i sqrt(mu)
-        w = 1j * np.sqrt(mu)
-    z = mu / w
-    if equal_root_moduli(a, mu):
-        if (w.imag, w.real) > (z.imag, z.real):
-            z, w = w, z
-    elif abs(z) > abs(w):
-        z, w = w, z
-    return complex(z), complex(w)
+    avoids cancellation when mu is tiny.  `_nodes` refines the order by
+    np.abs to the kernel's order.  A zero mu has the roots 0 and a, taken as
+    they are: b*b underflows below a = 1e-154."""
+    a = np.asarray(a)[:, None]
+    b = a * (1.0 + mus)
+    sq = np.sqrt(b * b - 4.0 * mus)
+    flip = (np.conj(b) * sq).real < 0.0
+    sq = np.where(flip, -sq, sq)
+    w = np.where(mus == 0, b, (b + sq) / 2.0)
+    hit = w == 0  # a == 0 and the sqrt branch hit zero; roots are +-i sqrt(mu)
+    if hit.any():
+        w = np.where(hit, 1j * np.sqrt(mus * np.ones_like(a)), w)
+    with np.errstate(invalid="ignore"):  # 0/0 at a zero mu and a = 0
+        zs = np.where(mus == 0, 0j, mus / w)
+    swap = np.abs(zs) > np.abs(w)
+    return np.where(swap, w, zs), np.where(swap, zs, w)
+
+
+def _nodes(small: np.ndarray, big: np.ndarray, large, a: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """The roots of branch large (one bool per row) from the root pairs
+    (small, big) of `_roots_grid` at the parameters a (one per row) and
+    targets mus, in the kernel's order: the small root z and the large root
+    w satisfy |z| <= sqrt|mu| <= |w|.
+
+    Its moduli are the scalar abs, which np.hypot reproduces bit for bit and
+    np.abs of a complex array does not (the last bit differs for about a
+    third of all values).  Where `equal_root_moduli` holds, as for the
+    conjugate roots of a real mu, the small root is the one of larger
+    imaginary part, then of larger real part, whatever the rounded moduli
+    say: they differ in the last bits between SIMD code paths, and without
+    this order a node can be the conjugate of the other path's."""
+    tie = equal_root_moduli(np.asarray(a)[:, None], mus)
+    by_part = (big.imag > small.imag) | ((big.imag == small.imag) & (big.real > small.real))
+    swap = np.where(tie, by_part,
+                    np.hypot(small.real, small.imag) > np.hypot(big.real, big.imag))
+    return np.where(swap == np.asarray(large)[:, None], small, big)
+
+
+def one_minus_outer(X: np.ndarray) -> np.ndarray:
+    """1 - X_i conj(X_j) per row of X (B, m): the Pick numerators of target
+    rows, or the Pick denominators of node rows."""
+    out = X[:, :, None] * np.conj(X)[:, None, :]
+    return np.subtract(1.0, out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +202,7 @@ def pick_margin(nodes, targets, target_err=0.0):
     tau = np.broadcast_to(target_err, w.shape)
     aw, al, n = np.abs(w), np.abs(lam), lam.shape[1]
     outer = lambda x, y: x[:, :, None] * y[:, None, :]
-    num, den = 1.0 - outer(w, np.conj(w)), 1.0 - outer(lam, np.conj(lam))
+    num, den = one_minus_outer(w), one_minus_outer(lam)
     with np.errstate(all="ignore"):
         H = num / den
         e_num = (CMUL_ERR * outer(aw, aw) + U / (1.0 - U) * np.abs(num)

@@ -716,6 +716,8 @@ def find_pole_with_value(domain: PlaneDomain, z: complex, t: float,
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must be in (0, 1)")
+    if direction == 0:
+        raise ValueError("direction must be nonzero")
     z = domain.require_interior(z, "z")
     d = direction / abs(direction)
     cover = build_cover(domain, z)

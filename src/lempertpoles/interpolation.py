@@ -3,16 +3,17 @@ q strictly between prod|mu_j| and 1, build f with f(0)=0, f(eta_j)=mu_j and
 prod|eta_j| = q.
 
 The solver works inside the family f_a(z) = z*Phi_a(z), a in [0,1).  Each
-target mu_j has two preimages z_j(a), w_j(a) with |z_j| <= sqrt|mu_j| <= |w_j|;
-the curves g(a) = prod|z_j(a)| and h(a) = prod|w_j(a)| run continuously from
-the common value sqrt(p) at a=0 to p and 1 respectively, so one of them
-crosses q.  A zero target's preimages are 0 and a itself: with a zero
-target p = 0, h runs from 0 to 1 and meets every q in (0, 1), and the
-zero's node is a.  The crossing is found on the log product F(a) = sum_j
-log|rho_j(a)| - log q of the curve's roots rho_j: a grid scan brackets the
-first sign change of F, and Newton steps, with F' from implicit
-differentiation of the quadratic, run inside the bracket, which the sign of
-F shrinks at every step; a step that is not finite or leaves the bracket is
+target mu_j has two preimages z_j(a), w_j(a) with |z_j| <= sqrt|mu_j| <= |w_j|,
+the roots of z^2 - a(1+mu_j)z + mu_j that the root kernel of `complex_kernel`
+gives (`_roots_grid`, ordered by `_nodes`); the curves g(a) = prod|z_j(a)|
+and h(a) = prod|w_j(a)| run continuously from the common value sqrt(p) at
+a=0 to p and 1 respectively, so one of them crosses q.  A zero target's
+preimages are 0 and a itself: with a zero target p = 0, h runs from 0 to 1
+and meets every q in (0, 1), and the zero's node is a.  The crossing is
+found on the log product F(a) = sum_j log|rho_j(a)| - log q of the curve's
+roots rho_j: a grid scan brackets the first sign change of F, and Newton
+steps, with F' from implicit differentiation of the quadratic, run inside
+the bracket, which the sign of F shrinks at every step; a step that is not finite or leaves the bracket is
 replaced by the bracket midpoint (Brent, Algorithms for Minimization without
 Derivatives, 1973), a geometric one inside the first scan cell [0, 1/1024]
 so that crossings far below it are reached.  Log products do not underflow,
@@ -28,13 +29,13 @@ then run in lockstep: each step is one root-kernel call over the rows still
 live, and a row leaves as soon as |prod|rho_j| - q| <= min(1e-11, 1e-9 q),
 so that a small q is met to a relative 1e-9 too.  From the scan's bracket
 this usually takes two steps.  The nodes are the roots of the step at which
-a row left, the roots whose product passed that test, in the order
-solve_node_quadratic gives them.  Residuals and product errors are arrays
-over rows x targets.  Every row gets the bits of its solo run: the scan is
-the same computation, each row of a step applies the same elementwise
-operations to the targets and its own iterate, and a row's log terms are
-added one target at a time in target order.  The ladder builds one
-certificate, for the rung it reports.
+a row left, the roots whose product passed that test, in the kernel's
+order.  Residuals and product errors are arrays over rows x targets.
+Every row gets the bits of its solo run: the scan is the same computation,
+each row of a step applies the same elementwise operations to the targets
+and its own iterate, and a row's log terms are added one target at a time
+in target order.  The ladder builds one certificate, for the rung it
+reports.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_kernel import BlaschkeDisc, equal_root_moduli
+from .complex_kernel import BlaschkeDisc, _nodes, _roots_grid
 from .disc_domain import (
     BlaschkeExpr,
     ComposeExpr,
@@ -116,49 +117,6 @@ class Lemma4Solution:
     product_error: float
 
 
-def _roots_grid(mus: np.ndarray, a: np.ndarray):
-    """Both roots (small, large) of z^2 - a(1+mu)z + mu = 0, one row per entry
-    of a, ordered by modulus.
-
-    mus is the target list shared by every row, shape (N,), or anything that
-    broadcasts against a[:, None].  Vectorized version of
-    solve_node_quadratic; the moduli are np.abs's, which `_nodes` refines to
-    the scalar order.  A zero mu has the roots 0 and a, taken as they are:
-    b*b underflows below a = 1e-154."""
-    a = np.asarray(a)[:, None]
-    b = a * (1.0 + mus)
-    sq = np.sqrt(b * b - 4.0 * mus)
-    flip = (np.conj(b) * sq).real < 0.0
-    sq = np.where(flip, -sq, sq)
-    w = np.where(mus == 0, b, (b + sq) / 2.0)
-    hit = w == 0  # a == 0 and the sqrt branch hit zero; roots are +-i sqrt(mu)
-    if hit.any():
-        w = np.where(hit, 1j * np.sqrt(mus * np.ones_like(a)), w)
-    with np.errstate(invalid="ignore"):  # 0/0 at a zero mu and a = 0
-        zs = np.where(mus == 0, 0j, mus / w)
-    swap = np.abs(zs) > np.abs(w)
-    return np.where(swap, w, zs), np.where(swap, zs, w)
-
-
-def _nodes(small: np.ndarray, big: np.ndarray, large, a: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """The nodes of branch large (one bool per row) from the root pairs
-    (small, big) of `_roots_grid` at the parameters a (one per row) and
-    targets mus, in the order of solve_node_quadratic.
-
-    Its moduli are the scalar abs, which np.hypot reproduces bit for bit and
-    np.abs of a complex array does not (the last bit differs for about a
-    third of all values).  Where `equal_root_moduli` holds, as for the
-    conjugate roots of a real mu, the small root is the one of larger
-    imaginary part, then of larger real part, whatever the rounded moduli
-    say: they differ in the last bits between SIMD code paths, and without
-    this order a node can be the conjugate of the other path's."""
-    tie = equal_root_moduli(np.asarray(a)[:, None], mus)
-    by_part = (big.imag > small.imag) | ((big.imag == small.imag) & (big.real > small.real))
-    swap = np.where(tie, by_part,
-                    np.hypot(small.real, small.imag) > np.hypot(big.real, big.imag))
-    return np.where(swap == np.asarray(large)[:, None], small, big)
-
-
 def _row_sums(terms: np.ndarray) -> np.ndarray:
     """Row sums added column by column, in target order whatever the list
     length: numpy's add-reduction is pairwise from 8 entries on."""
@@ -214,8 +172,8 @@ def _crossing_lockstep(mus: np.ndarray, large: np.ndarray, log_q: np.ndarray,
     Row r follows the small or large root (large[r]) of the targets mus;
     sign_lo is the sign of F at lo and x the first iterate.  A row stops
     once |expm1(F)| <= rtol, that is |prod|rho_j| - q| <= rtol q.  Returns
-    the crossings and the nodes, the roots of the stopping step in the order
-    of solve_node_quadratic; a row that has not stopped after BISECT_STEPS
+    the crossings and the nodes, the roots of the stopping step in the
+    kernel's order (`_nodes`); a row that has not stopped after BISECT_STEPS
     steps gets nan.  Each step is one root-kernel call over all rows, until
     every row has stopped, and applies the same elementwise operations to
     every row, so each row's bits are its solo run's; a stopped row keeps

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_kernel import pick_margin, solve_node_quadratic
+from .complex_kernel import _nodes, _roots_grid, one_minus_outer, pick_margin
 from .covering_domains import PlaneDomain, build_cover
 from .disc_domain import PoleSet
 
@@ -118,12 +118,9 @@ class NodeConfig:
 # ---------------------------------------------------------------------------
 
 
-def _one_minus_outer(X: np.ndarray) -> np.ndarray:
-    """1 - X_i conj(X_j) per row of X (B, m), with X_0 = 0 prepended: the Pick
-    numerators of target rows, or the Pick denominators of node rows."""
-    X = np.concatenate([np.zeros((X.shape[0], 1), dtype=complex), X], axis=1)
-    out = X[:, :, None] * np.conj(X)[:, None, :]
-    return np.subtract(1.0, out, out=out)
+def _with_base(X: np.ndarray) -> np.ndarray:
+    """The rows of X (B, m) with the base pair's 0 prepended, (B, m + 1)."""
+    return np.concatenate([np.zeros((len(X), 1), dtype=X.dtype), X], axis=1)
 
 
 @dataclass
@@ -180,13 +177,12 @@ def _margins(nodes: np.ndarray, coords: list, owner: np.ndarray | None = None) -
     pair 0 -> 0 prepended to the nodes and targets; on stacked coordinates
     row r reads subset owner[r]."""
     lam = np.atleast_2d(nodes)
-    pad = lambda X: np.concatenate([np.zeros((len(X), 1), dtype=X.dtype), X], axis=1)
     n = lam.shape[1] + 1
     pairs = [c.batch_targets(lam, owner) for c in coords]
-    targets = np.stack([pad(t) for t, _ in pairs], axis=1)
-    errors = np.stack([pad(e) for _, e in pairs], axis=1)
-    margins = pick_margin(np.repeat(pad(lam), len(coords), axis=0), targets.reshape(-1, n),
-                          errors.reshape(-1, n))
+    targets = np.stack([_with_base(t) for t, _ in pairs], axis=1)
+    errors = np.stack([_with_base(e) for _, e in pairs], axis=1)
+    margins = pick_margin(np.repeat(_with_base(lam), len(coords), axis=0),
+                          targets.reshape(-1, n), errors.reshape(-1, n))
     return margins.reshape(np.shape(nodes)[:-1] + (len(coords),))
 
 
@@ -243,42 +239,34 @@ def _repair(nodes: np.ndarray, coords: list):
 # ---------------------------------------------------------------------------
 
 
-def _structured_starts(subset, coords, rng):
-    """Degree-2 Blaschke starts: nodes are preimages of the coordinate poles
-    under e^{i theta} z Phi_alpha.  Available when no pole repeats more than
+def _structured_starts(coords, rng) -> np.ndarray:
+    """Degree-2 Blaschke starts, (K, m): nodes are preimages of the
+    coordinate poles under e^{i theta} z Phi_alpha, for STRUCTURED_ANGLES
+    angles theta, each with its own random alpha, and both ways of handing a
+    repeated pole its two roots.  Available when no pole repeats more than
     twice in that coordinate.  These sit at the coordinate-extremal product
     value next to the feasible set, which is where optimal configurations
     live."""
-    m = len(subset)
-    starts = []
+    m = len(coords[0].proj)
+    theta = np.linspace(0.0, 2.0 * np.pi, STRUCTURED_ANGLES, endpoint=False)
+    starts = [np.empty((0, m), dtype=complex)]
     for coord in coords:
-        labels = {}
-        for j in range(m):
-            labels.setdefault(complex(coord.proj[j]), []).append(j)
-        if any(len(v) > 2 for v in labels.values()):
+        labels, label = np.unique(coord.proj, return_inverse=True)
+        if np.bincount(label).max() > 2:
             continue
-        for th in np.linspace(0.0, 2.0 * np.pi, STRUCTURED_ANGLES, endpoint=False):
-            alpha = 0.35 * complex(rng.random() - 0.5, rng.random() - 0.5)
-            rootmap = {}
-            ok = True
-            for tv in labels:
-                try:
-                    r1, r2 = solve_node_quadratic(abs(alpha), tv * np.exp(-1j * th))
-                except ValueError:
-                    ok = False
-                    break
-                phase = np.exp(1j * np.angle(alpha)) if alpha != 0 else 1.0
-                rootmap[tv] = (r1 * phase, r2 * phase)
-            if not ok:
-                continue
-            for flip in (0, 1):
-                lam = np.zeros(m, dtype=complex)
-                for tv, idxs in labels.items():
-                    for pos, j in enumerate(idxs):
-                        lam[j] = rootmap[tv][(pos + flip) % 2]
-                if np.max(np.abs(lam)) < 0.999:
-                    starts.append(lam)
-    return starts
+        u = rng.random((STRUCTURED_ANGLES, 2)) - 0.5
+        alpha = 0.35 * (u[:, 0] + 1j * u[:, 1])
+        a, mus = np.abs(alpha), labels * np.exp(-1j * theta)[:, None]
+        small, big = _roots_grid(mus, a)
+        roots = np.stack([_nodes(small, big, np.full(len(a), large), a, mus)
+                          for large in (False, True)], axis=1)
+        roots *= np.exp(1j * np.angle(alpha))[:, None, None]
+        # a pole's first use takes root 0 and its second root 1, or the reverse
+        second = np.tril(label[:, None] == label, -1).any(axis=1)
+        lam = np.stack([roots[:, (second + flip) % 2, label] for flip in (0, 1)], axis=1)
+        lam = lam.reshape(-1, m)
+        starts.append(lam[np.abs(lam).max(axis=1) < 0.999])
+    return np.concatenate(starts)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +284,7 @@ def _barrier_value(lam: np.ndarray, nums: np.ndarray, mu: float) -> np.ndarray:
     room = NODE_CAP ** 2 - am2
     f = np.full(len(lam), np.inf)
     inside = np.nonzero((room > 0.0).all(axis=1))[0]
-    eig = np.linalg.eigvalsh(nums[inside] / _one_minus_outer(lam[inside])[:, None])
+    eig = np.linalg.eigvalsh(nums[inside] / one_minus_outer(_with_base(lam[inside]))[:, None])
     pos = (eig[..., 0] > 0.0).all(axis=1)
     ok, eig = inside[pos], eig[pos]
     f[ok] = (0.5 * np.log(am2[ok]).sum(axis=1)
@@ -318,10 +306,11 @@ def _barrier_derivatives(lam: np.ndarray, nums: np.ndarray, mu: float):
     f_zzbar: g = (2 Re f_z, -2 Im f_z), H_xx = 2 Re(f_zz + f_zzbar),
     H_yy = 2 Re(f_zzbar - f_zz) and H_xy = 2 Im(f_zzbar - f_zz).
     """
-    B, m = lam.shape
-    L = np.concatenate([np.zeros((B, 1), dtype=complex), lam], axis=1)[:, None, :, None]
+    m = lam.shape[1]
+    L = _with_base(lam)
+    G = one_minus_outer(L)[:, None]
+    L = L[:, None, :, None]
     Lbar = np.conj(np.swapaxes(L, -1, -2))
-    G = _one_minus_outer(lam)[:, None]
     H = nums / G
     K = np.linalg.inv(H)
     KT = np.swapaxes(K, -1, -2)
@@ -407,7 +396,7 @@ def _restart_starts(subset, coords, settings: OptimizerSettings, subset_key) -> 
         floors = np.maximum(floors, np.abs(coord.proj))
     start_rng = np.random.default_rng(np.random.SeedSequence(entropy=settings.seed,
                                                              spawn_key=(*subset_key, 1 << 20)))
-    structured = _structured_starts(subset, coords, start_rng)
+    structured = _structured_starts(coords, start_rng)
     lam0 = np.empty((settings.restarts, m), dtype=complex)
     for r in range(settings.restarts):
         if r % 2 == 0 and r // 2 < len(structured):
@@ -428,7 +417,8 @@ def _screen(starts: np.ndarray, coords: list, steps: int, owner: np.ndarray | No
     owner[r]."""
     lam, kept = _certified_starts(starts, coords, owner)
     owner = None if owner is None else owner[kept]
-    nums = np.stack([_one_minus_outer(c.batch_targets(lam, owner)[0]) for c in coords], axis=1)
+    nums = np.stack([one_minus_outer(_with_base(c.batch_targets(lam, owner)[0])) for c in coords],
+                    axis=1)
     lam, nums, screened = _polish(lam, nums, BARRIER_MU[:SCREEN_STAGES], steps)
     return lam, nums, kept[screened]
 

@@ -1,6 +1,6 @@
 """Shared test fixtures: one session cache for the heavy optimizer runs, and
-50-digit oracles computed apart from the package: Pick matrices and Lemma-4
-node products."""
+50-digit oracles computed apart from the package: Pick matrices, and the
+roots and node products of Lemma 4's quadratic."""
 
 import pytest
 
@@ -56,18 +56,39 @@ def pick_oracle():
     return PickOracle(pytest.importorskip("mpmath"))
 
 
+def _ordered_roots(mp, a, mu) -> tuple:
+    """The roots (small, large) of rho^2 - a(1 + mu) rho + mu = 0 at 50
+    digits, the floats a and mu taken as exact, in the order of the package's
+    root kernel: ascending modulus, and where `equal_root_moduli` holds, the
+    root of larger imaginary part, then of larger real part, first."""
+    from lempertpoles.complex_kernel import equal_root_moduli
+
+    with mp.workdps(PickOracle.DPS):
+        m = mp.mpc(complex(mu).real, complex(mu).imag)
+        b = mp.mpf(float(a)) * (1 + m)
+        s = mp.sqrt(b * b - 4 * m)
+        roots = [(b + s) / 2, (b - s) / 2]
+        if equal_root_moduli(float(a), complex(mu)):
+            roots.sort(key=lambda r: (r.imag, r.real), reverse=True)
+        else:
+            roots.sort(key=abs)
+        return tuple(roots)
+
+
+@pytest.fixture(scope="session")
+def node_roots():
+    """node_roots(a, mu): the ordered roots of the Lemma-4 quadratic at 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    return lambda a, mu: _ordered_roots(mp, a, mu)
+
+
 def _node_product(mp, mu, a, branch):
     """prod |rho_j(a)| at 50 digits, rho_j the small or large root of
     rho^2 - a(1 + mu_j) rho + mu_j = 0; the floats mu_j and a are taken as exact."""
     with mp.workdps(PickOracle.DPS):
-        a = mp.mpf(float(a))
         out = mp.mpf(1)
         for m in mu:
-            m = mp.mpc(complex(m).real, complex(m).imag)
-            b = a * (1 + m)
-            s = mp.sqrt(b * b - 4 * m)
-            moduli = sorted((abs((b + s) / 2), abs((b - s) / 2)))
-            out *= moduli[0] if branch == "small" else moduli[1]
+            out *= abs(_ordered_roots(mp, a, m)[branch == "large"])
         return float(out)
 
 

@@ -292,6 +292,20 @@ def test_eval_find_pole_level_outside_unit_interval_exits_1():
     assert json.loads(out) == {"error": "t must be in (0, 1)", "kind": "internal"}
 
 
+def test_eval_find_pole_zero_direction_exits_1():
+    code, out = run_cli(["eval", "--domain", "disc", "--at", "0+0i",
+                         "--find-pole", "0.5", "--direction", "0+0i"])
+    assert code == 1
+    assert json.loads(out) == {"error": "direction must be nonzero", "kind": "internal"}
+
+
+def test_eval_N_zero_is_refused_not_read_as_one():
+    code, out = run_cli(["eval", "--domain", "disc", "--pole", "0.5+0i", "--at", "0+0i",
+                         "--N", "0"])
+    assert code == 1
+    assert json.loads(out) == {"error": "N must be in 1..1000", "kind": "internal"}
+
+
 def test_csv_sweep():
     code, out = run_cli(["eval", "--domain", "disc", "--poles", "0.5+0i",
                          "--at", "0+0i,0.1+0i,0.2+0i", "--csv"])

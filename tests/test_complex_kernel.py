@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from lempertpoles.complex_kernel import (
     BlaschkeDisc,
+    _nodes,
+    _roots_grid,
     equal_root_moduli,
     moebius,
     moebius_error,
     pick_margin,
-    solve_node_quadratic,
 )
 
 disc_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
@@ -67,16 +68,25 @@ def test_normalized_blaschke_value_at_zero():
     assert b.eval(0) == pytest.approx(np.prod([abs(z) for z in zeros]), abs=1e-14)
 
 
+def _roots(a: float, mu: complex) -> tuple:
+    """(small, large) roots of z^2 - a(1+mu)z + mu = 0, one row of the root
+    kernel, in its order."""
+    a, mus = np.array([float(a)]), np.array([complex(mu)])
+    small, big = _roots_grid(mus, a)
+    return tuple(complex(_nodes(small, big, np.array([large]), a, mus)[0, 0])
+                 for large in (False, True))
+
+
 def test_quadratic_paper_anchor_a0():
     # a = 0, mu = -r^2: roots are +-r with common modulus sqrt|mu|
-    z, w = solve_node_quadratic(0.0, -0.25)
+    z, w = _roots(0.0, -0.25)
     assert {round(z.real, 12), round(w.real, 12)} == {0.5, -0.5}
     assert z.imag == w.imag == 0
 
 
 def test_quadratic_limit_a_to_1():
     mu = 0.3 + 0.2j
-    z, w = solve_node_quadratic(1 - 1e-6, mu)
+    z, w = _roots(1 - 1e-6, mu)
     assert abs(abs(z) - abs(mu)) < 1e-3
     assert abs(abs(w) - 1.0) < 1e-3
 
@@ -84,7 +94,7 @@ def test_quadratic_limit_a_to_1():
 @given(radii, disc_points.filter(lambda m: abs(m) > 1e-6))
 @settings(max_examples=500)
 def test_quadratic_vieta_and_ordering(a, mu):
-    z, w = solve_node_quadratic(a, mu)
+    z, w = _roots(a, mu)
     assert abs(abs(z) * abs(w) - abs(mu)) < 1e-13
     assert abs(z) <= np.sqrt(abs(mu)) + 1e-12 <= abs(w) + 2e-12
     # both roots solve the quadratic and lie in the disc
@@ -98,8 +108,8 @@ def test_quadratic_vieta_and_ordering(a, mu):
 def test_root_moduli_continuous_in_a(a, mu):
     h = 1e-7
     a2 = min(a + h, 1 - 1e-9)
-    z1, w1 = solve_node_quadratic(a, mu)
-    z2, w2 = solve_node_quadratic(a2, mu)
+    z1, w1 = _roots(a, mu)
+    z2, w2 = _roots(a2, mu)
     # finite differences stay bounded away from jumps
     assert abs(abs(z2) - abs(z1)) < 1e-3
     assert abs(abs(w2) - abs(w1)) < 1e-3
@@ -110,14 +120,7 @@ def test_zero_target_roots_are_0_and_a_below_the_underflow(a):
     # b*b = a^2 underflows to 0 below a = 1e-154, so the discriminant test
     # b^2 <= 4 mu alone would call the roots 0 and a equal
     assert not equal_root_moduli(a, 0j) and equal_root_moduli(0.0, 0j)
-    assert solve_node_quadratic(a, 0j) == (0j, complex(a))
-
-
-def test_quadratic_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        solve_node_quadratic(1.0, 0.1)
-    with pytest.raises(ValueError):
-        solve_node_quadratic(0.5, 1.0 + 0j)
+    assert _roots(a, 0j) == (0j, complex(a))
 
 
 def test_pick_trivia():
@@ -218,3 +221,4 @@ def test_moebius_error_bounds_50_digit_moebius(pick_oracle):
         for a, x in zip(alpha, z):
             err = abs(pick_oracle.num(moebius(a, x)) - pick_oracle.moebius(a, x))
             assert err <= moebius_error(a, x)
+

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import lempertpoles
 import lempertpoles.interpolation as itp
-from lempertpoles.complex_kernel import solve_node_quadratic
+from lempertpoles.complex_kernel import _nodes, _roots_grid
 from lempertpoles.covering_domains import PlaneDomain, lempert_poleset_plane
 from lempertpoles.disc_domain import MoebiusExpr, PoleSet
 from lempertpoles.interpolation import (
@@ -26,7 +26,7 @@ nonzero_targets = st.complex_numbers(min_magnitude=0.05, max_magnitude=0.9,
 
 def _curves(mu, a: float) -> tuple:
     """g(a) = prod |z_j(a)|, h(a) = prod |w_j(a)| for nonzero targets mu."""
-    small, large = itp._roots_grid(np.asarray(mu, dtype=complex), np.asarray([float(a)]))
+    small, large = _roots_grid(np.asarray(mu, dtype=complex), np.asarray([float(a)]))
     return float(np.prod(np.abs(small[0]))), float(np.prod(np.abs(large[0])))
 
 
@@ -65,12 +65,13 @@ def test_g_continuity_envelope():
 
 def test_branch_separation():
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        a = rng.random() * 0.999
-        mu = (0.05 + 0.9 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        z, w = solve_node_quadratic(a, mu)
-        assert abs(z) <= math.sqrt(abs(mu)) + 1e-13
-        assert abs(w) >= math.sqrt(abs(mu)) - 1e-13
+    a = rng.random(200) * 0.999
+    mus = ((0.05 + 0.9 * rng.random(200)) * np.exp(2j * np.pi * rng.random(200)))[:, None]
+    small, big = _roots_grid(mus, a)
+    for large in (False, True):
+        nodes = np.abs(_nodes(small, big, np.full(200, large), a, mus))
+        assert np.all(nodes >= np.sqrt(np.abs(mus)) - 1e-13 if large
+                      else nodes <= np.sqrt(np.abs(mus)) + 1e-13)
 
 
 def test_solution_at_q_sqrt_p():
@@ -188,7 +189,7 @@ def _scalar_crossing(mu, q):
     large = q > math.sqrt(float(np.prod(np.abs(mus))))
 
     def log_curve(a):
-        small, big = itp._roots_grid(mus, np.asarray(a))
+        small, big = _roots_grid(mus, np.asarray(a))
         rho = big if large else small
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero target at a = 0
             logs = np.log(np.abs(rho))
@@ -264,37 +265,36 @@ def test_ladder_with_a_zero_target_makes_one_scan(monkeypatch):
     assert calls[1:] == sorted(calls[1:], reverse=True) and calls[1] == 6
 
 
-def test_batch_nodes_are_the_scalar_roots():
+def test_batch_nodes_are_the_50_digit_roots(node_roots):
     # a zero target's roots are 0 and a, and b*b = a^2 underflows below
     # a = 1e-154, where the batch must not take the root formula's tie for
     # equal moduli; np.abs of an array rounds differently from the scalar
-    # abs, and without solve_node_quadratic's order a batch node can be the
-    # conjugate of the scalar one
+    # abs, and without the kernel's order a batch node can be the conjugate
+    # of the 50-digit one
     problems = [pr for pr in _c1_problems() if any(m == 0 for m in pr.mu)]
     assert len(problems) > 100
     for pr in problems:
         sol = lemma4_solve(pr)
         for eta, m in zip(sol.eta, pr.mu):
-            root = solve_node_quadratic(sol.a, m)[sol.branch == "large"]
-            assert abs(eta - root) <= 1e-12
+            root = node_roots(sol.a, m)[sol.branch == "large"]
+            assert abs(eta - complex(root)) <= 1e-12
 
 
-def test_conjugate_ties_follow_the_structure_not_the_rounded_moduli():
+def test_conjugate_ties_follow_the_structure_not_the_rounded_moduli(node_roots):
     # real targets with a(1+mu) < 2 sqrt(mu) have conjugate roots; their
     # rounded moduli differ in the last bit one way or the other, and the
-    # small node is still the one with Im > 0, in the scalar and batch code
+    # small node is still the one with Im > 0, as at 50 digits
     rng = np.random.default_rng(5)
     mus = rng.uniform(0.05, 0.95, 400).astype(complex)
     a = rng.uniform(0.0, 1.0, 400) * 2.0 * np.sqrt(mus.real) / (1.0 + mus.real)
-    small, big = itp._roots_grid(mus[:, None], a)
+    small, big = _roots_grid(mus[:, None], a)
     az, ab = np.hypot(small.real, small.imag), np.hypot(big.real, big.imag)
     assert (az < ab).any() and (az > ab).any()  # the rounding goes both ways
+    roots = [node_roots(x, m) for m, x in zip(mus, a)]
     for large in (False, True):
-        nodes = itp._nodes(small, big, np.full(400, large), a, mus[:, None])[:, 0]
+        nodes = _nodes(small, big, np.full(400, large), a, mus[:, None])[:, 0]
         assert np.all(nodes.imag < 0.0 if large else nodes.imag > 0.0)
-    for m, x in zip(mus, a):
-        z, w = solve_node_quadratic(x, m)
-        assert z.imag > 0.0 > w.imag and abs(z - w.conjugate()) <= 1e-15
+        assert max(abs(node - complex(r[large])) for node, r in zip(nodes, roots)) <= 1e-12
 
 
 SIMD_FALLBACK = {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4",

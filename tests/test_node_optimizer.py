@@ -11,7 +11,7 @@ import pytest
 
 import lempertpoles
 from lempertpoles.acceptance import GRID_ORACLE_DELTA, c8_theorem7_failure
-from lempertpoles.complex_kernel import moebius, moebius_error
+from lempertpoles.complex_kernel import moebius, moebius_error, one_minus_outer
 from lempertpoles.covering_domains import PlaneDomain, build_cover, lempert_poleset_plane
 from lempertpoles.disc_domain import PoleSet
 from lempertpoles import node_optimizer
@@ -28,10 +28,10 @@ from lempertpoles.node_optimizer import (
     _certified_starts,
     _Coord,
     _margins,
-    _one_minus_outer,
     _polish,
     _repair,
     _restart_starts,
+    _with_base,
     bidisc_lempert,
     mixed_product_upper,
 )
@@ -124,6 +124,24 @@ def test_restart_starts_are_prefix_stable():
     big = _restart_starts(subset, coords, OptimizerSettings(restarts=70, seed=3), key)
     assert np.array_equal(small, big[:20])
     assert np.all(np.abs(big) < 1.0)
+
+
+def test_structured_starts_are_degree_2_blaschke_preimages():
+    # a coordinate's start is sent onto its targets by e^{i theta} z Phi_alpha,
+    # of degree 2, so its Pick matrix with the base pair 0 -> 0 has rank 2;
+    # a pole used twice takes both roots, so no two nodes coincide
+    ta = np.array([0.5, 0.5, 0.5j, 0.5j])
+    tb = np.array([0.5, -0.5, 0.5, -0.5])
+    starts = node_optimizer._structured_starts([_fixed(ta), _fixed(tb)],
+                                               np.random.default_rng(3))
+    per_coord = 2 * node_optimizer.STRUCTURED_ANGLES
+    assert len(starts) == 2 * per_coord
+    for k, lam in enumerate(starts):
+        targets = (ta, tb)[k // per_coord].astype(complex)
+        eig = np.linalg.eigvalsh(one_minus_outer(_with_base(targets[None]))
+                                 / one_minus_outer(_with_base(lam[None])))[0]
+        assert np.all(np.abs(eig[:-2]) <= 1e-12 * eig[-1]) and eig[-2] > 0.1 * eig[-1]
+        assert len(set(lam.tolist())) == len(lam)
 
 
 def test_inequality_two_floor():
@@ -397,7 +415,7 @@ def _barrier_configs():
                 lifts = np.array([cover.lifts(p, 6).eta[0] for p in poles], dtype=complex)
             lam = lifts / max(0.6, np.abs(lifts).max() / 0.95)
             disc = lam * (0.5 + 0.3 * lam) * np.exp(2j * np.pi * rng.random())
-            yield lam, _one_minus_outer(np.array([disc, lifts]))[None]
+            yield lam, one_minus_outer(_with_base(np.array([disc, lifts])))[None]
 
 
 def _derivative_errors(derivatives, mu=0.05):
@@ -503,7 +521,8 @@ def test_polish_starts_only_inside_the_feasible_set(monkeypatch, session_cache):
     coords, _ = node_optimizer._subset_coords(ca, cb, subset)
     raw = np.array([out[0] * (1.0 - e) for e in (1e-10, 1e-8, 3e-7)])
     assert not np.any(_margins(raw, coords).all(axis=1))
-    nums = np.stack([_one_minus_outer(c.batch_targets(raw)[0]) for c in coords], axis=1)
+    nums = np.stack([one_minus_outer(_with_base(c.batch_targets(raw)[0])) for c in coords],
+                    axis=1)
     assert np.all(np.isinf(_barrier_value(raw, nums, BARRIER_MU[0])))
     pushed, kept = _certified_starts(raw, coords)
     assert kept.tolist() == [0, 1, 2] and np.all(_margins(pushed, coords) > 0.0)
@@ -701,7 +720,8 @@ def test_level_batches_give_each_subset_its_bits_alone(monkeypatch, name):
 
 def test_level_batches_split_by_the_row_budget_give_the_same_bits(monkeypatch):
     # 60,000 bytes hold the Pick stacks of two subsets of 48 restarts of 3
-    # pairs, so criterion 8's size-3 level runs in two batches
+    # pairs, so criterion 8's size-3 level runs in two batches; the sizes
+    # above it do not split and are not searched
     sizes = []
     level_tails = node_optimizer._level_tails
 
@@ -710,20 +730,22 @@ def test_level_batches_split_by_the_row_budget_give_the_same_bits(monkeypatch):
         return level_tails(batch, settings)
 
     monkeypatch.setattr(node_optimizer, "BATCH_BYTES", 60000)
+    monkeypatch.setattr(node_optimizer, "MAX_SUBSET_SIZE", 3)
     monkeypatch.setattr(node_optimizer, "_level_tails", sizing)
     batched, alone = _batched_and_one_by_one(monkeypatch, C8_INSTANCE, FAST)
-    assert sizes == [2, 2, 2, 1] and batched == alone
+    assert sizes == [2, 2, 2] and batched == alone
 
 
 def test_level_batch_oracle_catches_swapped_owners(monkeypatch):
     # negative control: the rows of a size's first two subsets handed to
-    # each other
+    # each other, on the pair subsets alone
     level_tails = node_optimizer._level_tails
 
     def swapped(batch, settings):
         rows = level_tails(batch, settings)
         return [rows[1], rows[0], *rows[2:]] if len(rows) > 1 else rows
 
+    monkeypatch.setattr(node_optimizer, "MAX_SUBSET_SIZE", 2)
     monkeypatch.setattr(node_optimizer, "_level_tails", swapped)
     batched, alone = _batched_and_one_by_one(monkeypatch, C8_INSTANCE, FAST)
     assert batched[0] != alone[0]
